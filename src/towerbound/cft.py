@@ -136,7 +136,13 @@ class GsResult(NamedTuple):
     rd_upper: int
 
 
-def _margin_from_pair(d: int, rd: int) -> int:
+def gs_margin(d: int, rd: int) -> int:
+    """The Golod-Shafarevich margin d^2 - 4d - 4(r - d) of a group with at
+    least d generators and relation slack at most rd = r - d.
+
+    This is the one integer form of the infinitude criterion: a nonnegative
+    margin rules out a finite p-group (for d >= 1, rd >= 0).
+    """
     return d * d - 4 * d - 4 * rd
 
 
@@ -166,7 +172,7 @@ def check_gs_inequality(plan: RamificationPlan) -> GsResult:
             f"t = {plan.t} exceeds the local rank sum {plan.rank_sum}"
         )
     d, rd = plan.d_lower, plan.rd_upper
-    margin = _margin_from_pair(d, rd)
+    margin = gs_margin(d, rd)
     infinite = margin >= 0
     if infinite != gs_margin_raw(d, rd):  # the two formulations must agree
         raise RuntimeError("margin formulation disagrees with the raw criterion")
@@ -226,10 +232,9 @@ def _require_certified(plan: RamificationPlan):
         raise NotCertified(
             f"side condition fails: t = {plan.t} > rank sum {plan.rank_sum}"
         )
-    if _margin_from_pair(plan.d_lower, plan.rd_upper) < 0:
-        raise NotCertified(
-            f"gs margin {_margin_from_pair(plan.d_lower, plan.rd_upper)} is negative"
-        )
+    margin = gs_margin(plan.d_lower, plan.rd_upper)
+    if margin < 0:
+        raise NotCertified(f"gs margin {margin} is negative")
 
 
 def bound_plain(genus: int, plan: RamificationPlan) -> Fraction:
@@ -292,9 +297,10 @@ def certify_tower(genus: int, plan: RamificationPlan) -> TowerCertificate:
     """Full pipeline: ranks, margin, side condition, and (when certified)
     both exact rational bounds.  The margin is reported even when negative."""
     d, rd = plan.d_lower, plan.rd_upper
-    margin = _margin_from_pair(d, rd)
+    margin = gs_margin(d, rd)
     side = plan.side_condition_ok
-    infinite = side and margin >= 0 and d >= 2
+    # the side condition gives d >= 1, and then margin >= 0 forces d >= 4
+    infinite = side and margin >= 0
     return TowerCertificate(
         d_lower=d,
         rd_upper=rd,

@@ -153,7 +153,7 @@ def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_
     report.kv("name", name)
     if name in doc.curves:
         model = doc.curves[name]
-        d_max = d_max or _default_dmax(model.params)
+        d_max = _default_dmax(model.params) if d_max is None else d_max
         report.kv("dmax", d_max)
         zeta_reach = max(d_max, 2 * model.genus) if model.genus <= 2 else d_max
         spec = curve_mod.spectrum_from_counts(model, zeta_reach)
@@ -178,7 +178,7 @@ def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_
         return EXIT_OK
     if name in doc.covers:
         cov = doc.covers[name]
-        d_max = d_max or _default_dmax(cov.params)
+        d_max = _default_dmax(cov.params) if d_max is None else d_max
         report.kv("dmax", d_max)
         spec = cover_mod.assemble_spectrum(cov, d_max)
         report.line(
@@ -309,7 +309,7 @@ def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -
             allowed_nu=sc.nus,
             t_values=t_values,
             max_multiplicity=sc.cap,
-            top_n=top or sc.top,
+            top_n=sc.top if top is None else top,
         )
         result = search_mod.optimize(space)
         report.kv(f"{sname}.candidates", result.candidates_evaluated)
@@ -532,6 +532,10 @@ def main(argv=None) -> int:
             return cmd_compare(doc, args.name, inline, args.json)
         if not args.config:
             raise ConfigError(f"{args.command} requires --config")
+        for flag in ("dmax", "top"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{flag} must be >= 1, got {value}")
         doc = config.load_config(args.config)
         if args.command == "spectrum":
             return cmd_spectrum(doc, args.name, args.dmax, args.json)

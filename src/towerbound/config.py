@@ -367,6 +367,10 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
             )
         elif kind == "search":
             _require(keys, ("on", "degrees"), where)
+            cap = _parse_int(keys.get("cap", "200"), "cap")
+            top = _parse_int(keys.get("top", "10"), "top")
+            if cap < 0 or top < 1:
+                raise ConfigError(f"{where}: need cap >= 0 and top >= 1, got {cap} and {top}")
             doc.searches[name or "default"] = SearchConfig(
                 on=keys["on"],
                 degrees=_parse_degrees(keys["degrees"]),
@@ -374,8 +378,8 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
                     _parse_int(v, "nu") for v in keys.get("nu", "").split(",") if v.strip()
                 ),
                 t=keys.get("t", "a1").strip(),
-                cap=_parse_int(keys.get("cap", "200"), "cap"),
-                top=_parse_int(keys.get("top", "10"), "top"),
+                cap=cap,
+                top=top,
             )
     # covers last: they reference curves and profiles
     for sec in sections:

@@ -11,13 +11,14 @@ over the same space return identical ranked lists.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cft
 from .curve import PlaceSpectrum
-from .errors import EmptySpace
+from .errors import DegenerateGenus, EmptySpace
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,16 @@ class SearchSpace:
     t_values: tuple[int, ...] = ()  # empty means (a_1,)
     max_multiplicity: int = 200
     top_n: int = 10
+
+    def __post_init__(self):
+        if self.top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
+        if self.max_multiplicity < 0:
+            raise ValueError(f"max_multiplicity must be >= 0, got {self.max_multiplicity}")
+        if self.base_genus < 1:
+            raise DegenerateGenus(
+                f"base genus {self.base_genus} < 1: the refined denominator can be nonpositive"
+            )
 
     def nus(self) -> tuple[int, ...]:
         return self.allowed_nu or (self.spectrum.params.p,)
@@ -55,74 +66,91 @@ def optimize(space: SearchSpace) -> SearchResult:
     """Enumerate every multiplicity vector in the space, keep the candidates
     that certify an infinite tower, and rank them by the refined bound.
 
-    Ties break toward the lexicographically smaller multiplicity vector.
-    Raises EmptySpace when nothing certifies.
+    Ties break toward the lexicographically smaller multiplicity vector,
+    then the smaller t.  Raises EmptySpace when nothing certifies.
+
+    The inner loop is integer only.  With D the largest degree searched, the
+    refined denominator (g - 1) + sum m*f*nu/2 * (1 - q^-f) scaled by 2*q^D
+    is the integer E = 2*q^D*(g - 1) + sum m*f*nu*(q^D - q^(D-f)), and the
+    refined bound is t*2*q^D / E; two candidates compare by t1*E2 vs t2*E1.
+    Candidates stream past a heap of the best top_n, so memory is O(top_n);
+    a Fraction is built only when a candidate enters the heap.
     """
     params = space.spectrum.params
     q = params.q
     amap = space.spectrum.a_map
-    genus = space.base_genus
     nus = space.nus()
-    ts = space.ts()
+    ts = sorted(space.ts())
     a1 = amap.get(1, 0)
     for t in ts:
         if t < 1 or t > a1:
             raise ValueError(f"split count t = {t} not available (a_1 = {a1})")
 
+    nothing = f"no plan over degrees {list(space.degrees)} certifies an infinite tower"
     degrees = [d for d in space.degrees if amap.get(d, 0) > 0]
-    caps = {d: min(amap[d], space.max_multiplicity) for d in degrees}
+    if not degrees:
+        raise EmptySpace(nothing)
+    d_top = max(degrees)
+    scale = 2 * q**d_top
 
-    # per-degree option list: (multiplicity, nu, unit rank, rd bound, f*nu, refined term)
+    # per-degree options: (unit rank, rd bound, scaled refined term, (-m, -nu));
+    # a min-heap on negated vectors keeps the largest vector at its root
     options = []
     for d in degrees:
-        opts = [(0, 0, 0, 0, 0, Fraction(0))]
-        damp = 1 - Fraction(1, q**d)
+        damped = d * (q**d_top - q ** (d_top - d))
+        opts = [(0, 0, 0, (0, 0))]
         for nu in nus:
             r1 = cft.local_unit_rank(params, d, nu)
             rd1 = cft.local_rd_bound(params, d, nu)
-            for m in range(1, caps[d] + 1):
-                opts.append((m, nu, m * r1, m * rd1, m * d * nu, Fraction(m * d * nu, 2) * damp))
+            for m in range(1, min(amap[d], space.max_multiplicity) + 1):
+                opts.append((m * r1, m * rd1, m * damped * nu, (-m, -nu)))
         options.append(opts)
+    *head, last = options
 
-    candidates = 0
-    kept = []
-    for combo in itertools.product(*options):
-        rank_sum = sum(o[2] for o in combo)
-        rd_sum = sum(o[3] for o in combo)
-        for t in ts:
-            candidates += 1
-            if t > rank_sum:
-                continue  # side condition
-            d_low = 1 + rank_sum - t
-            rd_up = rd_sum + t - 1
-            margin = d_low * d_low - 4 * d_low - 4 * rd_up
-            if margin < 0:
-                continue
-            refined_den = Fraction(genus - 1) + sum((o[5] for o in combo), Fraction(0))
-            bound = Fraction(t) / refined_den
-            vector = tuple((o[0], o[1]) for o in combo)
-            kept.append((bound, vector, t, combo))
+    base_e = scale * (space.base_genus - 1)
+    top_n = space.top_n
+    gs_margin = cft.gs_margin
+    heap = []  # (bound, negated vector, -t, E); the root is the worst kept
+    candidates = certified = 0
+    for prefix in itertools.product(*head):
+        rank0 = sum(o[0] for o in prefix)
+        rd0 = sum(o[1] for o in prefix)
+        e0 = base_e + sum(o[2] for o in prefix)
+        candidates += len(last) * len(ts)
+        for r, rd, e, neg in last:
+            rank = rank0 + r
+            for t in ts:
+                if t > rank:
+                    break  # side condition; ts ascend
+                if gs_margin(1 + rank - t, rd0 + rd + t - 1) < 0:
+                    continue
+                certified += 1
+                big_e = e0 + e
+                if len(heap) == top_n:
+                    worst = heap[0]
+                    if t * worst[3] < -worst[2] * big_e:  # t/E below the worst t_w/E_w
+                        continue
+                negated = tuple(o[3] for o in prefix) + (neg,)
+                item = (Fraction(t * scale, big_e), negated, -t, big_e)
+                if len(heap) < top_n:
+                    heapq.heappush(heap, item)
+                elif item > heap[0]:
+                    heapq.heapreplace(heap, item)
 
-    if not kept:
-        raise EmptySpace(
-            f"no plan over degrees {list(space.degrees)} certifies an infinite tower"
-        )
-    kept.sort(key=lambda item: (-item[0], item[1], item[2]))
-
+    if not heap:
+        raise EmptySpace(nothing)
     ranked = []
-    for bound, vector, t, combo in kept[: space.top_n]:
-        entries = tuple(
-            (d, m, nu) for d, (m, nu, *_ ) in zip(degrees, combo) if m > 0
-        )
-        plan = cft.RamificationPlan(params, entries, t, available_spectrum=space.spectrum)
-        cert = cft.certify_tower(genus, plan)
-        if cert.bound_refined != bound:  # the fast path must agree with the slow one
+    for bound, negated, neg_t, _ in sorted(heap, reverse=True):
+        entries = tuple((d, -m, -nu) for d, (m, nu) in zip(degrees, negated) if m)
+        plan = cft.RamificationPlan(params, entries, -neg_t, available_spectrum=space.spectrum)
+        cert = cft.certify_tower(space.base_genus, plan)
+        if not cert.infinite or cert.bound_refined != bound:
             raise RuntimeError("optimizer bound disagrees with certify_tower")
         ranked.append((plan, cert))
     return SearchResult(
         ranked=tuple(ranked),
         candidates_evaluated=candidates,
-        certified_count=len(kept),
+        certified_count=certified,
         space=space,
     )
 
@@ -135,7 +163,7 @@ def candidate_count(space: SearchSpace) -> int:
         if amap.get(d, 0) > 0:
             cap = min(amap[d], space.max_multiplicity)
             total *= 1 + cap * len(space.nus())
-    return total * len(space.ts() or (None,))
+    return total * len(space.ts())
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +211,7 @@ class MethodComparison:
 def _verdict(d: int, rd: int) -> bool:
     if d < 1 or rd < 0:
         return False
-    return cft.gs_margin_raw(d, rd)
+    return cft.gs_margin(d, rd) >= 0
 
 
 def compare_methods(inp: MethodComparisonInput) -> MethodComparison:

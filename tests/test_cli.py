@@ -1,5 +1,9 @@
 """CLI exit codes, report formats and the machine-block round trip."""
 
+import re
+
+import pytest
+
 from towerbound import cli
 
 
@@ -182,3 +186,30 @@ def test_jobs_flag_accepted(capsys):
         capsys, "spectrum", "--config", "f2_tower1", "--name", "E", "--dmax", "4", "--jobs", "4"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize", "--config", "f2_tower1", "--top", "-1"),
+        ("optimize", "--config", "f2_tower1", "--top", "0"),
+        ("spectrum", "--config", "f2_tower1", "--name", "E", "--dmax", "0"),
+        ("spectrum", "--config", "f2_tower1", "--name", "E", "--dmax", "-3"),
+    ],
+    ids=["top-negative", "top-zero", "dmax-zero", "dmax-negative"],
+)
+def test_flag_below_one_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize("key, value", [("top", "0"), ("cap", "-1")])
+def test_search_section_out_of_range_exit_2(capsys, tmp_path, key, value):
+    cfg = tmp_path / "bad_search.cfg"
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", _bundled_text("f2_tower1"), flags=re.M)
+    cfg.write_text(text)
+    code, _, err = run(capsys, "optimize", "--config", str(cfg))
+    assert code == 2
+    assert f"{key} >= " in err

@@ -1,11 +1,13 @@
 """The plan optimizer and the two-method comparison."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from towerbound import cft, curve, search
-from towerbound.errors import EmptySpace
+from towerbound import cft, config, curve, search
+from towerbound.errors import DegenerateGenus, EmptySpace
 from towerbound.ff import FieldParams
 
 P2 = FieldParams(2)
@@ -107,3 +109,93 @@ def test_bad_t_rejected(spectrum_k1):
     space = search.SearchSpace(spectrum=spectrum_k1, base_genus=276, t_values=(161,))
     with pytest.raises(ValueError):
         search.optimize(space)
+
+
+def test_space_rejects_bad_sizes(spectrum_k1):
+    with pytest.raises(ValueError):
+        search.SearchSpace(spectrum=spectrum_k1, base_genus=276, top_n=0)
+    with pytest.raises(ValueError):
+        search.SearchSpace(spectrum=spectrum_k1, base_genus=276, max_multiplicity=-1)
+    with pytest.raises(DegenerateGenus):
+        search.SearchSpace(spectrum=spectrum_k1, base_genus=0)
+    assert search.SearchSpace(spectrum=spectrum_k1, base_genus=276, max_multiplicity=0)
+
+
+def _brute_force(space):
+    """Certify every candidate plan with certify_tower and rank by
+    (-bound_refined, vector, t): the reference the optimizer must match."""
+    amap = space.spectrum.a_map
+    degrees = [d for d in space.degrees if amap.get(d, 0) > 0]
+    caps = [min(amap[d], space.max_multiplicity) for d in degrees]
+    per_degree = [
+        [(0, 0)] + [(m, nu) for nu in space.nus() for m in range(1, cap + 1)] for cap in caps
+    ]
+    candidates = 0
+    kept = []
+    for vector in itertools.product(*per_degree):
+        entries = tuple((d, m, nu) for d, (m, nu) in zip(degrees, vector) if m)
+        for t in space.ts():
+            candidates += 1
+            plan = cft.RamificationPlan(
+                space.spectrum.params, entries, t, available_spectrum=space.spectrum
+            )
+            cert = cft.certify_tower(space.base_genus, plan)
+            if cert.infinite:
+                kept.append((-cert.bound_refined, vector, t, plan, cert))
+    kept.sort(key=lambda item: item[:3])
+    return candidates, kept
+
+
+@pytest.mark.parametrize(
+    "degrees, nus, t_values",
+    [((5, 10), (2, 3), (160, 100)), ((10,), (2, 3), (100,)), ((10,), (3, 2), (100,))],
+    # at degree 10, (m, 2) and (2m/3, 3) tie in bound; the nu order decides
+    # whether the better of the two meets a full heap after or before the worse
+    ids=["two-degrees-two-t", "tie-winner-arrives-last", "tie-loser-arrives-last"],
+)
+def test_optimizer_matches_brute_force(spectrum_k1, degrees, nus, t_values):
+    space = search.SearchSpace(
+        spectrum=spectrum_k1, base_genus=276, degrees=degrees,
+        allowed_nu=nus, t_values=t_values, top_n=1000,
+    )
+    candidates, kept = _brute_force(space)
+    result = search.optimize(space)
+    assert candidates == result.candidates_evaluated == search.candidate_count(space)
+    assert result.certified_count == len(kept) < space.top_n
+    assert {t for _, _, t, _, _ in kept} == set(t_values)
+    assert [(p.entries, p.t, c) for p, c in result.ranked] == [
+        (p.entries, p.t, c) for *_, p, c in kept
+    ]
+    # cutting the ranking inside a group of equal bounds keeps the same prefix
+    ties = [k for k in range(1, len(kept)) if kept[k - 1][0] == kept[k][0]]
+    assert ties
+    for k in (1, *ties):
+        cut = search.optimize(dataclasses.replace(space, top_n=k))
+        assert cut.ranked == result.ranked[:k]
+        assert cut.certified_count == result.certified_count
+
+
+BUNDLED_SEARCHES = {  # config -> (candidates, certified, top-5 bound_refined)
+    "f2_tower1": (6468, 5747, ("16384/51711", "1024/3239", "4096/12959", "8192/25959",
+                               "8192/25965")),
+    "f2_tower2": (56355, 42602, ("24576/77527", "98304/310733", "49152/155377",
+                                 "98304/310775", "98304/311143")),
+    "f3_tower": (65526, 63576, ("1240029/2515901", "413343/839728", "45927/93304",
+                                "1240029/2519240", "1240029/2519264")),
+}
+
+
+@pytest.mark.parametrize("cfg_name", sorted(BUNDLED_SEARCHES))
+def test_bundled_searches_pinned(cfg_name, request):
+    sc = config.load_config(cfg_name).searches["default"]
+    spectrum = request.getfixturevalue(f"spectrum_{sc.on}")
+    space = search.SearchSpace(
+        spectrum=spectrum, base_genus=spectrum.genus, degrees=sc.degrees,
+        allowed_nu=sc.nus, max_multiplicity=sc.cap, top_n=sc.top,
+    )
+    result = search.optimize(space)
+    candidates, certified, top = BUNDLED_SEARCHES[cfg_name]
+    assert (result.candidates_evaluated, result.certified_count) == (candidates, certified)
+    assert tuple(
+        f"{c.bound_refined.numerator}/{c.bound_refined.denominator}" for _, c in result.ranked
+    ) == top

@@ -47,6 +47,6 @@ for cfg_name, plan_name, label in CASES:
 print("What fails when t is pushed to the side-condition boundary:")
 doc = config.load_config("f2_tower1")
 plan = cft.RamificationPlan(doc.params, doc.plans["tower1"].entries, 231)
-res = cft.check_gs_inequality(plan)
-print(f"  t = 231: d >= {res.d_lower}, r - d <= {res.rd_upper}, "
-      f"margin {res.gs_margin} -> not certified")
+cert = cft.certify_tower(276, plan)
+print(f"  t = 231: d >= {cert.d_lower}, r - d <= {cert.rd_upper}, "
+      f"margin {cert.gs_margin} -> {'INFINITE' if cert.infinite else 'not certified'}")

@@ -15,32 +15,28 @@ from .errors import (
     EmptySpace,
     FunctionalEquationViolation,
     InconsistentModel,
-    NotCertified,
     NotPrime,
+    OutOfRange,
     ParityViolation,
     PoleAtPlace,
     RamifiedPlace,
-    SideConditionViolated,
     TowerboundError,
     UnsupportedSize,
 )
-from .ff import ExtField, FieldParams, absolute_trace, enumerate_elements, make_ext_field
+from .ff import ExtField, FieldParams, make_ext_field
 
 __all__ = [
     "FieldParams",
     "ExtField",
     "make_ext_field",
-    "absolute_trace",
-    "enumerate_elements",
     "TowerboundError",
     "NotPrime",
+    "OutOfRange",
     "UnsupportedSize",
     "InconsistentModel",
     "FunctionalEquationViolation",
     "RamifiedPlace",
     "PoleAtPlace",
-    "SideConditionViolated",
-    "NotCertified",
     "DegenerateGenus",
     "ParityViolation",
     "EmptySpace",

@@ -10,23 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .curve import PlaceSpectrum
-from .errors import (
-    DegenerateGenus,
-    InconsistentModel,
-    NotCertified,
-    ParityViolation,
-    SideConditionViolated,
-)
+from .errors import DegenerateGenus, InconsistentModel, OutOfRange, ParityViolation
 from .ff import FieldParams
 
 
 def local_unit_rank(params: FieldParams, f: int, nu: int) -> int:
     """p-rank of U^(1)/U^(nu) at a place of degree f: f*e*(nu - 1 - floor((nu-1)/p))."""
     if f < 1 or nu < 1:
-        raise ValueError("need degree f >= 1 and exponent nu >= 1")
+        raise OutOfRange("need degree f >= 1 and exponent nu >= 1")
     k = nu - 1
     return f * params.e * (k - k // params.p)
 
@@ -35,7 +28,7 @@ def local_rd_bound(params: FieldParams, f: int, nu: int) -> int:
     """Binomial bound on r_p(G_p) - d_p(G_p) for an abelian local extension
     of ramification depth at most nu: binom(e*f*(nu-1) + 1, 2)."""
     if f < 1 or nu < 2:
-        raise ValueError("need degree f >= 1 and exponent nu >= 2")
+        raise OutOfRange("need degree f >= 1 and exponent nu >= 2")
     m = params.e * f * (nu - 1)
     return m * (m + 1) // 2
 
@@ -58,12 +51,12 @@ class RamificationPlan:
 
     def __post_init__(self):
         if self.t < 1:
-            raise ValueError("t must be positive: the tower needs a nonempty split set")
+            raise OutOfRange("t must be positive: the tower needs a nonempty split set")
         for f, count, nu in self.entries:
             if f < 1 or count < 1:
-                raise ValueError(f"bad plan entry (f={f}, count={count}, nu={nu})")
+                raise OutOfRange(f"bad plan entry (f={f}, count={count}, nu={nu})")
             if nu < 2:
-                raise ValueError(
+                raise OutOfRange(
                     f"conductor exponent nu = {nu} at degree {f} contributes zero "
                     "local rank and is rejected as useless"
                 )
@@ -107,6 +100,9 @@ class RamificationPlan:
 
     @property
     def d_lower(self) -> int:
+        """Lower bound for the p-rank of the ray class group: 1 + sum of local
+        unit ranks - t.  The global unit defect term is a nonnegative unknown
+        and is dropped, which only weakens the bound."""
         return 1 + self.rank_sum - self.t
 
     @property
@@ -122,20 +118,6 @@ class RamificationPlan:
         return f"S = {inner or 'empty'}, t = {self.t}"
 
 
-def generator_rank_lower(plan: RamificationPlan) -> int:
-    """Lower bound for the p-rank of the ray class group: 1 + sum of local
-    unit ranks - t.  The global unit defect term is a nonnegative unknown
-    and is dropped, which only weakens the bound."""
-    return plan.d_lower
-
-
-class GsResult(NamedTuple):
-    gs_margin: int
-    infinite: bool
-    d_lower: int
-    rd_upper: int
-
-
 def gs_margin(d: int, rd: int) -> int:
     """The Golod-Shafarevich margin d^2 - 4d - 4(r - d) of a group with at
     least d generators and relation slack at most rd = r - d.
@@ -146,37 +128,28 @@ def gs_margin(d: int, rd: int) -> int:
     return d * d - 4 * d - 4 * rd
 
 
+def certifies(d: int, rd: int) -> bool:
+    """The infinitude verdict: True when no finite p-group has at least
+    d >= 1 generators and relation slack at most rd >= 0.
+
+    Every verdict in the package comes from here.
+    """
+    return d >= 1 and rd >= 0 and gs_margin(d, rd) >= 0
+
+
 def gs_margin_raw(d: int, rd: int) -> bool:
     """True when a finite p-group with >= d generators and relation slack
     <= rd is impossible: rd <= d^2/4 - d (exact rational comparison).
 
-    d = 0 never certifies: a trivial group satisfies everything.
+    d = 0 never certifies: a trivial group satisfies everything.  No program
+    path calls this; it is the rational reference the tests compare
+    `certifies` against.
     """
     if d < 0 or rd < 0:
         raise ValueError("d and rd must be nonnegative")
     if d < 1:
         return False
     return Fraction(d * d, 4) - d >= rd
-
-
-def check_gs_inequality(plan: RamificationPlan) -> GsResult:
-    """Evaluate the infinitude criterion for the plan, exactly.
-
-    gs_margin = (1 + sum ef(nu-1-[(nu-1)/p]) - t)^2
-                - 2 sum ef(nu-1)(ef(nu-1)+1) - 4 sum ef(nu-1-[(nu-1)/p]),
-    which equals d^2 - 4d - 4(r - d) for the derived pair; the tower is
-    provably infinite when the margin is nonnegative.
-    """
-    if not plan.side_condition_ok:
-        raise SideConditionViolated(
-            f"t = {plan.t} exceeds the local rank sum {plan.rank_sum}"
-        )
-    d, rd = plan.d_lower, plan.rd_upper
-    margin = gs_margin(d, rd)
-    infinite = margin >= 0
-    if infinite != gs_margin_raw(d, rd):  # the two formulations must agree
-        raise RuntimeError("margin formulation disagrees with the raw criterion")
-    return GsResult(gs_margin=margin, infinite=infinite, d_lower=d, rd_upper=rd)
 
 
 @dataclass(frozen=True)
@@ -188,16 +161,16 @@ class CharacterConductorProfile:
 
     def __post_init__(self):
         if self.group_order < 1:
-            raise ValueError("group order must be >= 1")
+            raise OutOfRange("group order must be >= 1")
         total = sum(mult for _, mult in self.degree_multiset)
         if total != self.group_order - 1:
-            raise ValueError(
+            raise OutOfRange(
                 f"profile lists {total} characters, group of order {self.group_order} "
                 f"has {self.group_order - 1} nontrivial ones"
             )
         for deg, mult in self.degree_multiset:
             if deg < 0 or mult < 1:
-                raise ValueError(f"bad profile entry ({deg}, {mult})")
+                raise OutOfRange(f"bad profile entry ({deg}, {mult})")
 
     @property
     def conductor_degree_sum(self) -> int:
@@ -216,43 +189,24 @@ def genus_from_conductors(base_genus: int, profile: CharacterConductorProfile) -
 
 
 def _plain_denominator(genus: int, plan: RamificationPlan) -> Fraction:
+    """g - 1 + (1/2) sum f*nu: the plain bound t / (this) takes the
+    worst-case conductor degree for every character."""
     return Fraction(genus - 1) + Fraction(plan.conductor_degree, 2)
 
 
 def _refined_denominator(genus: int, plan: RamificationPlan) -> Fraction:
+    """g - 1 + (1/2) sum f*nu*(1 - q^-f): the refined bound damps each place,
+    since a place of degree f can appear in the conductor of at most that
+    fraction of the characters.
+
+    The damping exponent is f even when the local unit rank e*f*(nu-1-...)
+    differs from e*f: see refinement_warnings.
+    """
     q = plan.params.q
     den = Fraction(genus - 1)
     for f, count, nu in plan.entries:
         den += Fraction(count * f * nu, 2) * (1 - Fraction(1, q**f))
     return den
-
-
-def _require_certified(plan: RamificationPlan):
-    if not plan.side_condition_ok:
-        raise NotCertified(
-            f"side condition fails: t = {plan.t} > rank sum {plan.rank_sum}"
-        )
-    margin = gs_margin(plan.d_lower, plan.rd_upper)
-    if margin < 0:
-        raise NotCertified(f"gs margin {margin} is negative")
-
-
-def bound_plain(genus: int, plan: RamificationPlan) -> Fraction:
-    """A(q) >= t / (g - 1 + (1/2) sum f nu), using the worst-case conductor
-    degree for every character.  Requires a certified plan."""
-    _require_certified(plan)
-    return Fraction(plan.t) / _plain_denominator(genus, plan)
-
-
-def bound_refined(genus: int, plan: RamificationPlan) -> Fraction:
-    """Sharper bound with per-place damping 1 - q^(-f): a place of degree f
-    can appear in the conductor of at most that fraction of the characters.
-
-    The damping exponent is f even when the local unit rank e*f*(nu-1-...)
-    differs from e*f: see refinement_warnings.
-    """
-    _require_certified(plan)
-    return Fraction(plan.t) / _refined_denominator(genus, plan)
 
 
 def refinement_warnings(plan: RamificationPlan) -> list[str]:
@@ -279,7 +233,8 @@ def asymptotic_ratio(t_split: int, genus: int) -> Fraction:
 
 @dataclass(frozen=True)
 class TowerCertificate:
-    """Everything the infinitude criterion produced for one plan."""
+    """Everything the infinitude criterion produced for one plan; the two
+    bounds are None unless the plan certifies an infinite tower."""
 
     d_lower: int
     rd_upper: int
@@ -294,21 +249,25 @@ class TowerCertificate:
 
 
 def certify_tower(genus: int, plan: RamificationPlan) -> TowerCertificate:
-    """Full pipeline: ranks, margin, side condition, and (when certified)
-    both exact rational bounds.  The margin is reported even when negative."""
+    """Ranks, margin, side condition and, only when the plan certifies, the
+    exact rational bounds A(q) >= t / denominator; otherwise both bounds
+    are None.  The margin is reported even when negative.
+
+    For d = 1 + sum ef(nu-1-[(nu-1)/p]) - t the margin equals
+    d^2 - 2 sum ef(nu-1)(ef(nu-1)+1) - 4 sum ef(nu-1-[(nu-1)/p]), and the
+    side condition t <= rank sum is d >= 1.
+    """
     d, rd = plan.d_lower, plan.rd_upper
-    margin = gs_margin(d, rd)
-    side = plan.side_condition_ok
-    # the side condition gives d >= 1, and then margin >= 0 forces d >= 4
-    infinite = side and margin >= 0
+    infinite = certifies(d, rd)
+    t = Fraction(plan.t)
     return TowerCertificate(
         d_lower=d,
         rd_upper=rd,
-        gs_margin=margin,
-        side_condition_ok=side,
+        gs_margin=gs_margin(d, rd),
+        side_condition_ok=plan.side_condition_ok,
         infinite=infinite,
-        bound=bound_plain(genus, plan) if infinite else None,
-        bound_refined=bound_refined(genus, plan) if infinite else None,
+        bound=t / _plain_denominator(genus, plan) if infinite else None,
+        bound_refined=t / _refined_denominator(genus, plan) if infinite else None,
         genus=genus,
         plan=plan,
         warnings=tuple(refinement_warnings(plan)),

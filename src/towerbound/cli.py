@@ -30,11 +30,9 @@ from .errors import (
     EmptySpace,
     FunctionalEquationViolation,
     InconsistentModel,
-    NotCertified,
     NotPrime,
     PoleAtPlace,
     RamifiedPlace,
-    SideConditionViolated,
     TowerboundError,
     UnsupportedSize,
 )
@@ -478,12 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_config:
             sp.add_argument("--config", required=False, help="config file path or bundled name")
         sp.add_argument("--json", action="store_true", help="emit the flat machine-readable block")
-        sp.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker count; execution is deterministic and currently serial for any value",
-        )
 
     sp = sub.add_parser("spectrum", help="place spectrum of a curve or cover")
     common(sp)
@@ -553,9 +545,6 @@ def main(argv=None) -> int:
     except (InconsistentModel, FunctionalEquationViolation, PoleAtPlace, RamifiedPlace) as exc:
         print(f"model inconsistency: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (NotCertified, SideConditionViolated) as exc:
-        print(f"not certified: {exc}", file=sys.stderr)
-        return EXIT_NOT_CERTIFIED
     except EmptySpace as exc:
         print(f"empty search space: {exc}", file=sys.stderr)
         return EXIT_EMPTY_SEARCH

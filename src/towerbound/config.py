@@ -30,6 +30,7 @@ from .ff import FieldParams
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(\d+|[xy]|\*\*|[()^*+-])")
+MAX_EXPONENT = 64  # each power is that many multiplications; the shipped configs need ^5
 
 
 def _tokenize(text: str) -> list[str]:
@@ -92,7 +93,10 @@ class _PolyParser:
             exp = self.take()
             if exp is None or not exp.isdigit():
                 raise ConfigError("exponent must be a nonnegative integer")
-            return _power(base, int(exp))
+            e = _parse_int(exp, "exponent")
+            if e > MAX_EXPONENT:
+                raise ConfigError(f"exponent {e} exceeds the cap {MAX_EXPONENT}")
+            return _power(base, e)
         return base
 
     def base(self) -> dict:
@@ -105,7 +109,8 @@ class _PolyParser:
                 raise ConfigError("unbalanced parentheses in polynomial")
             return inner
         if tok.isdigit():
-            return {(0, 0): int(tok)} if int(tok) else {}
+            value = _parse_int(tok, "coefficient")
+            return {(0, 0): value} if value else {}
         if tok == "x":
             return {(1, 0): 1}
         if tok == "y":
@@ -409,7 +414,7 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
             unknown = set(rec) - {"deg", "nu", "above", "count", "rep"}
             if unknown:
                 raise ConfigError(f"{where}: unknown support field(s) {sorted(unknown)}")
-            _requirer(rec, ("deg", "nu", "above"), where)
+            _require(rec, ("deg", "nu", "above"), where)
             rep = None
             if "rep" in rec:
                 bits = rec["rep"].split(":")
@@ -430,7 +435,7 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
             unknown = set(rec) - {"idx", "above"}
             if unknown:
                 raise ConfigError(f"{where}: unknown infinity field(s) {sorted(unknown)}")
-            _requirer(rec, ("idx", "above"), where)
+            _require(rec, ("idx", "above"), where)
             infinities.append(
                 cover_mod.DeclaredInfinity(
                     index=_parse_int(rec["idx"], "idx"),
@@ -456,12 +461,6 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
         if sc.t != "a1":
             _parse_int(sc.t, "t")
     return doc
-
-
-def _requirer(rec: dict, names: tuple[str, ...], where: str):
-    missing = [n for n in names if n not in rec]
-    if missing:
-        raise ConfigError(f"{where}: record missing field(s) {missing}")
 
 
 def bundled_names() -> list[str]:

@@ -31,7 +31,7 @@ from .curve import (
     eval_poly2,
     affine_solutions,
 )
-from .errors import InconsistentModel, PoleAtPlace, RamifiedPlace
+from .errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
 from .ff import make_ext_field
 
 
@@ -99,7 +99,7 @@ class CoverSpec:
     ):
         params = base.params
         if params.e != 1:
-            raise ValueError(
+            raise OutOfRange(
                 "trace-based decomposition is only valid over prime constant fields (e = 1)"
             )
         self.base = base
@@ -206,6 +206,21 @@ class DecompositionRecord:
     places_above: tuple[tuple[int, int], ...]  # (degree, count)
 
 
+def _component_traces(cover: CoverSpec, F, x: int, y: int) -> list[int | None]:
+    """Tr(B/A^p) over F of each component at the point (x, y); None for a
+    component whose A vanishes there."""
+    p = cover.params.p
+    out = []
+    for comp in cover.components:
+        aval = eval_poly2(F, comp.a_dict, x, y)
+        if aval == 0:
+            out.append(None)
+        else:
+            bval = eval_poly2(F, comp.b_dict, x, y)
+            out.append(F.trace(F.div(bval, F.pow(aval, p))))
+    return out
+
+
 def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
     """Splitting of an unramified place from its Frobenius trace vector.
 
@@ -223,19 +238,12 @@ def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
         )
     p = cover.params.p
     m = place.degree
-    F = make_ext_field(cover.params, m)
-    x, y = place.rep
-    taus = []
-    for comp in cover.components:
-        aval = eval_poly2(F, comp.a_dict, x, y)
-        if aval == 0:
-            raise PoleAtPlace(
-                f"component coefficient vanishes at undeclared place {place.key}: "
-                "inconsistent cover data"
-            )
-        bval = eval_poly2(F, comp.b_dict, x, y)
-        u = F.div(bval, F.pow(aval, p))
-        taus.append(F.trace(u))
+    taus = _component_traces(cover, make_ext_field(cover.params, m), *place.rep)
+    if None in taus:
+        raise PoleAtPlace(
+            f"component coefficient vanishes at undeclared place {place.key}: "
+            "inconsistent cover data"
+        )
     r = cover.rank
     if any(taus):
         above = ((p * m, p ** (r - 1)),)
@@ -285,27 +293,12 @@ def _fiber_count(cover: CoverSpec, F, x: int, y: int) -> tuple[int, bool]:
     exactly one root.
     """
     p = cover.params.p
+    taus = _component_traces(cover, F, x, y)
     fiber = 1
-    singular = False
-    for comp in cover.components:
-        aval = eval_poly2(F, comp.a_dict, x, y)
-        bval = eval_poly2(F, comp.b_dict, x, y)
-        if aval == 0:
-            singular = True
-            continue  # v^p = B: exactly one solution, factor 1
-        u = F.div(bval, F.pow(aval, p))
-        fiber *= p if F.trace(u) == 0 else 0
-    return fiber, singular
-
-
-def brute_force_compositum_count(cover: CoverSpec, n: int) -> int:
-    """Number of affine solutions (x, y, v_1..v_r) of the full system over F_{q^n}."""
-    F = make_ext_field(cover.params, n)
-    total = 0
-    for x, y in affine_solutions(cover.base, n):
-        fiber, _ = _fiber_count(cover, F, x, y)
-        total += fiber
-    return total
+    for tau in taus:
+        if tau is not None:
+            fiber *= 0 if tau else p
+    return fiber, None in taus
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .errors import FunctionalEquationViolation, InconsistentModel, UnsupportedSize
+from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange, UnsupportedSize
 from .ff import ExtField, FieldParams, make_ext_field
 
 Poly2 = Mapping[tuple[int, int], int]  # (x exponent, y exponent) -> coefficient mod p
@@ -70,10 +70,10 @@ class CurveModel:
     ) -> "CurveModel":
         norm = normalize_poly2(poly, params.p)
         if genus < 0:
-            raise ValueError("genus must be nonnegative")
+            raise OutOfRange("genus must be nonnegative")
         for m, cnt in infinite_places:
             if m < 1 or cnt < 1:
-                raise ValueError("infinite places need degree >= 1 and count >= 1")
+                raise OutOfRange("infinite places need degree >= 1 and count >= 1")
         return CurveModel(
             params=params,
             poly=tuple(sorted(norm.items())),
@@ -423,10 +423,10 @@ def make_affine_place(model: CurveModel, d: int, x: int, y: int) -> Place:
     max_xdeg = max((max(xc) for _, xc in groups), default=0)
     cs = _y_coeffs_at(F, groups, _x_powers(F, x, max_xdeg))
     if _eval_univariate(F, cs, y) != 0:
-        raise ValueError(f"({x}, {y}) does not lie on the curve over F_{F.order}")
+        raise OutOfRange(f"({x}, {y}) does not lie on the curve over F_{F.order}")
     orbit = _frobenius_orbit(F, x, y)
     if len(orbit) != d:
-        raise ValueError(
+        raise OutOfRange(
             f"point ({x}, {y}) generates an orbit of size {len(orbit)}, not {d}; "
             "it belongs to a place of smaller degree"
         )

@@ -9,6 +9,10 @@ class TowerboundError(Exception):
     """Base class for all package-specific errors."""
 
 
+class OutOfRange(TowerboundError, ValueError):
+    """A model, plan or comparison value lies outside its valid range."""
+
+
 class NotPrime(TowerboundError):
     """The requested characteristic is composite."""
 
@@ -31,14 +35,6 @@ class RamifiedPlace(TowerboundError):
 
 class PoleAtPlace(TowerboundError):
     """A normalized cover component has a pole at an undeclared place."""
-
-
-class SideConditionViolated(TowerboundError):
-    """The split count t exceeds the sum of local unit-group ranks."""
-
-
-class NotCertified(TowerboundError):
-    """A bound was requested for a plan that does not certify an infinite tower."""
 
 
 class DegenerateGenus(TowerboundError):

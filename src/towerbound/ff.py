@@ -14,13 +14,11 @@ carryless fast path for characteristic 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import NotPrime, UnsupportedSize
+from .errors import NotPrime, OutOfRange, UnsupportedSize
 
 MAX_TOTAL_DEGREE = 20  # cap on e*n; the largest fields the shipped data needs are 2^10 and 3^9
 TABLE_LIMIT = 1 << 16
-ENUM_LIMIT = 1 << 20
 
 
 def _is_prime(n: int) -> bool:
@@ -59,7 +57,7 @@ class FieldParams:
         if not _is_prime(self.p):
             raise NotPrime(f"characteristic {self.p} is not prime")
         if self.e < 1:
-            raise ValueError("e must be a positive integer")
+            raise OutOfRange("e must be a positive integer")
 
     @property
     def q(self) -> int:
@@ -324,10 +322,6 @@ class ExtField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def frobenius(self, a: int) -> int:
-        """x -> x^p."""
-        return self.pow(a, self.p)
-
     def frobenius_base(self, a: int) -> int:
         """x -> x^q, the Frobenius over the constant field F_q."""
         return self.pow(a, self.params.q)
@@ -342,7 +336,8 @@ class ExtField:
             factors = _prime_factors(q1)
             g = None
             for cand in range(2, self.order):
-                if all(self._raw_pow(cand, q1 // r) != 1 for r in factors):
+                # _log is still None here, so pow multiplies untabled
+                if all(self.pow(cand, q1 // r) != 1 for r in factors):
                     g = cand
                     break
             if g is None:  # every field has a multiplicative generator
@@ -358,16 +353,6 @@ class ExtField:
             raise RuntimeError("generator does not have full order")
         self._exp = exp
         self._log = log
-
-    def _raw_pow(self, a: int, k: int) -> int:
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            k >>= 1
-        return result
 
     # -- traces ---------------------------------------------------------------
 
@@ -386,7 +371,8 @@ class ExtField:
         return tuple(out)
 
     def trace(self, a: int) -> int:
-        """Absolute trace down to F_p, returned as an int in [0, p)."""
+        """Absolute trace Tr(a) = a + a^p + ... + a^(p^(degree - 1)) down to
+        F_p, returned as an int in [0, p)."""
         if self.p == 2:
             return bin(a & self._trace_mask).count("1") & 1
         p = self.p
@@ -514,17 +500,3 @@ def make_ext_field(params: FieldParams, n: int) -> ExtField:
         field = ExtField(params, n)
         _FIELD_CACHE[key] = field
     return field
-
-
-def absolute_trace(field: ExtField, x: int) -> int:
-    """Tr(x) = x + x^p + ... + x^(p^(e*n - 1)), as an int in [0, p)."""
-    return field.trace(x)
-
-
-def enumerate_elements(field: ExtField) -> Iterator[int]:
-    """Each element exactly once, in increasing packed order."""
-    if field.order > ENUM_LIMIT:
-        raise UnsupportedSize(
-            f"field of order {field.order} exceeds the enumeration limit {ENUM_LIMIT}"
-        )
-    return iter(range(field.order))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import cft
 from .curve import PlaceSpectrum
-from .errors import DegenerateGenus, EmptySpace
+from .errors import DegenerateGenus, EmptySpace, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class SearchSpace:
 
     def __post_init__(self):
         if self.top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
+            raise OutOfRange(f"top_n must be >= 1, got {self.top_n}")
         if self.max_multiplicity < 0:
-            raise ValueError(f"max_multiplicity must be >= 0, got {self.max_multiplicity}")
+            raise OutOfRange(f"max_multiplicity must be >= 0, got {self.max_multiplicity}")
         if self.base_genus < 1:
             raise DegenerateGenus(
                 f"base genus {self.base_genus} < 1: the refined denominator can be nonpositive"
@@ -84,7 +84,7 @@ def optimize(space: SearchSpace) -> SearchResult:
     a1 = amap.get(1, 0)
     for t in ts:
         if t < 1 or t > a1:
-            raise ValueError(f"split count t = {t} not available (a_1 = {a1})")
+            raise OutOfRange(f"split count t = {t} not available (a_1 = {a1})")
 
     nothing = f"no plan over degrees {list(space.degrees)} certifies an infinite tower"
     degrees = [d for d in space.degrees if amap.get(d, 0) > 0]
@@ -109,7 +109,7 @@ def optimize(space: SearchSpace) -> SearchResult:
 
     base_e = scale * (space.base_genus - 1)
     top_n = space.top_n
-    gs_margin = cft.gs_margin
+    certifies = cft.certifies
     heap = []  # (bound, negated vector, -t, E); the root is the worst kept
     candidates = certified = 0
     for prefix in itertools.product(*head):
@@ -121,8 +121,8 @@ def optimize(space: SearchSpace) -> SearchResult:
             rank = rank0 + r
             for t in ts:
                 if t > rank:
-                    break  # side condition; ts ascend
-                if gs_margin(1 + rank - t, rd0 + rd + t - 1) < 0:
+                    break  # d < 1 here and for every later t; ts ascend
+                if not certifies(1 + rank - t, rd0 + rd + t - 1):
                     continue
                 certified += 1
                 big_e = e0 + e
@@ -187,7 +187,7 @@ class MethodComparisonInput:
     def __post_init__(self):
         for name in ("s", "l", "t", "s_prime", "t_size"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise OutOfRange(f"{name} must be nonnegative")
 
     @property
     def t_k(self) -> int:
@@ -208,12 +208,6 @@ class MethodComparison:
     ours: MethodPair
 
 
-def _verdict(d: int, rd: int) -> bool:
-    if d < 1 or rd < 0:
-        return False
-    return cft.gs_margin(d, rd) >= 0
-
-
 def compare_methods(inp: MethodComparisonInput) -> MethodComparison:
     """Both bound systems for the same tower data.
 
@@ -227,6 +221,6 @@ def compare_methods(inp: MethodComparisonInput) -> MethodComparison:
     ours_rd = inp.s * (inp.l * (inp.l + 1) // 2) - inp.s_prime * inp.l + tk - 1
     return MethodComparison(
         input=inp,
-        usual=MethodPair(usual_d, usual_rd, _verdict(usual_d, usual_rd)),
-        ours=MethodPair(ours_d, ours_rd, _verdict(ours_d, ours_rd)),
+        usual=MethodPair(usual_d, usual_rd, cft.certifies(usual_d, usual_rd)),
+        ours=MethodPair(ours_d, ours_rd, cft.certifies(ours_d, ours_rd)),
     )

@@ -82,23 +82,23 @@ def inequality_margin(params, entries, t):
     return (1 + s_rank - t) ** 2 - 2 * s_quad - 4 * s_rank, t <= s_rank
 
 
-CERT_CASES = [
-    (P2, ((5, 1, 2), (8, 27, 2), (10, 1, 2)), 160, 92),
-    (P2, ((5, 2, 2), (6, 16, 2), (8, 15, 2), (10, 4, 2)), 192, 57),
-    (P3, ((8, 46, 3),), 567, 932),
-    (P3, ((5, 1, 3), (8, 43, 3), (9, 2, 3)), 567, 308),
+CERT_CASES = [  # (params, entries, t, genus, margin)
+    (P2, ((5, 1, 2), (8, 27, 2), (10, 1, 2)), 160, 276, 92),
+    (P2, ((5, 2, 2), (6, 16, 2), (8, 15, 2), (10, 4, 2)), 192, 343, 57),
+    (P3, ((8, 46, 3),), 567, 601, 932),
+    (P3, ((5, 1, 3), (8, 43, 3), (9, 2, 3)), 567, 601, 308),
 ]
 
 
 def test_criterion_3_certification_margins():
-    for params, entries, t, pinned in CERT_CASES:
+    for params, entries, t, genus, pinned in CERT_CASES:
         oracle_margin, oracle_side = inequality_margin(params, entries, t)
         assert oracle_margin == pinned
         assert oracle_side
         plan = cft.RamificationPlan(params, entries, t)
-        res = cft.check_gs_inequality(plan)
-        assert res.gs_margin == pinned
-        assert res.infinite
+        cert = cft.certify_tower(genus, plan)
+        assert cert.gs_margin == pinned
+        assert cert.infinite
         assert plan.side_condition_ok
     _ok("3 (margins 92/57/932/308; all certify; side condition holds)")
 
@@ -111,12 +111,16 @@ def test_criterion_4_bounds():
     plan2 = cft.RamificationPlan(P2, ((5, 2, 2), (6, 16, 2), (8, 15, 2), (10, 4, 2)), 192)
     plan3a = cft.RamificationPlan(P3, ((8, 46, 3),), 567)
     plan3b = cft.RamificationPlan(P3, ((5, 1, 3), (8, 43, 3), (9, 2, 3)), 567)
-    assert cft.bound_plain(276, plan1) == Fraction(80, 253)
-    assert cft.bound_plain(343, plan2) == Fraction(6, 19)
-    assert cft.bound_plain(601, plan3a) == Fraction(63, 128)
-    assert cft.bound_refined(276, plan1) == Fraction(16384, 51711)
-    assert cli.truncate_decimal(cft.bound_refined(343, plan2), 6) == "0.316999"
-    assert cli.truncate_decimal(cft.bound_refined(601, plan3b), 6) == "0.492876"
+    cert1 = cft.certify_tower(276, plan1)
+    cert2 = cft.certify_tower(343, plan2)
+    cert3a = cft.certify_tower(601, plan3a)
+    cert3b = cft.certify_tower(601, plan3b)
+    assert cert1.bound == Fraction(80, 253)
+    assert cert2.bound == Fraction(6, 19)
+    assert cert3a.bound == Fraction(63, 128)
+    assert cert1.bound_refined == Fraction(16384, 51711)
+    assert cli.truncate_decimal(cert2.bound_refined, 6) == "0.316999"
+    assert cli.truncate_decimal(cert3b.bound_refined, 6) == "0.492876"
     _ok("4 (bounds 80/253, 6/19, 63/128, 16384/51711; decimals 0.316999 / 0.492876)")
 
 
@@ -195,12 +199,12 @@ def test_criterion_6c_margin_identity_10000_plans():
         rank_sum = sum(c * cft.local_unit_rank(params, f, nu) for f, c, nu in entries)
         t = rnd.randint(1, rank_sum)
         plan = cft.RamificationPlan(params, entries, t)
-        res = cft.check_gs_inequality(plan)
-        d, rd = res.d_lower, res.rd_upper
-        assert res.gs_margin == d * d - 4 * d - 4 * rd
-        assert res.infinite == cft.gs_margin_raw(d, rd)
+        cert = cft.certify_tower(2, plan)
+        d, rd = cert.d_lower, cert.rd_upper
+        assert cert.gs_margin == d * d - 4 * d - 4 * rd
+        assert cert.infinite == cft.gs_margin_raw(d, rd)
         bumped, _ = inequality_margin(params, entries, t + 1)
-        assert bumped == res.gs_margin - 2 * d + 1
+        assert bumped == cert.gs_margin - 2 * d + 1
     _ok("6c (gs margin identities on 10000 random plans)")
 
 

@@ -6,13 +6,7 @@ from fractions import Fraction
 import pytest
 
 from towerbound import cft
-from towerbound.errors import (
-    DegenerateGenus,
-    InconsistentModel,
-    NotCertified,
-    ParityViolation,
-    SideConditionViolated,
-)
+from towerbound.errors import DegenerateGenus, InconsistentModel, ParityViolation
 from towerbound.ff import FieldParams
 
 P2 = FieldParams(2)
@@ -43,9 +37,9 @@ def test_local_unit_rank_examples():
 
 
 def test_generator_rank_examples():
-    assert cft.generator_rank_lower(cft.RamificationPlan(P2, ((4, 1, 2), (5, 1, 2)), 5)) == 5
-    assert cft.generator_rank_lower(cft.RamificationPlan(P3, ((5, 1, 3),), 7)) == 4
-    assert cft.generator_rank_lower(PLAN1) == 72  # 1 + 231 - 160
+    assert cft.RamificationPlan(P2, ((4, 1, 2), (5, 1, 2)), 5).d_lower == 5
+    assert cft.RamificationPlan(P3, ((5, 1, 3),), 7).d_lower == 4
+    assert PLAN1.d_lower == 72  # 1 + 231 - 160
 
 
 def test_local_rd_bound_examples():
@@ -61,32 +55,47 @@ def test_useless_exponent_rejected():
 
 def test_margins_pinned_and_against_oracle():
     # values derived once by evaluating the inequality literally, then pinned
-    for plan, margin in ((PLAN1, 92), (PLAN2, 57), (PLAN3A, 932), (PLAN3B, 308)):
-        res = cft.check_gs_inequality(plan)
-        assert res.gs_margin == margin
-        assert res.infinite
+    for plan, genus, margin in (
+        (PLAN1, 276, 92), (PLAN2, 343, 57), (PLAN3A, 601, 932), (PLAN3B, 601, 308)
+    ):
+        cert = cft.certify_tower(genus, plan)
+        assert cert.gs_margin == margin
+        assert cert.infinite
         assert plan.side_condition_ok
         assert margin_oracle(plan.params, plan.entries, plan.t) == margin
 
 
 def test_check_exposes_rank_pair():
-    res = cft.check_gs_inequality(PLAN1)
-    assert (res.d_lower, res.rd_upper) == (72, 1201)
+    cert = cft.certify_tower(276, PLAN1)
+    assert (cert.d_lower, cert.rd_upper) == (72, 1201)
     assert Fraction(72 * 72, 4) - 72 >= 1201
 
 
 def test_side_condition_raises():
+    # a violated side condition gives a certificate with no bound
     plan = cft.RamificationPlan(P2, ((5, 1, 2),), 6)  # rank sum 5 < t
     assert not plan.side_condition_ok
-    with pytest.raises(SideConditionViolated):
-        cft.check_gs_inequality(plan)
+    cert = cft.certify_tower(10, plan)
+    assert not cert.side_condition_ok and cert.d_lower == 0
+    assert not cert.infinite
+    assert cert.bound is None and cert.bound_refined is None
 
 
 def test_boundary_t_reports_negative_margin():
     plan = cft.RamificationPlan(P2, ((5, 1, 2), (8, 27, 2), (10, 1, 2)), 231)
-    res = cft.check_gs_inequality(plan)  # t equals the rank sum: side condition holds
-    assert res.gs_margin == margin_oracle(P2, plan.entries, 231) < 0
-    assert not res.infinite
+    cert = cft.certify_tower(276, plan)  # t equals the rank sum: side condition holds
+    assert cert.side_condition_ok
+    assert cert.gs_margin == margin_oracle(P2, plan.entries, 231) < 0
+    assert not cert.infinite
+
+
+def test_certifies_matches_rational_reference():
+    for d in range(-5, 80):
+        for rd in range(-5, 1500):
+            if d < 0 or rd < 0:
+                assert not cft.certifies(d, rd)
+            else:
+                assert cft.certifies(d, rd) == cft.gs_margin_raw(d, rd)
 
 
 def test_gs_margin_raw_examples():
@@ -115,27 +124,30 @@ def test_profile_character_count_enforced():
 
 
 def test_bounds_golden():
-    assert cft.bound_plain(276, PLAN1) == Fraction(80, 253)
-    assert cft.bound_plain(343, PLAN2) == Fraction(6, 19)
-    assert cft.bound_plain(601, PLAN3A) == Fraction(63, 128)
-    assert cft.bound_refined(276, PLAN1) == Fraction(16384, 51711)
-    assert cft.bound_refined(276, PLAN1) == Fraction(2**14, 2**9 * 101 - 1)
+    assert cft.certify_tower(276, PLAN1).bound == Fraction(80, 253)
+    assert cft.certify_tower(343, PLAN2).bound == Fraction(6, 19)
+    assert cft.certify_tower(601, PLAN3A).bound == Fraction(63, 128)
+    assert cft.certify_tower(276, PLAN1).bound_refined == Fraction(16384, 51711)
+    assert cft.certify_tower(276, PLAN1).bound_refined == Fraction(2**14, 2**9 * 101 - 1)
 
 
 def test_refined_decimals():
     from towerbound.cli import truncate_decimal
 
-    assert truncate_decimal(cft.bound_refined(343, PLAN2))[: len("0.316999")] == "0.316999"
-    assert truncate_decimal(cft.bound_refined(601, PLAN3B))[: len("0.492876")] == "0.492876"
+    refined2 = cft.certify_tower(343, PLAN2).bound_refined
+    refined3 = cft.certify_tower(601, PLAN3B).bound_refined
+    assert truncate_decimal(refined2)[: len("0.316999")] == "0.316999"
+    assert truncate_decimal(refined3)[: len("0.492876")] == "0.492876"
     assert truncate_decimal(Fraction(80, 253))[: len("0.316205")] == "0.316205"
 
 
 def test_not_certified_raises():
+    # a negative margin gives a certificate with no bound
     plan = cft.RamificationPlan(P2, ((5, 1, 2),), 5)  # d = 1, margin < 0
-    with pytest.raises(NotCertified):
-        cft.bound_plain(10, plan)
-    with pytest.raises(NotCertified):
-        cft.bound_refined(10, plan)
+    cert = cft.certify_tower(10, plan)
+    assert cert.side_condition_ok and cert.d_lower == 1 and cert.gs_margin < 0
+    assert not cert.infinite
+    assert cert.bound is None and cert.bound_refined is None
 
 
 def test_asymptotic_ratio():
@@ -151,7 +163,8 @@ def test_asymptotic_ratio_consistent_with_bounds():
     for genus, plan in ((276, PLAN1), (343, PLAN2), (601, PLAN3A)):
         order = 4096  # any cover degree works; the ratio is scale-invariant
         gk_minus_1 = order * (genus - 1) + order * plan.conductor_degree // 2
-        assert cft.asymptotic_ratio(plan.t * order, gk_minus_1 + 1) == cft.bound_plain(genus, plan)
+        plain = cft.certify_tower(genus, plan).bound
+        assert cft.asymptotic_ratio(plan.t * order, gk_minus_1 + 1) == plain
     assert cft.asymptotic_ratio(567 * 81, 81 * (601 - 1 + 3 * 368 // 2) + 1) == Fraction(63, 128)
 
 
@@ -192,15 +205,15 @@ def test_random_plans_identities_10000():
     rnd = random.Random(20240803)
     for _ in range(10_000):
         plan = random_plan(rnd)
-        res = cft.check_gs_inequality(plan)
-        d, rd = res.d_lower, res.rd_upper
+        cert = cft.certify_tower(2, plan)
+        d, rd = cert.d_lower, cert.rd_upper
         # the margin is 4 * (d^2/4 - d - rd); both formulations agree
-        assert res.gs_margin == d * d - 4 * d - 4 * rd
-        assert res.infinite == cft.gs_margin_raw(d, rd)
-        assert res.gs_margin == margin_oracle(plan.params, plan.entries, plan.t)
+        assert cert.gs_margin == d * d - 4 * d - 4 * rd
+        assert cert.infinite == cft.gs_margin_raw(d, rd)
+        assert cert.gs_margin == margin_oracle(plan.params, plan.entries, plan.t)
         # raising t by one drops the margin by exactly 2*d - 1
         bumped_margin = margin_oracle(plan.params, plan.entries, plan.t + 1)
-        assert bumped_margin == res.gs_margin - 2 * d + 1
+        assert bumped_margin == cert.gs_margin - 2 * d + 1
 
 
 def test_monotonicity_in_entries():

@@ -1,6 +1,7 @@
 """CLI exit codes, report formats and the machine-block round trip."""
 
 import re
+import time
 
 import pytest
 
@@ -181,11 +182,59 @@ def test_truncate_decimal_truncates_not_rounds():
     assert cli.truncate_decimal(Fraction(24576, 77527), 6) == "0.316999"
 
 
-def test_jobs_flag_accepted(capsys):
-    code, out, _ = run(
-        capsys, "spectrum", "--config", "f2_tower1", "--name", "E", "--dmax", "4", "--jobs", "4"
-    )
-    assert code == 0
+def test_jobs_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", "f2_tower1", "--name", "E", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+_WEAK_PLAN = "\n[plan weak]\non = k1\nentries = {entries}\nt = {t}\n"
+
+
+@pytest.mark.parametrize(
+    "pattern, replacement, argv",
+    [
+        (r"^genus = 1$", "genus = -1", ("spectrum", "--name", "E")),
+        (r"^infinity = 1:1$", "infinity = 0:1", ("spectrum", "--name", "E")),
+        (r"^e = 1$", "e = 0", ("spectrum", "--name", "E")),
+        (r"^e = 1$", "e = 2", ("spectrum", "--name", "E")),
+        (r"^conductors = 10:1 ; 18:30$", "conductors = 10:1 ; 18:29", ("spectrum", "--name", "k1")),
+        (r"\Z", _WEAK_PLAN.format(entries="5:1:1", t=5), ("certify", "--name", "weak")),
+        (r"\Z", _WEAK_PLAN.format(entries="5:1:2", t=0), ("certify", "--name", "weak")),
+        (r"^nu = 2$", "nu = 1", ("optimize",)),
+        (r"^t = a1$", "t = 999", ("optimize",)),
+        (r"deg=4 nu=2 above=8:1 ;", "deg=4 nu=2 above=8:1 rep=1:1 ;", ("spectrum", "--name", "k1")),
+        (None, None, ("compare", "--s", "-1", "--l", "2", "--t", "20", "--s-prime", "1", "--T", "81")),
+    ],
+    ids=[
+        "genus-negative", "infinity-degree-zero", "field-e-zero", "cover-over-e-2",
+        "profile-count", "plan-nu-1", "plan-t-0", "search-nu-1", "search-t-above-a1",
+        "support-rep-off-degree", "compare-s-negative",
+    ],
+)
+def test_out_of_range_model_values_exit_2(capsys, tmp_path, pattern, replacement, argv):
+    if pattern is None:
+        code, out, err = run(capsys, *argv)
+    else:
+        text, hits = re.subn(pattern, replacement, _bundled_text("f2_tower1"), count=1, flags=re.M)
+        assert hits == 1
+        cfg = tmp_path / "out_of_range.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, argv[0], "--config", str(cfg), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_huge_exponent_rejected_quickly(capsys, tmp_path):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[field]\np = 2\n\n[curve X]\nequation = (x+1)^99999999 = y\ninfinity = 1:1\ngenus = 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg), "--name", "X")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "exponent 99999999 exceeds the cap" in err
 
 
 @pytest.mark.parametrize(

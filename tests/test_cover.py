@@ -219,7 +219,7 @@ def test_brute_force_oracle(which, cover_k1, cover_k2, cover_k3,
                             spectrum_k1, spectrum_k2, spectrum_k3):
     cov = {"k1": cover_k1, "k2": cover_k2, "k3": cover_k3}[which]
     spec = {"k1": spectrum_k1, "k2": spectrum_k2, "k3": spectrum_k3}[which]
-    assert cover.brute_force_compositum_count(cov, 1) == BRUTE_N1[which]
+    assert cover.oracle_report(cov, spec, 1).brute_count == BRUTE_N1[which]
     for n in (1, 2):
         rep = cover.oracle_report(cov, spec, n)
         assert rep.residual == 0
@@ -246,9 +246,9 @@ def test_rank_zero_cover_is_identity(curve_E):
         infinities=(cover.DeclaredInfinity(0, ((1, 1),)),),
         name="identity",
     )
-    for n in (1, 2, 3):
-        assert cover.brute_force_compositum_count(k0, n) == curve.count_affine(curve_E, n)
     spec = cover.assemble_spectrum(k0, 6)
+    for n in (1, 2, 3):
+        assert cover.oracle_report(k0, spec, n).brute_count == curve.count_affine(curve_E, n)
     assert spec.a_tuple(6) == curve.spectrum_from_counts(curve_E, 6).a_tuple(6)
     assert spec.genus == 1
 

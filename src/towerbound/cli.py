@@ -36,6 +36,7 @@ from .errors import (
     TowerboundError,
     UnsupportedSize,
 )
+from .ff import require_supported_degree
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -152,8 +153,9 @@ def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_
     if name in doc.curves:
         model = doc.curves[name]
         d_max = _default_dmax(model.params) if d_max is None else d_max
-        report.kv("dmax", d_max)
         zeta_reach = max(d_max, 2 * model.genus) if model.genus <= 2 else d_max
+        require_supported_degree(model.params, zeta_reach)
+        report.kv("dmax", d_max)
         spec = curve_mod.spectrum_from_counts(model, zeta_reach)
         report.line(f"place spectrum of curve {name} over F_{model.params.q}, genus {model.genus}")
         _spectrum_tables(report, spec, d_max)
@@ -177,6 +179,7 @@ def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_
     if name in doc.covers:
         cov = doc.covers[name]
         d_max = _default_dmax(cov.params) if d_max is None else d_max
+        require_supported_degree(cov.params, max(d_max, 2))  # the oracle runs at n = 1, 2
         report.kv("dmax", d_max)
         spec = cover_mod.assemble_spectrum(cov, d_max)
         report.line(
@@ -261,6 +264,7 @@ def cmd_certify(doc: config.ConfigDocument, plan_name: str, json_mode: bool) -> 
     plan_cfg = doc.plans[plan_name]
     cov = doc.covers[plan_cfg.on]
     d_max = max([_default_dmax(cov.params)] + [f for f, _, _ in plan_cfg.entries])
+    require_supported_degree(cov.params, d_max)
     spectrum = cover_mod.assemble_spectrum(cov, d_max)
     infeasible = None
     try:
@@ -295,9 +299,13 @@ def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -
     report.kv("record", "search")
     report.kv("config", doc.source)
     exit_code = EXIT_OK
+    searches = []
     for sname, sc in sorted(doc.searches.items()):
         cov = doc.covers[sc.on]
         d_max = max([_default_dmax(cov.params)] + list(sc.degrees))
+        require_supported_degree(cov.params, d_max)
+        searches.append((sname, sc, cov, d_max))
+    for sname, sc, cov, d_max in searches:
         spectrum = cover_mod.assemble_spectrum(cov, d_max)
         t_values = () if sc.t == "a1" else (int(sc.t),)
         space = search_mod.SearchSpace(

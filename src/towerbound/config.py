@@ -31,6 +31,7 @@ from .ff import FieldParams
 
 _TOKEN = re.compile(r"\s*(\d+|[xy]|\*\*|[()^*+-])")
 MAX_EXPONENT = 64  # each power is that many multiplications; the shipped configs need ^5
+MAX_DEGREE = 64  # total degree of any product; bounds the terms a multiplication works through
 
 
 def _tokenize(text: str) -> list[str]:
@@ -129,7 +130,16 @@ def _scale(a: dict, s: int) -> dict:
     return {k: v * s for k, v in a.items()} if s != 1 else a
 
 
+def _degree(a: dict) -> int:
+    return max((i + j for i, j in a), default=0)
+
+
 def _mul(a: dict, b: dict) -> dict:
+    if _degree(a) + _degree(b) > MAX_DEGREE:
+        raise ConfigError(
+            f"a product of degree {_degree(a)} and degree {_degree(b)} polynomials "
+            f"exceeds the degree cap {MAX_DEGREE}"
+        )
     out: dict = {}
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():

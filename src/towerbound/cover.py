@@ -26,9 +26,9 @@ from .curve import (
     CurveModel,
     Place,
     PlaceSpectrum,
+    PolyEvaluator,
     divisors,
     enumerate_places,
-    eval_poly2,
     affine_solutions,
 )
 from .errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
@@ -50,14 +50,6 @@ class ASComponent:
             a=tuple(sorted(normalize_poly2(a, p).items())),
             b=tuple(sorted(normalize_poly2(b, p).items())),
         )
-
-    @property
-    def a_dict(self):
-        return dict(self.a)
-
-    @property
-    def b_dict(self):
-        return dict(self.b)
 
 
 @dataclass(frozen=True)
@@ -122,6 +114,14 @@ class CoverSpec:
                 f"cover must declare behavior for all {len(inf_degrees)} infinite "
                 f"places (indices {declared_idx} given)"
             )
+        # the components' A and B, compiled once: each distinct A (the shipped
+        # covers share one) is evaluated and inverted once per point
+        distinct_a = list(dict.fromkeys(c.a for c in self.components))
+        self._a_count = len(distinct_a)
+        self._a_slot = tuple(distinct_a.index(c.a) for c in self.components)
+        self._evaluate = PolyEvaluator(
+            [dict(a) for a in distinct_a] + [dict(c.b) for c in self.components], params.p
+        )
         self._support_map = None
 
     @property
@@ -148,8 +148,7 @@ class CoverSpec:
 
     def _a_vanishes(self, place: Place) -> bool:
         F = make_ext_field(self.params, place.degree)
-        x, y = place.rep
-        return any(eval_poly2(F, c.a_dict, x, y) == 0 for c in self.components)
+        return 0 in self._evaluate(F, *place.rep)[: self._a_count]
 
     def support_map(self) -> dict:
         """Canonical place key -> (DeclaredPlace | DeclaredInfinity)."""
@@ -210,14 +209,12 @@ def _component_traces(cover: CoverSpec, F, x: int, y: int) -> list[int | None]:
     """Tr(B/A^p) over F of each component at the point (x, y); None for a
     component whose A vanishes there."""
     p = cover.params.p
+    values = cover._evaluate(F, x, y)
+    inv_ap = [F.inv(F.pow(a, p)) if a else None for a in values[: cover._a_count]]
     out = []
-    for comp in cover.components:
-        aval = eval_poly2(F, comp.a_dict, x, y)
-        if aval == 0:
-            out.append(None)
-        else:
-            bval = eval_poly2(F, comp.b_dict, x, y)
-            out.append(F.trace(F.div(bval, F.pow(aval, p))))
+    for slot, b in zip(cover._a_slot, values[cover._a_count :]):
+        w = inv_ap[slot]
+        out.append(None if w is None else F.trace(F.mul(b, w)))
     return out
 
 

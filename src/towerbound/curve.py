@@ -12,7 +12,7 @@ against the L-polynomial reconstructed through Newton's identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange, UnsupportedSize
 from .ff import ExtField, FieldParams, make_ext_field
@@ -126,49 +126,64 @@ class Place:
 # ---------------------------------------------------------------------------
 
 
+class PolyEvaluator:
+    """Evaluates a fixed list of polynomials in (x, y) at points over F_p-extensions.
+
+    The work shared between the polynomials is done once per point: the
+    powers of x and y, and each distinct mixed monomial x^i y^j.
+    Coefficients are reduced mod p once, at construction.
+    """
+
+    def __init__(self, polys: Iterable[Poly2], p: int):
+        polys = [normalize_poly2(dict(poly), p) for poly in polys]
+        monos = {m for poly in polys for m in poly}
+        self._max_x = max((i for i, _ in monos), default=0)
+        self._max_y = max((j for _, j in monos), default=0)
+        # slots: x^0..x^max_x, then y^1..y^max_y, then the mixed monomials
+        self._mixed = tuple(sorted((i, j) for i, j in monos if i and j))
+        slot = {(i, 0): i for i in range(self._max_x + 1)}
+        slot.update({(0, j): self._max_x + j for j in range(1, self._max_y + 1)})
+        base = self._max_x + self._max_y + 1
+        slot.update({m: base + k for k, m in enumerate(self._mixed)})
+        # per polynomial: (constant term, ((slot, coefficient), ...))
+        self._terms = tuple(
+            (poly.pop((0, 0), 0), tuple((slot[m], c) for m, c in sorted(poly.items())))
+            for poly in polys
+        )
+
+    def __call__(self, F: ExtField, x: int, y: int) -> list[int]:
+        """The value of each polynomial at (x, y), packed, in construction order."""
+        mul, add = F.mul, F.add
+        values = F.powers(x, self._max_x)
+        if self._max_y:
+            xp, yp = values, F.powers(y, self._max_y)
+            values = xp + yp[1:] + [mul(xp[i], yp[j]) for i, j in self._mixed]
+        out = []
+        for acc, terms in self._terms:
+            for k, c in terms:
+                v = values[k] if c == 1 else mul(c, values[k])
+                acc = add(acc, v) if acc else v
+            out.append(acc)
+        return out
+
+
 def eval_poly2(F: ExtField, poly: Poly2, x: int, y: int) -> int:
     """Evaluate sum c * x^i * y^j at a point with packed coordinates."""
-    max_i = max((i for i, _ in poly), default=0)
-    max_j = max((j for _, j in poly), default=0)
-    xp = _x_powers(F, x, max_i)
-    yp = _x_powers(F, y, max_j)
-    acc = 0
-    for (i, j), c in poly.items():
-        term = F.mul(xp[i], yp[j])
-        if c != 1:
-            term = F.mul(c % F.p, term)
-        acc = F.add(acc, term)
-    return acc
+    return PolyEvaluator((poly,), F.p)(F, x, y)[0]
 
 
-def _by_y_degree(poly: Poly2) -> list[tuple[int, dict[int, int]]]:
-    groups: dict[int, dict[int, int]] = {}
-    for (i, j), c in poly.items():
-        groups.setdefault(j, {})[i] = c
-    return sorted(groups.items())
+def _y_coefficients(model: CurveModel) -> PolyEvaluator:
+    """Evaluator of the coefficients of F(x, y) as a polynomial in y, low to high."""
+    deg_y = max((j for (_, j), _ in model.poly), default=0)
+    return PolyEvaluator(
+        [{(i, 0): c for (i, j), c in model.poly if j == k} for k in range(deg_y + 1)],
+        model.params.p,
+    )
 
 
-def _eval_x_poly(F: ExtField, coeffs: dict[int, int], xpowers: list[int]) -> int:
-    acc = 0
-    for i, c in coeffs.items():
-        term = xpowers[i] if c == 1 else F.mul(c % F.p, xpowers[i])
-        acc = F.add(acc, term)
-    return acc
-
-
-def _x_powers(F: ExtField, x: int, max_deg: int) -> list[int]:
-    powers = [1] * (max_deg + 1)
-    for i in range(1, max_deg + 1):
-        powers[i] = F.mul(powers[i - 1], x) if i > 1 else x
-    return powers
-
-
-def _y_coeffs_at(F: ExtField, groups, xpowers) -> list[int]:
-    """Coefficient list (low to high in y) of F(x0, y), trailing zeros trimmed."""
-    maxj = groups[-1][0] if groups else 0
-    cs = [0] * (maxj + 1)
-    for j, xc in groups:
-        cs[j] = _eval_x_poly(F, xc, xpowers)
+def _y_polynomial(F: ExtField, coeffs: PolyEvaluator, x: int) -> list[int]:
+    """Coefficient list (low to high in y) of F(x, y) at x, trailing zeros trimmed."""
+    cs = coeffs(F, x, 0)
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
@@ -185,7 +200,7 @@ def _quadratic_root_count(F: ExtField, a0: int, a1: int, a2: int) -> int:
     disc = F.sub(F.mul(a1, a1), F.mul(four, F.mul(a2, a0)))
     if disc == 0:
         return 1
-    return 2 if len(F.sqrt_list(disc)) else 0
+    return 2 if F.is_square(disc) else 0
 
 
 def _quadratic_roots(F: ExtField, a0: int, a1: int, a2: int) -> list[int]:
@@ -248,25 +263,16 @@ def _eval_univariate(F: ExtField, cs: list[int], y: int) -> int:
 def count_affine(model: CurveModel, n: int) -> int:
     """Number of solutions of F(x, y) = 0 in F_{q^n} x F_{q^n}."""
     F = make_ext_field(model.params, n)
-    groups = _by_y_degree(model.poly_dict)
-    max_xdeg = max((max(xc) for _, xc in groups), default=0)
-    total = 0
-    for x in range(F.order):
-        xpowers = _x_powers(F, x, max_xdeg)
-        cs = _y_coeffs_at(F, groups, xpowers)
-        total += _poly_root_count(F, cs)
-    return total
+    coeffs = _y_coefficients(model)
+    return sum(_poly_root_count(F, _y_polynomial(F, coeffs, x)) for x in range(F.order))
 
 
 def affine_solutions(model: CurveModel, n: int) -> Iterator[tuple[int, int]]:
     """All (x, y) solutions over F_{q^n}, root finding rather than counting."""
     F = make_ext_field(model.params, n)
-    groups = _by_y_degree(model.poly_dict)
-    max_xdeg = max((max(xc) for _, xc in groups), default=0)
+    coeffs = _y_coefficients(model)
     for x in range(F.order):
-        xpowers = _x_powers(F, x, max_xdeg)
-        cs = _y_coeffs_at(F, groups, xpowers)
-        for y in _poly_roots(F, cs):
+        for y in _poly_roots(F, _y_polynomial(F, coeffs, x)):
             yield (x, y)
 
 
@@ -419,10 +425,7 @@ def _frobenius_orbit(F: ExtField, x: int, y: int) -> list[tuple[int, int]]:
 def make_affine_place(model: CurveModel, d: int, x: int, y: int) -> Place:
     """Build the degree-d place through (x, y) over F_{q^d}; validates membership."""
     F = make_ext_field(model.params, d)
-    groups = _by_y_degree(model.poly_dict)
-    max_xdeg = max((max(xc) for _, xc in groups), default=0)
-    cs = _y_coeffs_at(F, groups, _x_powers(F, x, max_xdeg))
-    if _eval_univariate(F, cs, y) != 0:
+    if eval_poly2(F, model.poly_dict, x, y) != 0:
         raise OutOfRange(f"({x}, {y}) does not lie on the curve over F_{F.order}")
     orbit = _frobenius_orbit(F, x, y)
     if len(orbit) != d:

@@ -5,20 +5,24 @@ sum(c_i * p^i).  Equality and hashing are therefore value-based, and since
 the modulus is always the monic irreducible polynomial with the smallest
 packed value, element encodings are reproducible bit for bit across runs.
 
-Fields of order <= TABLE_LIMIT get full exp/log tables at construction
-(multiplication, inversion and powering become table lookups); larger
-fields fall back to generic polynomial arithmetic, with a bit-packed
-carryless fast path for characteristic 2.
+Fields of order <= TABLE_LIMIT (3^11, so F_2^17 and F_3^11 included) get
+compact exp/log tables at construction: multiplication, inversion and
+powering become table lookups, and in odd characteristic a table of Zech
+logarithms log(1 + g^k) turns addition, subtraction and negation into
+lookups too.  Larger fields fall back to generic polynomial arithmetic,
+with a bit-packed carryless fast path for characteristic 2.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import NotPrime, OutOfRange, UnsupportedSize
 
-MAX_TOTAL_DEGREE = 20  # cap on e*n; the largest fields the shipped data needs are 2^10 and 3^9
-TABLE_LIMIT = 1 << 16
+MAX_TOTAL_DEGREE = 20  # cap on e*n; the CLI checks each command's largest degree against it
+# before counting anything (the bundled workloads reach F_2^17 and F_3^10)
+TABLE_LIMIT = 3**11  # 177,147: the largest order that gets tables
 
 
 def _is_prime(n: int) -> bool:
@@ -155,6 +159,14 @@ def _smallest_irreducible(m: int, p: int) -> list[int]:
     raise RuntimeError(f"no irreducible of degree {m} over F_{p}")  # unreachable
 
 
+def require_supported_degree(params: FieldParams, n: int) -> None:
+    """Raise UnsupportedSize when F_{q^n} is beyond the MAX_TOTAL_DEGREE cap."""
+    if params.e * n > MAX_TOTAL_DEGREE:
+        raise UnsupportedSize(
+            f"total degree e*n = {params.e * n} exceeds the supported cap {MAX_TOTAL_DEGREE}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # the field proper
 # ---------------------------------------------------------------------------
@@ -170,11 +182,8 @@ class ExtField:
     def __init__(self, params: FieldParams, n: int):
         if n < 1:
             raise ValueError("extension degree n must be >= 1")
+        require_supported_degree(params, n)
         m = params.e * n
-        if m > MAX_TOTAL_DEGREE:
-            raise UnsupportedSize(
-                f"total degree e*n = {m} exceeds the supported cap {MAX_TOTAL_DEGREE}"
-            )
         self.params = params
         self.p = params.p
         self.n = n
@@ -183,8 +192,11 @@ class ExtField:
         self.modulus = tuple(_smallest_irreducible(m, params.p))
         self._modulus_list = list(self.modulus)
         self._modulus_int = sum(c << i for i, c in enumerate(self.modulus)) if params.p == 2 else None
-        self._exp: list[int] | None = None
-        self._log: list[int | None] | None = None
+        self._q1 = self.order - 1
+        self._half = self._q1 // 2  # log(-1) in odd characteristic
+        self._exp: array | None = None  # g^k for k < q - 1
+        self._log: array | None = None  # log_g(a) for a != 0; entry 0 unused
+        self._zech: array | None = None  # log_g(1 + g^k), -1 where g^k = -1; odd p only
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         self._trace_basis = self._build_trace_basis()
@@ -219,6 +231,15 @@ class ExtField:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        if self._zech is not None:
+            if a == 0:
+                return b
+            if b == 0:
+                return a
+            log = self._log
+            la = log[a]
+            z = self._zech[(log[b] - la) % self._q1]
+            return 0 if z < 0 else self._exp[(la + z) % self._q1]
         p = self.p
         out = 0
         mult = 1
@@ -230,8 +251,10 @@ class ExtField:
         return out
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
+        if self._log is not None:
+            return self._exp[(self._log[a] + self._half) % self._q1]
         p = self.p
         out = 0
         mult = 1
@@ -293,7 +316,7 @@ class ExtField:
         if a == 0 or b == 0:
             return 0
         if self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+            return self._exp[(self._log[a] + self._log[b]) % self._q1]
         return self._raw_mul(a, b)
 
     def pow(self, a: int, k: int) -> int:
@@ -302,7 +325,7 @@ class ExtField:
         if a == 0:
             return 1 if k == 0 else 0
         if self._log is not None:
-            return self._exp[(self._log[a] * k) % (self.order - 1)]
+            return self._exp[(self._log[a] * k) % self._q1]
         result = 1
         base = a
         while k:
@@ -312,11 +335,25 @@ class ExtField:
             k >>= 1
         return result
 
+    def powers(self, a: int, k: int) -> list[int]:
+        """[1, a, a^2, ..., a^k]."""
+        if self._log is not None and a != 0:
+            la, exp, q1 = self._log[a], self._exp, self._q1
+            out, e = [1], 0
+            for _ in range(k):
+                e = (e + la) % q1
+                out.append(exp[e])
+            return out
+        out = [1] * (k + 1)
+        for i in range(1, k + 1):
+            out[i] = self.mul(out[i - 1], a)
+        return out
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverting zero field element")
         if self._log is not None:
-            return self._exp[(-self._log[a]) % (self.order - 1)]
+            return self._exp[-self._log[a] % self._q1]
         return self.pow(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -329,7 +366,7 @@ class ExtField:
     # -- tables ---------------------------------------------------------------
 
     def _build_tables(self):
-        q1 = self.order - 1
+        q1 = self._q1
         if q1 == 1:
             g = 1
         else:
@@ -342,17 +379,63 @@ class ExtField:
                     break
             if g is None:  # every field has a multiplicative generator
                 raise RuntimeError("generator search failed")
-        exp = [0] * q1
-        log: list[int | None] = [None] * self.order
-        cur = 1
-        for i in range(q1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._raw_mul(cur, g)
-        if cur != 1:
-            raise RuntimeError("generator does not have full order")
+        exp = self._powers_of(g)
+        log = array("l", [0]) * self.order
+        for k, v in enumerate(exp):
+            log[v] = k
+        if self.p != 2:
+            p = self.p
+            # 1 + v only changes the constant digit of v
+            zech = array("l", (log[v + 1 if v % p != p - 1 else v - p + 1] for v in exp))
+            zech[self._half] = -1  # 1 + g^half = 1 + (-1) = 0 has no log
+            self._zech = zech
         self._exp = exp
         self._log = log
+
+    def _powers_of(self, g: int) -> array:
+        """g^0, ..., g^(q-2) by repeated multiplication by g.
+
+        During the loop the current power is held with each base-p digit in
+        its own lane of `width` bits, wide enough that two digits add
+        without a carry into the next lane.  Multiplication by g is linear,
+        so the product is (low digits)*g + (high digits)*g: two lookups in
+        tables of about sqrt(q) entries, one integer addition and a
+        lanewise reduction mod p.  The packed value of each power is the
+        sum of two more lookups.
+        """
+        p, m, q1 = self.p, self.degree, self._q1
+        width = (p - 1).bit_length() + 1  # 2^(width-1) >= p
+        ones = sum(1 << (width * i) for i in range(m))
+        bias = ((1 << (width - 1)) - p) * ones  # lane + bias has bit width-1 set iff lane >= p
+        tops = (1 << (width - 1)) * ones
+
+        def lanes(v: int) -> int:
+            out, i = 0, 0
+            while v:
+                out |= (v % p) << (width * i)
+                v //= p
+                i += 1
+            return out
+
+        split = m // 2
+        unit = p**split
+        low = {lanes(v): (v, lanes(self._raw_mul(v, g))) for v in range(unit)}
+        high = {
+            lanes(h): (h * unit, lanes(self._raw_mul(h * unit, g))) for h in range(p ** (m - split))
+        }
+        shift = width * split
+        low_mask = (1 << shift) - 1
+        out = array("l", [0]) * q1
+        cur = 1  # lanes of g^0
+        for k in range(q1):
+            v_lo, gv_lo = low[cur & low_mask]
+            v_hi, gv_hi = high[cur >> shift]
+            out[k] = v_lo + v_hi
+            s = gv_lo + gv_hi
+            cur = s - (((s + bias) & tops) >> (width - 1)) * p
+        if cur != 1:
+            raise RuntimeError("generator does not have full order")
+        return out
 
     # -- traces ---------------------------------------------------------------
 
@@ -374,7 +457,7 @@ class ExtField:
         """Absolute trace Tr(a) = a + a^p + ... + a^(p^(degree - 1)) down to
         F_p, returned as an int in [0, p)."""
         if self.p == 2:
-            return bin(a & self._trace_mask).count("1") & 1
+            return (a & self._trace_mask).bit_count() & 1
         p = self.p
         tot = 0
         i = 0
@@ -392,6 +475,15 @@ class ExtField:
         """The unique b with b^p = a (Frobenius is bijective)."""
         return self.pow(a, self.p ** (self.degree - 1))
 
+    def is_square(self, a: int) -> bool:
+        """Whether a is a square: log parity when tabled, else Euler's
+        criterion a^((q-1)/2) = 1.  Every element is one in characteristic 2."""
+        if a == 0 or self.p == 2:
+            return True
+        if self._log is not None:
+            return self._log[a] % 2 == 0
+        return self.pow(a, self._half) == 1
+
     def sqrt_list(self, a: int) -> list[int]:
         """All square roots of a; characteristic must be odd."""
         if self.p == 2:
@@ -408,9 +500,9 @@ class ExtField:
 
     def _sqrt_generic(self, a: int) -> list[int]:
         # Tonelli-Shanks
-        q = self.order
-        if self.pow(a, (q - 1) // 2) != 1:
+        if not self.is_square(a):
             return []
+        q = self.order
         s, m = q - 1, 0
         while s % 2 == 0:
             s //= 2
@@ -437,6 +529,8 @@ class ExtField:
 
     def solve_additive(self, u: int) -> list[int]:
         """All w with w^p - w = u (empty when the trace of u is nonzero)."""
+        if self.trace(u):
+            return []
         if self._as_rref is None:
             self._as_rref = self._build_additive_solver()
         pivots, transform = self._as_rref

@@ -2,6 +2,7 @@
 
 import re
 import time
+from importlib import resources
 
 import pytest
 
@@ -235,6 +236,43 @@ def test_huge_exponent_rejected_quickly(capsys, tmp_path):
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert "exponent 99999999 exceeds the cap" in err
+
+
+def test_nested_power_rejected_quickly(capsys, tmp_path):
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text("[field]\np = 2\n\n[curve X]\nequation = ((x+y+1)^64)^64 = y\ninfinity = 1:1\ngenus = 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg), "--name", "X", "--dmax", "1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert "exceeds the degree cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--config", "f2_tower1", "--name", "E", "--dmax", "25"),
+        ("spectrum", "--config", "f2_tower1", "--name", "k1", "--dmax", "21"),
+        ("certify", "--config", "FAR", "--name", "far"),
+        ("optimize", "--config", "FAR"),
+    ],
+    ids=["curve-spectrum", "cover-spectrum", "certify", "optimize"],
+)
+def test_degree_beyond_field_cap_rejected_before_counting(capsys, tmp_path, argv):
+    bundled = resources.files("towerbound.data").joinpath("f2_tower1.cfg").read_text()
+    far = tmp_path / "far.cfg"
+    far.write_text(
+        bundled.replace("degrees = 5..10", "degrees = 5..22")
+        + "\n[plan far]\non = k1\nentries = 25:1:2\nt = 160\n"
+    )
+    argv = [str(far) if a == "FAR" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    assert "exceeds the supported cap 20" in err
 
 
 @pytest.mark.parametrize(

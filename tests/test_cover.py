@@ -28,8 +28,8 @@ def test_normalization_identity(cover_k1, cover_k3):
         F = make_ext_field(cov.params, n)
         comp = cov.components[0]
         for x, y in curve.affine_solutions(cov.base, n):
-            aval = curve.eval_poly2(F, comp.a_dict, x, y)
-            bval = curve.eval_poly2(F, comp.b_dict, x, y)
+            aval = curve.eval_poly2(F, dict(comp.a), x, y)
+            bval = curve.eval_poly2(F, dict(comp.b), x, y)
             if aval == 0:
                 continue
             u = F.div(bval, F.pow(aval, p))

@@ -43,6 +43,13 @@ def test_count_points_against_brute_force(name, expected, curve_E, curve_H, curv
         assert brute_count_points(model, n) == want
 
 
+def test_counts_over_the_largest_tabled_fields(curve_E, curve_E3):
+    # both follow from N_1 through the L-polynomial: 1 + 2T + 2T^2 for E over
+    # F_2, 1 + 3T + 3T^2 for E3 over F_3
+    assert curve.count_points(curve_E, 17) == 131585
+    assert curve.count_points(curve_E3, 10) == 58807
+
+
 def test_projective_line_counts():
     p1 = curve.CurveModel.create(P2, {(0, 1): 1}, ((1, 1),), genus=0, name="P1")
     for n in (1, 2, 3, 4):

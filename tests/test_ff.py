@@ -1,14 +1,17 @@
 """Field construction, trace and enumeration properties."""
 
 import collections
+import random
 
 import pytest
 
+from towerbound import ff
 from towerbound.errors import NotPrime, UnsupportedSize
 from towerbound.ff import FieldParams, make_ext_field
 
 P2 = FieldParams(2)
 P3 = FieldParams(3)
+P5 = FieldParams(5)
 
 
 def trace_by_powering(F, x):
@@ -39,6 +42,9 @@ def test_size_cap():
         make_ext_field(P2, 21)
     with pytest.raises(UnsupportedSize):
         make_ext_field(FieldParams(2, 3), 7)  # e*n = 21
+    with pytest.raises(UnsupportedSize):
+        ff.require_supported_degree(FieldParams(2, 3), 7)  # the check the CLI runs first
+    ff.require_supported_degree(FieldParams(2, 4), 5)  # e*n = 20 is allowed
 
 
 def test_modulus_deterministic_and_minimal():
@@ -145,3 +151,57 @@ def test_sqrt_consistency_f3():
             assert len(roots) == squares.get(c, 0)
             for r in roots:
                 assert F.mul(r, r) == c
+
+
+def untabled(monkeypatch, params, n):
+    """The same field (same modulus) without tables: digit-loop addition,
+    _mul2/_mul_generic multiplication, Fermat inversion, Tonelli-Shanks."""
+    with monkeypatch.context() as m:
+        m.setattr(ff, "TABLE_LIMIT", 0)
+        return ff.ExtField(params, n)
+
+
+def assert_agree(F, U, pairs, unary):
+    assert F._log is not None and U._log is None and F.modulus == U.modulus
+    for a, b in pairs:
+        assert F.add(a, b) == U.add(a, b)
+        assert F.sub(a, b) == U.sub(a, b)
+        assert F.mul(a, b) == U.mul(a, b)
+    for a in unary:
+        assert F.neg(a) == U.neg(a)
+        assert F.pow(a, 5) == U.pow(a, 5)
+        assert F.powers(a, 4) == U.powers(a, 4) == [U.pow(a, k) for k in range(5)]
+        if a:
+            assert F.inv(a) == U.inv(a)
+            assert F.pow(a, -3) == U.pow(a, -3)
+        if F.p != 2:
+            assert F.is_square(a) == U.is_square(a)
+            assert F.sqrt_list(a) == U.sqrt_list(a)
+
+
+@pytest.mark.parametrize(
+    "params,n",
+    [(P2, 8), (P2, 17), (P3, 7), (P3, 10), (P5, 5)],
+    ids=["f2_8", "f2_17", "f3_7", "f3_10", "f5_5"],
+)
+def test_tables_agree_with_untabled_arithmetic(monkeypatch, params, n):
+    F = make_ext_field(params, n)  # newly tabled (F_2^17) or Zech (odd p)
+    U = untabled(monkeypatch, params, n)
+    rng = random.Random(f"ff-tables:{params.p}:{n}")
+    pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(3000)]
+    pairs += [(0, 0), (0, 1), (1, 0), (F.order - 1, 0)]
+    unary = [0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(150)]
+    assert_agree(F, U, pairs, unary)
+
+
+def test_tables_agree_exhaustively_on_a_small_odd_field(monkeypatch):
+    F = make_ext_field(P5, 2)
+    U = untabled(monkeypatch, P5, 2)
+    every = range(F.order)
+    assert_agree(F, U, [(a, b) for a in every for b in every], every)
+
+
+def test_table_limit_covers_f2_17_and_f3_11():
+    assert ff.TABLE_LIMIT == 3**11
+    assert make_ext_field(P2, 17)._log is not None
+    assert make_ext_field(P3, 11)._zech is not None

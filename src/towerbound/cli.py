@@ -30,11 +30,9 @@ from .errors import (
     EmptySpace,
     FunctionalEquationViolation,
     InconsistentModel,
-    NotPrime,
     PoleAtPlace,
     RamifiedPlace,
     TowerboundError,
-    UnsupportedSize,
 )
 from .ff import require_supported_degree
 
@@ -298,7 +296,6 @@ def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -
     report = Report()
     report.kv("record", "search")
     report.kv("config", doc.source)
-    exit_code = EXIT_OK
     searches = []
     for sname, sc in sorted(doc.searches.items()):
         cov = doc.covers[sc.on]
@@ -339,7 +336,7 @@ def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -
             "no claim beyond the listed degrees and caps)"
         )
     print(report.render(json_mode))
-    return exit_code
+    return EXIT_OK
 
 
 def cmd_compare(
@@ -506,7 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, default=None)
     sp.add_argument("--s-prime", dest="s_prime", type=int, default=None)
     sp.add_argument("--T", dest="t_size", type=int, default=None)
-    sp.add_argument("--p", type=int, default=2)
 
     sp = sub.add_parser("selftest", help="reproduce every shipped golden value")
     common(sp, needs_config=False)
@@ -523,8 +519,7 @@ def main(argv=None) -> int:
             inline = None
             if all(v is not None for v in inline_fields):
                 inline = search_mod.MethodComparisonInput(
-                    s=args.s, l=args.l, t=args.t, s_prime=args.s_prime,
-                    t_size=args.t_size, p=args.p,
+                    s=args.s, l=args.l, t=args.t, s_prime=args.s_prime, t_size=args.t_size
                 )
             elif any(v is not None for v in inline_fields):
                 raise ConfigError("inline compare needs all of --s --l --t --s-prime --T")
@@ -541,15 +536,7 @@ def main(argv=None) -> int:
             return cmd_spectrum(doc, args.name, args.dmax, args.json)
         if args.command == "certify":
             return cmd_certify(doc, args.name, args.json)
-        if args.command == "optimize":
-            return cmd_optimize(doc, args.json, args.top)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (UnsupportedSize, NotPrime) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return cmd_optimize(doc, args.json, args.top)
     except (InconsistentModel, FunctionalEquationViolation, PoleAtPlace, RamifiedPlace) as exc:
         print(f"model inconsistency: {exc}", file=sys.stderr)
         return EXIT_MODEL

@@ -370,7 +370,6 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
                 t=_parse_int(keys["t"], "t"),
                 s_prime=_parse_int(keys["s_prime"], "s_prime"),
                 t_size=_parse_int(keys["T"], "T"),
-                p=params.p,
             )
         elif kind == "plan":
             _require(keys, ("on", "entries", "t"), where)

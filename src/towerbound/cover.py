@@ -30,6 +30,8 @@ from .curve import (
     divisors,
     enumerate_places,
     affine_solutions,
+    make_affine_place,
+    normalize_poly2,
 )
 from .errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
 from .ff import make_ext_field
@@ -44,8 +46,6 @@ class ASComponent:
 
     @staticmethod
     def create(a, b, p: int) -> "ASComponent":
-        from .curve import normalize_poly2
-
         return ASComponent(
             a=tuple(sorted(normalize_poly2(a, p).items())),
             b=tuple(sorted(normalize_poly2(b, p).items())),
@@ -164,8 +164,6 @@ class CoverSpec:
             explicit = [d for d in decls if d.rep is not None]
             located_need = sum(d.count for d in decls if d.rep is None)
             for dp in explicit:
-                from .curve import make_affine_place
-
                 pl = make_affine_place(self.base, degree, *dp.rep)
                 out[pl.key] = dp
             if located_need:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps them onto stable exit codes (see cli.EXIT_CODES).
+class; the CLI maps them onto stable exit codes (see the EXIT_* constants
+and `main` in cli).
 """
 
 

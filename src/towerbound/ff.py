@@ -5,12 +5,12 @@ sum(c_i * p^i).  Equality and hashing are therefore value-based, and since
 the modulus is always the monic irreducible polynomial with the smallest
 packed value, element encodings are reproducible bit for bit across runs.
 
-Fields of order <= TABLE_LIMIT (3^11, so F_2^17 and F_3^11 included) get
-compact exp/log tables at construction: multiplication, inversion and
-powering become table lookups, and in odd characteristic a table of Zech
-logarithms log(1 + g^k) turns addition, subtraction and negation into
-lookups too.  Larger fields fall back to generic polynomial arithmetic,
-with a bit-packed carryless fast path for characteristic 2.
+Every supported field has order at most MAX_ORDER = 2^20 (F_2^20, F_3^12,
+F_p for p <= 2^20, ...), and every field gets compact exp/log tables at
+construction: multiplication, inversion and powering are table lookups,
+and in odd characteristic a table of Zech logarithms log(1 + g^k) makes
+addition, subtraction and negation lookups too.  Polynomial arithmetic
+mod the modulus is used only to find the modulus and to build the tables.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 from .errors import NotPrime, OutOfRange, UnsupportedSize
 
-MAX_TOTAL_DEGREE = 20  # cap on e*n; the CLI checks each command's largest degree against it
-# before counting anything (the bundled workloads reach F_2^17 and F_3^10)
-TABLE_LIMIT = 3**11  # 177,147: the largest order that gets tables
+MAX_ORDER = 2**20  # the largest supported field order; the CLI checks each command's
+# largest field against it before counting anything (the bundled workloads reach 2^17)
 
 
 def _is_prime(n: int) -> bool:
@@ -58,10 +57,15 @@ class FieldParams:
     e: int = 1
 
     def __post_init__(self):
+        if self.p > MAX_ORDER:  # before the trial division, which is slow for a huge p
+            raise UnsupportedSize(
+                f"characteristic {self.p} exceeds the supported field order {MAX_ORDER}"
+            )
         if not _is_prime(self.p):
             raise NotPrime(f"characteristic {self.p} is not prime")
         if self.e < 1:
             raise OutOfRange("e must be a positive integer")
+        require_supported_degree(self, 1)
 
     @property
     def q(self) -> int:
@@ -160,10 +164,19 @@ def _smallest_irreducible(m: int, p: int) -> list[int]:
 
 
 def require_supported_degree(params: FieldParams, n: int) -> None:
-    """Raise UnsupportedSize when F_{q^n} is beyond the MAX_TOTAL_DEGREE cap."""
-    if params.e * n > MAX_TOTAL_DEGREE:
+    """Raise UnsupportedSize when F_{q^n} has order above MAX_ORDER.
+
+    Compares e*n with the largest k such that p^k <= MAX_ORDER, so q**n is
+    never computed (n may come straight from a flag).
+    """
+    p, k, order = params.p, 0, params.p
+    while order <= MAX_ORDER:
+        k += 1
+        order *= p
+    if params.e * n > k:
         raise UnsupportedSize(
-            f"total degree e*n = {params.e * n} exceeds the supported cap {MAX_TOTAL_DEGREE}"
+            f"F_{p}^{params.e * n} exceeds the supported field order {MAX_ORDER} "
+            f"(p^k <= {MAX_ORDER} needs k <= {k})"
         )
 
 
@@ -190,15 +203,9 @@ class ExtField:
         self.degree = m
         self.order = params.p**m
         self.modulus = tuple(_smallest_irreducible(m, params.p))
-        self._modulus_list = list(self.modulus)
-        self._modulus_int = sum(c << i for i, c in enumerate(self.modulus)) if params.p == 2 else None
         self._q1 = self.order - 1
         self._half = self._q1 // 2  # log(-1) in odd characteristic
-        self._exp: array | None = None  # g^k for k < q - 1
-        self._log: array | None = None  # log_g(a) for a != 0; entry 0 unused
-        self._zech: array | None = None  # log_g(1 + g^k), -1 where g^k = -1; odd p only
-        if self.order <= TABLE_LIMIT:
-            self._build_tables()
+        self._exp, self._log, self._zech = self._build_tables()
         self._trace_basis = self._build_trace_basis()
         if self.p == 2:
             self._trace_mask = sum(t << i for i, t in enumerate(self._trace_basis))
@@ -231,38 +238,19 @@ class ExtField:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._zech is not None:
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-            log = self._log
-            la = log[a]
-            z = self._zech[(log[b] - la) % self._q1]
-            return 0 if z < 0 else self._exp[(la + z) % self._q1]
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[(log[b] - la) % self._q1]
+        return 0 if z < 0 else self._exp[(la + z) % self._q1]
 
     def neg(self, a: int) -> int:
         if self.p == 2 or a == 0:
             return a
-        if self._log is not None:
-            return self._exp[(self._log[a] + self._half) % self._q1]
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[(self._log[a] + self._half) % self._q1]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -271,90 +259,33 @@ class ExtField:
 
     # -- multiplicative structure -------------------------------------------
 
-    def _mul2(self, a: int, b: int) -> int:
-        if a < b:
-            a, b = b, a
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            b >>= 1
-        mi = self._modulus_int
-        dm = self.degree
-        top = r.bit_length() - 1
-        while top >= dm:
-            r ^= mi << (top - dm)
-            top = r.bit_length() - 1
-        return r
-
-    def _mul_generic(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = [], []
-        while a:
-            da.append(a % p)
-            a //= p
-        while b:
-            db.append(b % p)
-            b //= p
-        prod = [0] * (len(da) + len(db) - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] += ca * cb
-        reduced = _poly_mod(prod, self._modulus_list, p)
-        return self.from_coeffs(reduced)
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.p == 2:
-            return self._mul2(a, b)
-        return self._mul_generic(a, b)
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return self._exp[(self._log[a] + self._log[b]) % self._q1]
-        return self._raw_mul(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % self._q1]
 
     def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.pow(self.inv(a), -k)
         if a == 0:
+            if k < 0:
+                raise ZeroDivisionError("inverting zero field element")
             return 1 if k == 0 else 0
-        if self._log is not None:
-            return self._exp[(self._log[a] * k) % self._q1]
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            k >>= 1
-        return result
+        return self._exp[(self._log[a] * k) % self._q1]
 
     def powers(self, a: int, k: int) -> list[int]:
         """[1, a, a^2, ..., a^k]."""
-        if self._log is not None and a != 0:
-            la, exp, q1 = self._log[a], self._exp, self._q1
-            out, e = [1], 0
-            for _ in range(k):
-                e = (e + la) % q1
-                out.append(exp[e])
-            return out
-        out = [1] * (k + 1)
-        for i in range(1, k + 1):
-            out[i] = self.mul(out[i - 1], a)
+        if a == 0:
+            return [1] + [0] * k
+        la, exp, q1 = self._log[a], self._exp, self._q1
+        out, e = [1], 0
+        for _ in range(k):
+            e = (e + la) % q1
+            out.append(exp[e])
         return out
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverting zero field element")
-        if self._log is not None:
-            return self._exp[-self._log[a] % self._q1]
-        return self.pow(a, self.order - 2)
+        return self._exp[-self._log[a] % self._q1]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -365,74 +296,85 @@ class ExtField:
 
     # -- tables ---------------------------------------------------------------
 
-    def _build_tables(self):
-        q1 = self._q1
+    def _build_tables(self) -> tuple[array, array, array | None]:
+        """exp (g^k for k < q - 1), log (log_g(a) for a != 0; entry 0 unused)
+        and, in odd characteristic, zech (log_g(1 + g^k), -1 where g^k = -1).
+
+        Until they exist, products are taken as polynomials mod the modulus.
+        """
+        p, mod, q1 = self.p, self.modulus, self._q1
         if q1 == 1:
             g = 1
         else:
             factors = _prime_factors(q1)
-            g = None
-            for cand in range(2, self.order):
-                # _log is still None here, so pow multiplies untabled
-                if all(self.pow(cand, q1 // r) != 1 for r in factors):
-                    g = cand
-                    break
-            if g is None:  # every field has a multiplicative generator
-                raise RuntimeError("generator search failed")
+            g = next(
+                cand
+                for cand in range(2, self.order)  # every field has a multiplicative generator
+                if all(_poly_powmod(self.coeffs(cand), q1 // r, mod, p) != [1] for r in factors)
+            )
         exp = self._powers_of(g)
         log = array("l", [0]) * self.order
         for k, v in enumerate(exp):
             log[v] = k
-        if self.p != 2:
-            p = self.p
-            # 1 + v only changes the constant digit of v
-            zech = array("l", (log[v + 1 if v % p != p - 1 else v - p + 1] for v in exp))
-            zech[self._half] = -1  # 1 + g^half = 1 + (-1) = 0 has no log
-            self._zech = zech
-        self._exp = exp
-        self._log = log
+        if p == 2:
+            return exp, log, None
+        # 1 + v only changes the constant digit of v
+        zech = array("l", (log[v + 1 if v % p != p - 1 else v - p + 1] for v in exp))
+        zech[self._half] = -1  # 1 + g^half = 1 + (-1) = 0 has no log
+        return exp, log, zech
 
     def _powers_of(self, g: int) -> array:
         """g^0, ..., g^(q-2) by repeated multiplication by g.
 
-        During the loop the current power is held with each base-p digit in
-        its own lane of `width` bits, wide enough that two digits add
-        without a carry into the next lane.  Multiplication by g is linear,
-        so the product is (low digits)*g + (high digits)*g: two lookups in
-        tables of about sqrt(q) entries, one integer addition and a
-        lanewise reduction mod p.  The packed value of each power is the
-        sum of two more lookups.
+        In F_p the packed value is the residue itself, so each step is one
+        modular product (the lane tables below would have p entries: 7 s
+        and 220 MB to build F_p for p near 2^20).  Otherwise, during
+        the loop the current power is held with each base-p digit in its
+        own lane of `width` bits, wide enough that two digits add without a
+        carry into the next lane.  Multiplication by g is linear, so the
+        product is (low digits)*g + (high digits)*g: two lookups in tables
+        of about sqrt(q) entries, one integer addition and a lanewise
+        reduction mod p.  The packed value of each power is the sum of two
+        more lookups.
         """
         p, m, q1 = self.p, self.degree, self._q1
-        width = (p - 1).bit_length() + 1  # 2^(width-1) >= p
-        ones = sum(1 << (width * i) for i in range(m))
-        bias = ((1 << (width - 1)) - p) * ones  # lane + bias has bit width-1 set iff lane >= p
-        tops = (1 << (width - 1)) * ones
-
-        def lanes(v: int) -> int:
-            out, i = 0, 0
-            while v:
-                out |= (v % p) << (width * i)
-                v //= p
-                i += 1
-            return out
-
-        split = m // 2
-        unit = p**split
-        low = {lanes(v): (v, lanes(self._raw_mul(v, g))) for v in range(unit)}
-        high = {
-            lanes(h): (h * unit, lanes(self._raw_mul(h * unit, g))) for h in range(p ** (m - split))
-        }
-        shift = width * split
-        low_mask = (1 << shift) - 1
         out = array("l", [0]) * q1
-        cur = 1  # lanes of g^0
-        for k in range(q1):
-            v_lo, gv_lo = low[cur & low_mask]
-            v_hi, gv_hi = high[cur >> shift]
-            out[k] = v_lo + v_hi
-            s = gv_lo + gv_hi
-            cur = s - (((s + bias) & tops) >> (width - 1)) * p
+        cur = 1
+        if m == 1:
+            for k in range(q1):
+                out[k] = cur
+                cur = cur * g % p
+        else:
+            width = (p - 1).bit_length() + 1  # 2^(width-1) >= p
+            ones = sum(1 << (width * i) for i in range(m))
+            bias = ((1 << (width - 1)) - p) * ones  # lane + bias has bit width-1 set iff lane >= p
+            tops = (1 << (width - 1)) * ones
+
+            def lanes(v: int) -> int:
+                out, i = 0, 0
+                while v:
+                    out |= (v % p) << (width * i)
+                    v //= p
+                    i += 1
+                return out
+
+            gc, mod = _poly_trim(list(self.coeffs(g))), self.modulus  # g is small: few terms
+
+            def times_g(v: int) -> int:
+                return lanes(self.from_coeffs(_poly_mulmod(self.coeffs(v), gc, mod, p)))
+
+            split = m // 2
+            unit = p**split
+            low = {lanes(v): (v, times_g(v)) for v in range(unit)}
+            high = {lanes(h): (h * unit, times_g(h * unit)) for h in range(p ** (m - split))}
+            shift = width * split
+            low_mask = (1 << shift) - 1
+            for k in range(q1):  # cur holds the lanes of g^k
+                v_lo, gv_lo = low[cur & low_mask]
+                v_hi, gv_hi = high[cur >> shift]
+                out[k] = v_lo + v_hi
+                s = gv_lo + gv_hi
+                cur = s - (((s + bias) & tops) >> (width - 1)) * p
         if cur != 1:
             raise RuntimeError("generator does not have full order")
         return out
@@ -476,13 +418,9 @@ class ExtField:
         return self.pow(a, self.p ** (self.degree - 1))
 
     def is_square(self, a: int) -> bool:
-        """Whether a is a square: log parity when tabled, else Euler's
-        criterion a^((q-1)/2) = 1.  Every element is one in characteristic 2."""
-        if a == 0 or self.p == 2:
-            return True
-        if self._log is not None:
-            return self._log[a] % 2 == 0
-        return self.pow(a, self._half) == 1
+        """Whether a is a square: the parity of its log.  Every element is
+        one in characteristic 2."""
+        return a == 0 or self.p == 2 or self._log[a] % 2 == 0
 
     def sqrt_list(self, a: int) -> list[int]:
         """All square roots of a; characteristic must be odd."""
@@ -490,41 +428,10 @@ class ExtField:
             raise ValueError("use pth_root in characteristic 2")
         if a == 0:
             return [0]
-        if self._log is not None:
-            l = self._log[a]
-            if l % 2:
-                return []
-            r = self._exp[l // 2]
-            return sorted({r, self.neg(r)})
-        return self._sqrt_generic(a)
-
-    def _sqrt_generic(self, a: int) -> list[int]:
-        # Tonelli-Shanks
-        if not self.is_square(a):
+        l = self._log[a]
+        if l % 2:
             return []
-        q = self.order
-        s, m = q - 1, 0
-        while s % 2 == 0:
-            s //= 2
-            m += 1
-        z = None
-        for cand in range(2, q):
-            if self.pow(cand, (q - 1) // 2) != 1:
-                z = cand
-                break
-        c = self.pow(z, s)
-        t = self.pow(a, s)
-        r = self.pow(a, (s + 1) // 2)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = self.pow(c, 1 << (m - i - 1))
-            m = i
-            c = self.mul(b, b)
-            t = self.mul(t, c)
-            r = self.mul(r, b)
+        r = self._exp[l // 2]
         return sorted({r, self.neg(r)})
 
     def solve_additive(self, u: int) -> list[int]:

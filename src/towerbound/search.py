@@ -182,7 +182,6 @@ class MethodComparisonInput:
     t: int
     s_prime: int
     t_size: int  # |T|, counted in the cover
-    p: int = 2
 
     def __post_init__(self):
         for name in ("s", "l", "t", "s_prime", "t_size"):

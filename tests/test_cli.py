@@ -272,7 +272,7 @@ def test_degree_beyond_field_cap_rejected_before_counting(capsys, tmp_path, argv
     assert time.perf_counter() - start < 3.0
     assert code == 2
     assert out == ""
-    assert "exceeds the supported cap 20" in err
+    assert "exceeds the supported field order 1048576" in err
 
 
 @pytest.mark.parametrize(
@@ -300,3 +300,43 @@ def test_search_section_out_of_range_exit_2(capsys, tmp_path, key, value):
     code, _, err = run(capsys, "optimize", "--config", str(cfg))
     assert code == 2
     assert f"{key} >= " in err
+
+
+_BIG_P = "[field]\np = {p}\n\n[curve X]\nequation = y^2 = x^3 + x + 1\ninfinity = 1:1\ngenus = 1\n"
+
+
+@pytest.mark.parametrize(
+    "cfg_text, argv",
+    [
+        (None, ("spectrum", "--config", "f3_tower", "--name", "E3", "--dmax", "13")),
+        (None, ("spectrum", "--config", "f2_tower1", "--name", "E", "--dmax", "1000000000")),
+        (_BIG_P.format(p=2**61 - 1), ("spectrum", "--config", "BIG", "--name", "X")),
+        (_BIG_P.format(p=1048583), ("spectrum", "--config", "BIG", "--name", "X", "--dmax", "1")),
+    ],
+    ids=["f3-13", "dmax-huge", "p-mersenne-61", "p-above-2^20"],
+)
+def test_field_above_max_order_rejected_quickly(capsys, tmp_path, cfg_text, argv):
+    if cfg_text is not None:
+        big = tmp_path / "big.cfg"
+        big.write_text(cfg_text)
+        argv = [str(big) if a == "BIG" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds the supported field order 1048576" in err
+
+
+def test_p_flag_rejected(capsys):
+    argv = ["compare", "--s", "21", "--l", "2", "--t", "20", "--s-prime", "1", "--T", "81"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--p", "4"])
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
+
+
+def test_selftest_passes(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    assert "selftest: 43/43 checks passed" in out

@@ -50,6 +50,11 @@ def test_counts_over_the_largest_tabled_fields(curve_E, curve_E3):
     assert curve.count_points(curve_E3, 10) == 58807
 
 
+def test_count_over_the_newly_tabled_f2_18(curve_E):
+    # 1 + 2T + 2T^2 has roots -1 +- i, whose 18th powers are -+512i: N_18 = 2^18 + 1
+    assert curve.count_points(curve_E, 18) == 262145
+
+
 def test_projective_line_counts():
     p1 = curve.CurveModel.create(P2, {(0, 1): 1}, ((1, 1),), genus=0, name="P1")
     for n in (1, 2, 3, 4):

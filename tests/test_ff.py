@@ -2,6 +2,7 @@
 
 import collections
 import random
+import time
 
 import pytest
 
@@ -45,6 +46,21 @@ def test_size_cap():
     with pytest.raises(UnsupportedSize):
         ff.require_supported_degree(FieldParams(2, 3), 7)  # the check the CLI runs first
     ff.require_supported_degree(FieldParams(2, 4), 5)  # e*n = 20 is allowed
+    ff.require_supported_degree(P3, 12)  # 3^12 <= 2^20 < 3^13
+    with pytest.raises(UnsupportedSize):
+        ff.require_supported_degree(P3, 13)
+    with pytest.raises(UnsupportedSize):
+        ff.require_supported_degree(FieldParams(3, 2), 7)  # e*n = 14
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedSize):
+        ff.require_supported_degree(P2, 10**9)  # never computes 2**(10**9)
+    with pytest.raises(UnsupportedSize):
+        FieldParams(2**61 - 1)  # refused before the trial-division primality test
+    with pytest.raises(UnsupportedSize):
+        FieldParams(1048583)  # the first prime above 2^20
+    with pytest.raises(UnsupportedSize):
+        FieldParams(1021, 3)  # 1021^3 > 2^20
+    assert time.perf_counter() - start < 0.5
 
 
 def test_modulus_deterministic_and_minimal():
@@ -153,55 +169,74 @@ def test_sqrt_consistency_f3():
                 assert F.mul(r, r) == c
 
 
-def untabled(monkeypatch, params, n):
-    """The same field (same modulus) without tables: digit-loop addition,
-    _mul2/_mul_generic multiplication, Fermat inversion, Tonelli-Shanks."""
-    with monkeypatch.context() as m:
-        m.setattr(ff, "TABLE_LIMIT", 0)
-        return ff.ExtField(params, n)
+def assert_agree(F, pairs, unary):
+    """Check the tabled operations against untabled polynomial arithmetic
+    mod F.modulus written here: products through ff._poly_mulmod, sums
+    digit by digit, squares by Euler's criterion through ff._poly_powmod."""
+    p, mod = F.p, F.modulus
 
+    def mul(a, b):
+        return F.from_coeffs(ff._poly_mulmod(F.coeffs(a), F.coeffs(b), mod, p))
 
-def assert_agree(F, U, pairs, unary):
-    assert F._log is not None and U._log is None and F.modulus == U.modulus
+    def add(a, b):
+        return F.from_coeffs(x + y for x, y in zip(F.coeffs(a), F.coeffs(b)))
+
+    def neg(a):
+        return F.from_coeffs(-x for x in F.coeffs(a))
+
+    def power(a, k):
+        out = 1
+        for _ in range(k):
+            out = mul(out, a)
+        return out
+
+    def euler_square(a):
+        return a == 0 or ff._poly_powmod(F.coeffs(a), (F.order - 1) // 2, mod, p) == [1]
+
     for a, b in pairs:
-        assert F.add(a, b) == U.add(a, b)
-        assert F.sub(a, b) == U.sub(a, b)
-        assert F.mul(a, b) == U.mul(a, b)
+        assert F.add(a, b) == add(a, b)
+        assert F.sub(a, b) == add(a, neg(b))
+        assert F.mul(a, b) == mul(a, b)
     for a in unary:
-        assert F.neg(a) == U.neg(a)
-        assert F.pow(a, 5) == U.pow(a, 5)
-        assert F.powers(a, 4) == U.powers(a, 4) == [U.pow(a, k) for k in range(5)]
+        assert F.neg(a) == neg(a)
+        assert F.pow(a, 5) == power(a, 5)
+        assert F.powers(a, 4) == [power(a, k) for k in range(5)]
         if a:
-            assert F.inv(a) == U.inv(a)
-            assert F.pow(a, -3) == U.pow(a, -3)
-        if F.p != 2:
-            assert F.is_square(a) == U.is_square(a)
-            assert F.sqrt_list(a) == U.sqrt_list(a)
+            assert mul(a, F.inv(a)) == 1
+            assert mul(F.pow(a, -3), power(a, 3)) == 1
+        if p != 2:
+            square = euler_square(a)
+            assert F.is_square(a) == square
+            roots = F.sqrt_list(a)
+            assert bool(roots) == square
+            for r in roots:
+                assert mul(r, r) == a
+                assert roots == sorted({r, neg(r)})
 
 
 @pytest.mark.parametrize(
     "params,n",
-    [(P2, 8), (P2, 17), (P3, 7), (P3, 10), (P5, 5)],
-    ids=["f2_8", "f2_17", "f3_7", "f3_10", "f5_5"],
+    [(P2, 8), (P2, 17), (P2, 20), (P3, 7), (P3, 10), (P3, 12), (P5, 5)],
+    ids=["f2_8", "f2_17", "f2_20", "f3_7", "f3_10", "f3_12", "f5_5"],
 )
-def test_tables_agree_with_untabled_arithmetic(monkeypatch, params, n):
-    F = make_ext_field(params, n)  # newly tabled (F_2^17) or Zech (odd p)
-    U = untabled(monkeypatch, params, n)
+def test_tables_agree_with_untabled_arithmetic(params, n):
+    F = make_ext_field(params, n)
     rng = random.Random(f"ff-tables:{params.p}:{n}")
     pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(3000)]
     pairs += [(0, 0), (0, 1), (1, 0), (F.order - 1, 0)]
     unary = [0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(150)]
-    assert_agree(F, U, pairs, unary)
+    assert_agree(F, pairs, unary)
 
 
-def test_tables_agree_exhaustively_on_a_small_odd_field(monkeypatch):
+def test_tables_agree_exhaustively_on_a_small_odd_field():
     F = make_ext_field(P5, 2)
-    U = untabled(monkeypatch, P5, 2)
     every = range(F.order)
-    assert_agree(F, U, [(a, b) for a in every for b in every], every)
+    assert_agree(F, [(a, b) for a in every for b in every], every)
 
 
 def test_table_limit_covers_f2_17_and_f3_11():
-    assert ff.TABLE_LIMIT == 3**11
-    assert make_ext_field(P2, 17)._log is not None
-    assert make_ext_field(P3, 11)._zech is not None
+    assert ff.MAX_ORDER == 2**20
+    for params, n in ((P2, 17), (P3, 11), (P2, 20), (P3, 12)):
+        F = make_ext_field(params, n)
+        assert len(F._exp) == F.order - 1 and len(F._log) == F.order
+        assert (F._zech is None) == (params.p == 2)

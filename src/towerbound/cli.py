@@ -153,6 +153,7 @@ def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_
         d_max = _default_dmax(model.params) if d_max is None else d_max
         zeta_reach = max(d_max, 2 * model.genus) if model.genus <= 2 else d_max
         require_supported_degree(model.params, zeta_reach)
+        curve_mod.require_root_scan(model, zeta_reach)
         report.kv("dmax", d_max)
         spec = curve_mod.spectrum_from_counts(model, zeta_reach)
         report.line(f"place spectrum of curve {name} over F_{model.params.q}, genus {model.genus}")
@@ -178,6 +179,7 @@ def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_
         cov = doc.covers[name]
         d_max = _default_dmax(cov.params) if d_max is None else d_max
         require_supported_degree(cov.params, max(d_max, 2))  # the oracle runs at n = 1, 2
+        curve_mod.require_root_scan(cov.base, max(d_max, 2))
         report.kv("dmax", d_max)
         spec = cover_mod.assemble_spectrum(cov, d_max)
         report.line(
@@ -263,6 +265,7 @@ def cmd_certify(doc: config.ConfigDocument, plan_name: str, json_mode: bool) -> 
     cov = doc.covers[plan_cfg.on]
     d_max = max([_default_dmax(cov.params)] + [f for f, _, _ in plan_cfg.entries])
     require_supported_degree(cov.params, d_max)
+    curve_mod.require_root_scan(cov.base, d_max)
     spectrum = cover_mod.assemble_spectrum(cov, d_max)
     infeasible = None
     try:
@@ -301,6 +304,7 @@ def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -
         cov = doc.covers[sc.on]
         d_max = max([_default_dmax(cov.params)] + list(sc.degrees))
         require_supported_degree(cov.params, d_max)
+        curve_mod.require_root_scan(cov.base, d_max)
         searches.append((sname, sc, cov, d_max))
     for sname, sc, cov, d_max in searches:
         spectrum = cover_mod.assemble_spectrum(cov, d_max)

@@ -23,7 +23,7 @@ from importlib import resources
 
 from . import cft, cover as cover_mod, curve as curve_mod, search as search_mod
 from .errors import ConfigError
-from .ff import FieldParams
+from .ff import FieldParams, require_supported_degree
 
 # ---------------------------------------------------------------------------
 # polynomial expression grammar over x, y
@@ -232,12 +232,19 @@ def _parse_entries(value: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _parse_degrees(value: str) -> tuple[int, ...]:
+def _parse_degrees(value: str, params: FieldParams, where: str) -> tuple[int, ...]:
+    """`lo..hi` or a list; the ends are checked before a range is built."""
     value = value.strip()
     if ".." in value:
-        lo, hi = value.split("..", 1)
-        return tuple(range(_parse_int(lo, "degree"), _parse_int(hi, "degree") + 1))
-    return tuple(_parse_int(v, "degree") for v in re.split(r"[;,]", value) if v.strip())
+        lo, hi = (_parse_int(v, "degree") for v in value.split("..", 1))
+        degrees, ends = range(lo, hi + 1), (lo, hi)
+    else:
+        degrees = ends = [_parse_int(v, "degree") for v in re.split(r"[;,]", value) if v.strip()]
+    if ends:
+        if min(ends) < 1:
+            raise ConfigError(f"{where}: degrees must be >= 1, got {min(ends)}")
+        require_supported_degree(params, max(ends))
+    return tuple(degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +394,7 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
                 raise ConfigError(f"{where}: need cap >= 0 and top >= 1, got {cap} and {top}")
             doc.searches[name or "default"] = SearchConfig(
                 on=keys["on"],
-                degrees=_parse_degrees(keys["degrees"]),
+                degrees=_parse_degrees(keys["degrees"], params, where),
                 nus=tuple(
                     _parse_int(v, "nu") for v in keys.get("nu", "").split(",") if v.strip()
                 ),

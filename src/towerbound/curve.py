@@ -210,14 +210,14 @@ def _quadratic_roots(F: ExtField, a0: int, a1: int, a2: int) -> list[int]:
         # substitute y = (a1/a2) w: w^2 + w = a0*a2/a1^2
         u = F.div(F.mul(a0, a2), F.mul(a1, a1))
         scale = F.div(a1, a2)
-        return sorted(F.mul(scale, w) for w in F.solve_additive(u))
+        return [F.mul(scale, w) for w in F.solve_additive(u)]
     four = 4 % F.p
     disc = F.sub(F.mul(a1, a1), F.mul(four, F.mul(a2, a0)))
-    roots = F.sqrt_list(disc)
+    roots = F.sqrt_list(disc)  # [0] or two distinct square roots: y = (r - a1)/(2 a2) is injective
     if not roots:
         return []
     inv2a = F.inv(F.mul(2 % F.p, a2))
-    return sorted({F.mul(F.add(F.neg(a1), r), inv2a) for r in roots})
+    return [F.mul(F.sub(r, a1), inv2a) for r in roots]
 
 
 def _poly_root_count(F: ExtField, cs: list[int]) -> int:
@@ -244,12 +244,7 @@ def _poly_roots(F: ExtField, cs: list[int]) -> list[int]:
 
 
 def _poly_roots_generic(F: ExtField, cs: list[int]) -> list[int]:
-    # degree >= 3 only happens for user-supplied models; scan, with a size guard
-    if F.order > ROOT_SCAN_LIMIT:
-        raise UnsupportedSize(
-            f"degree-{len(cs) - 1} root finding over a field of order {F.order} "
-            "is outside the supported range"
-        )
+    # degree >= 3 only happens for user-supplied models; require_root_scan bounds the field
     return [y for y in range(F.order) if _eval_univariate(F, cs, y) == 0]
 
 
@@ -260,8 +255,25 @@ def _eval_univariate(F: ExtField, cs: list[int], y: int) -> int:
     return acc
 
 
+def require_root_scan(model: CurveModel, n: int) -> None:
+    """Raise UnsupportedSize when points over F_{q^n} would need the brute
+    root scan (y-degree >= 3) over a field of order above ROOT_SCAN_LIMIT.
+
+    The CLI checks each command's largest degree with it before counting,
+    next to ff.require_supported_degree.  q >= 2, so every n beyond the
+    limit's bit length is refused without computing q**n.
+    """
+    deg_y = max((j for (_, j), _ in model.poly), default=0)
+    if deg_y >= 3 and model.params.q ** min(n, ROOT_SCAN_LIMIT.bit_length()) > ROOT_SCAN_LIMIT:
+        raise UnsupportedSize(
+            f"degree-{deg_y} root finding over F_{model.params.q}^{n} is outside the "
+            f"supported range (a brute scan, field order at most {ROOT_SCAN_LIMIT})"
+        )
+
+
 def count_affine(model: CurveModel, n: int) -> int:
     """Number of solutions of F(x, y) = 0 in F_{q^n} x F_{q^n}."""
+    require_root_scan(model, n)
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
     return sum(_poly_root_count(F, _y_polynomial(F, coeffs, x)) for x in range(F.order))
@@ -269,6 +281,7 @@ def count_affine(model: CurveModel, n: int) -> int:
 
 def affine_solutions(model: CurveModel, n: int) -> Iterator[tuple[int, int]]:
     """All (x, y) solutions over F_{q^n}, root finding rather than counting."""
+    require_root_scan(model, n)
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
     for x in range(F.order):

@@ -9,8 +9,10 @@ Every supported field has order at most MAX_ORDER = 2^20 (F_2^20, F_3^12,
 F_p for p <= 2^20, ...), and every field gets compact exp/log tables at
 construction: multiplication, inversion and powering are table lookups,
 and in odd characteristic a table of Zech logarithms log(1 + g^k) makes
-addition, subtraction and negation lookups too.  Polynomial arithmetic
-mod the modulus is used only to find the modulus and to build the tables.
+addition, subtraction and negation lookups too.  The absolute trace and
+the solutions of w^p - w = u are two lookups in one pair of tables of
+about sqrt(q) entries.  Polynomial arithmetic mod the modulus is used
+only to find the modulus and to build the tables.
 """
 
 from __future__ import annotations
@@ -206,10 +208,8 @@ class ExtField:
         self._q1 = self.order - 1
         self._half = self._q1 // 2  # log(-1) in odd characteristic
         self._exp, self._log, self._zech = self._build_tables()
-        self._trace_basis = self._build_trace_basis()
-        if self.p == 2:
-            self._trace_mask = sum(t << i for i, t in enumerate(self._trace_basis))
-        self._as_rref = None  # lazy solver for w^p - w = u
+        self._split = params.p ** (m // 2)  # the low half of the digits: a % split
+        self._lin_lo, self._lin_hi = self._build_linear_tables()
 
     def __repr__(self):
         return f"ExtField(p={self.p}, e={self.params.e}, n={self.n}, order={self.order})"
@@ -379,37 +379,72 @@ class ExtField:
             raise RuntimeError("generator does not have full order")
         return out
 
-    # -- traces ---------------------------------------------------------------
+    # -- the trace and w^p - w = u: one linear map, two lookups ---------------
 
-    def _build_trace_basis(self) -> tuple[int, ...]:
-        out = []
-        for i in range(self.degree):
-            el = self.p**i  # the basis monomial x^i
-            acc = el
-            cur = el
-            for _ in range(self.degree - 1):
-                cur = self.pow(cur, self.p)
-                acc = self.add(acc, cur)
-            if acc >= self.p:
-                raise RuntimeError("trace of basis element left the prime field")
-            out.append(acc)
-        return tuple(out)
+    def _build_linear_tables(self) -> tuple:
+        """Tables of the F_p-linear map v -> L(v) + Tr(v): on the low digits
+        (entry v, v < split) and on the high digits (entry h, for h*split).
+
+        Tr is the absolute trace and sits in the constant digit.  L(u) solves
+        w^p - w = u whenever Tr(u) = 0, with constant digit 0 (adding an
+        element of F_p keeps a solution).  It is additive Hilbert 90: with
+        theta of trace 1, w = -sum_{i=1}^{m-1} (u + u^p + ... + u^(p^(i-1))) theta^(p^i).
+        """
+        p, m = self.p, self.degree
+        if m == 1:
+            return range(1), range(p)  # L = 0 and Tr is the identity: no p-entry table
+        add, mul = self.add, self.mul
+        sums = []  # per basis digit u = x^k: u, u + u^p, ..., the last one Tr(u)
+        for k in range(m):
+            cur = acc = p**k
+            row = [acc]
+            for _ in range(m - 1):
+                cur = self.pow(cur, p)
+                acc = add(acc, cur)
+                row.append(acc)
+            sums.append(row)
+        k, tr = next((k, row[-1]) for k, row in enumerate(sums) if row[-1])  # Tr is onto F_p
+        theta = mul(p**k, pow(tr, -1, p))
+        conj = [self.pow(theta, p**i) for i in range(m)]
+        images = []
+        for k, row in enumerate(sums):
+            w = 0
+            for i in range(1, m):
+                w = add(w, mul(row[i - 1], conj[i]))
+            w = self.neg(w)
+            # w^p - w = u - Tr(u) theta for every u; by linearity this checks every solution
+            if row[-1] >= p or self.sub(self.pow(w, p), w) != self.sub(p**k, mul(row[-1], theta)):
+                raise RuntimeError("additive Hilbert 90 failed on a basis element")
+            images.append(w - w % p + row[-1])
+        s = m // 2
+        return self._span(images[:s]), self._span(images[s:])
+
+    def _span(self, images: list[int]) -> list[int]:
+        """sum_k c_k * images[k] at every packed digit vector (c_0, c_1, ...).
+
+        A list, not an array: it has about sqrt(q) entries, and list indexing
+        returns a stored int instead of building one (F_2^16 trace, CPython 3.11:
+        about 100 against 160 ns).
+        """
+        out = [0]
+        for v in images:
+            out = [self.add(r, self.mul(c, v)) for c in range(self.p) for r in out]
+        return out
 
     def trace(self, a: int) -> int:
         """Absolute trace Tr(a) = a + a^p + ... + a^(p^(degree - 1)) down to
-        F_p, returned as an int in [0, p)."""
-        if self.p == 2:
-            return (a & self._trace_mask).bit_count() & 1
-        p = self.p
-        tot = 0
-        i = 0
-        while a:
-            c = a % p
-            if c:
-                tot += c * self._trace_basis[i]
-            a //= p
-            i += 1
-        return tot % p
+        F_p, returned as an int in [0, p).  The two entries are added as
+        integers: carries only move up, so the constant digit is Tr(a)."""
+        return (self._lin_lo[a % self._split] + self._lin_hi[a // self._split]) % self.p
+
+    def solve_additive(self, u: int) -> list[int]:
+        """All w with w^p - w = u, ascending (empty when the trace of u is nonzero).
+
+        The field sum of the two entries is L(u) + Tr(u); when Tr(u) = 0 the
+        solutions L(u) + c, c in F_p, differ only in the constant digit.
+        """
+        t = self.add(self._lin_lo[u % self._split], self._lin_hi[u // self._split])
+        return [] if t % self.p else list(range(t, t + self.p))
 
     # -- roots ------------------------------------------------------------------
 
@@ -433,58 +468,6 @@ class ExtField:
             return []
         r = self._exp[l // 2]
         return sorted({r, self.neg(r)})
-
-    def solve_additive(self, u: int) -> list[int]:
-        """All w with w^p - w = u (empty when the trace of u is nonzero)."""
-        if self.trace(u):
-            return []
-        if self._as_rref is None:
-            self._as_rref = self._build_additive_solver()
-        pivots, transform = self._as_rref
-        p, m = self.p, self.degree
-        ucol = list(self.coeffs(u))
-        t = [sum(transform[i][k] * ucol[k] for k in range(m)) % p for i in range(m)]
-        sol = [0] * m
-        for row, col in enumerate(pivots):
-            if col is None:
-                if t[row] != 0:
-                    return []
-            else:
-                sol[col] = t[row]
-        w0 = self.from_coeffs(sol)
-        return sorted(self.add(w0, c) for c in range(p))
-
-    def _build_additive_solver(self):
-        p, m = self.p, self.degree
-        cols = []
-        for j in range(m):
-            el = p**j
-            phi = self.sub(self.pow(el, p), el)
-            cols.append(list(self.coeffs(phi)))
-        mat = [[cols[j][i] for j in range(m)] for i in range(m)]
-        transform = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        pivots: list[int | None] = [None] * m
-        row = 0
-        for col in range(m):
-            piv = next((r for r in range(row, m) if mat[r][col] % p), None)
-            if piv is None:
-                continue
-            mat[row], mat[piv] = mat[piv], mat[row]
-            transform[row], transform[piv] = transform[piv], transform[row]
-            inv = pow(mat[row][col], p - 2, p)
-            mat[row] = [(v * inv) % p for v in mat[row]]
-            transform[row] = [(v * inv) % p for v in transform[row]]
-            for r in range(m):
-                if r != row and mat[r][col] % p:
-                    f = mat[r][col] % p
-                    mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[row])]
-                    transform[r] = [(a - f * b) % p for a, b in zip(transform[r], transform[row])]
-            pivots[row] = col
-            row += 1
-        # kernel of w -> w^p - w is exactly the prime field
-        if row != m - 1:
-            raise RuntimeError("additive solver rank != m - 1")
-        return pivots, transform
 
 
 _FIELD_CACHE: dict[tuple[int, int, int], ExtField] = {}

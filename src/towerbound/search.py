@@ -18,7 +18,9 @@ from fractions import Fraction
 
 from . import cft
 from .curve import PlaceSpectrum
-from .errors import DegenerateGenus, EmptySpace, OutOfRange
+from .errors import DegenerateGenus, EmptySpace, OutOfRange, UnsupportedSize
+
+MAX_CANDIDATES = 10**7  # 10^6 candidates take about 0.8 s; the bundled spaces have at most 65,526
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,8 @@ def optimize(space: SearchSpace) -> SearchResult:
     that certify an infinite tower, and rank them by the refined bound.
 
     Ties break toward the lexicographically smaller multiplicity vector,
-    then the smaller t.  Raises EmptySpace when nothing certifies.
+    then the smaller t.  Raises EmptySpace when nothing certifies, and
+    UnsupportedSize before enumerating more than MAX_CANDIDATES.
 
     The inner loop is integer only.  With D the largest degree searched, the
     refined denominator (g - 1) + sum m*f*nu/2 * (1 - q^-f) scaled by 2*q^D
@@ -85,6 +88,9 @@ def optimize(space: SearchSpace) -> SearchResult:
     for t in ts:
         if t < 1 or t > a1:
             raise OutOfRange(f"split count t = {t} not available (a_1 = {a1})")
+    size = candidate_count(space)
+    if size > MAX_CANDIDATES:
+        raise UnsupportedSize(f"search space of {size} candidates exceeds the cap {MAX_CANDIDATES}")
 
     nothing = f"no plan over degrees {list(space.degrees)} certifies an infinite tower"
     degrees = [d for d in space.degrees if amap.get(d, 0) > 0]
@@ -156,7 +162,7 @@ def optimize(space: SearchSpace) -> SearchResult:
 
 
 def candidate_count(space: SearchSpace) -> int:
-    """Size of the enumeration, for completeness assertions."""
+    """Size of the enumeration; optimize refuses spaces above MAX_CANDIDATES."""
     amap = space.spectrum.a_map
     total = 1
     for d in space.degrees:

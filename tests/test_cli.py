@@ -262,10 +262,10 @@ def test_nested_power_rejected_quickly(capsys, tmp_path):
 def test_degree_beyond_field_cap_rejected_before_counting(capsys, tmp_path, argv):
     bundled = resources.files("towerbound.data").joinpath("f2_tower1.cfg").read_text()
     far = tmp_path / "far.cfg"
-    far.write_text(
-        bundled.replace("degrees = 5..10", "degrees = 5..22")
-        + "\n[plan far]\non = k1\nentries = 25:1:2\nt = 160\n"
-    )
+    text = bundled + "\n[plan far]\non = k1\nentries = 25:1:2\nt = 160\n"
+    if argv[0] == "optimize":  # refused while the config loads; certify reaches its own check
+        text = text.replace("degrees = 5..10", "degrees = 5..22")
+    far.write_text(text)
     argv = [str(far) if a == "FAR" else a for a in argv]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -326,6 +326,98 @@ def test_field_above_max_order_rejected_quickly(capsys, tmp_path, cfg_text, argv
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "exceeds the supported field order 1048576" in err
+
+
+_Y_CUBIC = """[field]
+p = 2
+
+[curve G]
+equation = y^3 + y = x^4 + x + 1
+infinity = 1:1
+genus = 3
+
+[profile kG]
+group_order = 2
+conductors = 10:1
+
+[cover kG]
+base = G
+a = x + 1
+b_factor = x
+h_basis = 1
+profile = kG
+support = deg=1 nu=2 above=1:1
+infinity = idx=0 above=1:2
+
+[plan far]
+on = kG
+entries = 13:1:2
+t = 1
+
+[search]
+on = kG
+degrees = 5..13
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--name", "G", "--dmax", "13"),
+        ("spectrum", "--name", "kG", "--dmax", "13"),
+        ("certify", "--name", "far"),
+        ("optimize",),
+    ],
+    ids=["curve-spectrum", "cover-spectrum", "certify", "optimize"],
+)
+def test_root_scan_beyond_limit_rejected_before_counting(capsys, tmp_path, argv):
+    cfg = tmp_path / "cubic.cfg"
+    cfg.write_text(_Y_CUBIC)
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--config", str(cfg), *argv[1:])
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "degree-3 root finding over F_2^13" in err
+
+
+def test_root_scan_within_limit_runs(capsys, tmp_path):
+    cfg = tmp_path / "cubic.cfg"
+    cfg.write_text(_Y_CUBIC)
+    code, out, _ = run(capsys, "spectrum", "--config", str(cfg), "--name", "G", "--dmax", "8")
+    assert code == 0
+    assert "N_n:      1       1      13      33      41      97     113     257" in out
+
+
+def test_search_space_above_cap_rejected(capsys, tmp_path):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(_bundled_text("f2_tower1").replace("degrees = 5..10", "degrees = 5..13"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "optimize", "--config", str(cfg))
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    assert "search space of 209310948 candidates exceeds the cap 10000000" in err
+
+
+@pytest.mark.parametrize(
+    "degrees, message",
+    [
+        ("0, -7, 5, 6, 7, 8, 9, 10", "degrees must be >= 1, got -7"),
+        ("0..10", "degrees must be >= 1, got 0"),
+        ("5..1000000000", "F_2^1000000000 exceeds the supported field order 1048576"),
+    ],
+    ids=["list-below-one", "range-from-zero", "range-huge"],
+)
+def test_search_degrees_checked_before_building(capsys, tmp_path, degrees, message):
+    cfg = tmp_path / "degrees.cfg"
+    cfg.write_text(_bundled_text("f2_tower1").replace("degrees = 5..10", f"degrees = {degrees}"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "optimize", "--config", str(cfg))
+    assert time.perf_counter() - start < 3.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_p_flag_rejected(capsys):

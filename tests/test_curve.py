@@ -6,7 +6,7 @@ import random
 import pytest
 
 from towerbound import curve
-from towerbound.errors import InconsistentModel
+from towerbound.errors import InconsistentModel, UnsupportedSize
 from towerbound.ff import FieldParams, make_ext_field
 
 P2 = FieldParams(2)
@@ -41,6 +41,34 @@ def test_count_points_against_brute_force(name, expected, curve_E, curve_H, curv
     for n, want in expected.items():
         assert curve.count_points(model, n) == want
         assert brute_count_points(model, n) == want
+
+
+def _genus3_y_cubic():
+    """y^3 + y = x^4 + x + 1 over F_2: y-degree 3, so roots come from the brute scan."""
+    return curve.CurveModel.create(
+        P2, {(0, 3): 1, (0, 1): 1, (4, 0): 1, (1, 0): 1, (0, 0): 1}, ((1, 1),), genus=3, name="G"
+    )
+
+
+def test_degree_three_root_path_against_brute_force():
+    model = _genus3_y_cubic()
+    N = {n: curve.count_points(model, n) for n in range(1, 5)}
+    assert N == {n: brute_count_points(model, n) for n in range(1, 5)} == {1: 1, 2: 1, 3: 13, 4: 33}
+    # the root path (enumerate_places) agrees with the counting path
+    a = {d: len(curve.enumerate_places(model, d)) for d in range(1, 5)}
+    for n in range(1, 5):
+        assert sum(d * a[d] for d in curve.divisors(n)) == N[n]
+
+
+def test_root_scan_refused_before_counting():
+    model = _genus3_y_cubic()
+    curve.require_root_scan(model, 12)  # 2^12 is the largest scanned field
+    for n in (13, 10**9):
+        with pytest.raises(UnsupportedSize, match="degree-3 root finding"):
+            curve.require_root_scan(model, n)
+    with pytest.raises(UnsupportedSize):
+        curve.count_points(model, 13)
+    curve.require_root_scan(curve.CurveModel.create(P2, {(0, 2): 1, (3, 0): 1}), 20)  # y-degree 2
 
 
 def test_counts_over_the_largest_tabled_fields(curve_E, curve_E3):

@@ -146,16 +146,31 @@ def test_field_axioms_sampled():
         assert F.add(F.neg(5), 5) == 0
 
 
+def _check_additive_solver(F, u):
+    sols = F.solve_additive(u)
+    assert F.trace(u) == trace_by_powering(F, u)
+    if F.trace(u) == 0:
+        assert len(set(sols)) == F.p and sols == sorted(sols)
+        for w in sols:
+            assert F.sub(F.pow(w, F.p), w) == u
+    else:
+        assert sols == []
+
+
 def test_additive_solver_matches_trace():
-    for F in (make_ext_field(P2, 6), make_ext_field(P3, 3)):
+    for params, n in ((P2, 1), (P3, 1), (P5, 1), (P2, 6), (P3, 3)):
+        F = make_ext_field(params, n)
         for u in range(F.order):
-            sols = F.solve_additive(u)
-            if F.trace(u) == 0:
-                assert len(sols) == F.p
-                for w in sols:
-                    assert F.sub(F.pow(w, F.p), w) == u
-            else:
-                assert sols == []
+            _check_additive_solver(F, u)
+
+
+@pytest.mark.parametrize("params,n", [(P2, 17), (P3, 10)])
+def test_additive_solver_sampled_on_large_fields(params, n):
+    F = make_ext_field(params, n)
+    rnd = random.Random(2026)
+    for _ in range(2000):
+        u = rnd.randrange(F.order)
+        _check_additive_solver(F, u)
 
 
 def test_sqrt_consistency_f3():

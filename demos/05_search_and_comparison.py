@@ -19,7 +19,6 @@ for cfg_name in ("f2_tower1", "f2_tower2", "f3_tower"):
     spectrum = cover.assemble_spectrum(cov, max(sc.degrees))
     space = search.SearchSpace(
         spectrum=spectrum,
-        base_genus=spectrum.genus,
         degrees=sc.degrees,
         allowed_nu=sc.nus,
         max_multiplicity=sc.cap,

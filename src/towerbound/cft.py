@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import PlaceSpectrum
-from .errors import DegenerateGenus, InconsistentModel, OutOfRange, ParityViolation
+from .errors import InconsistentModel, OutOfRange, ParityViolation
 from .ff import FieldParams
 
 
@@ -222,13 +222,6 @@ def refinement_warnings(plan: RamificationPlan) -> list[str]:
         "exceeds e*f, and the damping exponent follows the per-place character "
         "fraction, not the rank"
     ]
-
-
-def asymptotic_ratio(t_split: int, genus: int) -> Fraction:
-    """A(q) >= |T| / (g - 1) for a field with an infinite tower split over T."""
-    if genus <= 1:
-        raise DegenerateGenus(f"genus {genus} <= 1 gives no asymptotic ratio")
-    return Fraction(t_split, genus - 1)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import cft, config, cover as cover_mod, curve as curve_mod, search as search_mod
+from . import FieldParams, cft, config, cover as cover_mod, curve as curve_mod, search as search_mod
 from .errors import (
     ConfigError,
     EmptySpace,
@@ -34,7 +34,6 @@ from .errors import (
     RamifiedPlace,
     TowerboundError,
 )
-from .ff import require_supported_degree
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -108,8 +107,6 @@ def replay_certificate(block: dict) -> cft.TowerCertificate:
     Used to verify the round-trip contract: re-parsed report inputs must
     reproduce identical certificates.
     """
-    from .ff import FieldParams
-
     params = FieldParams(int(block["plan.p"]), int(block["plan.e"]))
     entries = []
     i = 0
@@ -152,8 +149,6 @@ def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_
         model = doc.curves[name]
         d_max = _default_dmax(model.params) if d_max is None else d_max
         zeta_reach = max(d_max, 2 * model.genus) if model.genus <= 2 else d_max
-        require_supported_degree(model.params, zeta_reach)
-        curve_mod.require_root_scan(model, zeta_reach)
         report.kv("dmax", d_max)
         spec = curve_mod.spectrum_from_counts(model, zeta_reach)
         report.line(f"place spectrum of curve {name} over F_{model.params.q}, genus {model.genus}")
@@ -178,10 +173,8 @@ def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_
     if name in doc.covers:
         cov = doc.covers[name]
         d_max = _default_dmax(cov.params) if d_max is None else d_max
-        require_supported_degree(cov.params, max(d_max, 2))  # the oracle runs at n = 1, 2
-        curve_mod.require_root_scan(cov.base, max(d_max, 2))
         report.kv("dmax", d_max)
-        spec = cover_mod.assemble_spectrum(cov, d_max)
+        spec = cover_mod.assemble_spectrum(cov, max(d_max, 2))  # the oracle runs at n = 1, 2
         report.line(
             f"place spectrum of cover {name} (rank {cov.rank} over {cov.base.name}), "
             f"genus {spec.genus}"
@@ -264,8 +257,6 @@ def cmd_certify(doc: config.ConfigDocument, plan_name: str, json_mode: bool) -> 
     plan_cfg = doc.plans[plan_name]
     cov = doc.covers[plan_cfg.on]
     d_max = max([_default_dmax(cov.params)] + [f for f, _, _ in plan_cfg.entries])
-    require_supported_degree(cov.params, d_max)
-    curve_mod.require_root_scan(cov.base, d_max)
     spectrum = cover_mod.assemble_spectrum(cov, d_max)
     infeasible = None
     try:
@@ -299,19 +290,13 @@ def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -
     report = Report()
     report.kv("record", "search")
     report.kv("config", doc.source)
-    searches = []
     for sname, sc in sorted(doc.searches.items()):
         cov = doc.covers[sc.on]
         d_max = max([_default_dmax(cov.params)] + list(sc.degrees))
-        require_supported_degree(cov.params, d_max)
-        curve_mod.require_root_scan(cov.base, d_max)
-        searches.append((sname, sc, cov, d_max))
-    for sname, sc, cov, d_max in searches:
         spectrum = cover_mod.assemble_spectrum(cov, d_max)
         t_values = () if sc.t == "a1" else (int(sc.t),)
         space = search_mod.SearchSpace(
             spectrum=spectrum,
-            base_genus=spectrum.genus,
             degrees=sc.degrees,
             allowed_nu=sc.nus,
             t_values=t_values,

@@ -464,7 +464,6 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
             profile=profile,
             support=tuple(support),
             infinities=tuple(infinities),
-            h_basis=h_basis,
             name=name,
         )
     # cross-references from plans and searches

@@ -27,14 +27,14 @@ from .curve import (
     Place,
     PlaceSpectrum,
     PolyEvaluator,
-    divisors,
     enumerate_places,
     affine_solutions,
     make_affine_place,
     normalize_poly2,
+    require_root_scan,
 )
 from .errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
-from .ff import make_ext_field
+from .ff import make_ext_field, require_supported_degree
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class CoverSpec:
         profile: cft.CharacterConductorProfile,
         support: tuple[DeclaredPlace, ...] = (),
         infinities: tuple[DeclaredInfinity, ...] = (),
-        h_basis: tuple = (),
         name: str = "",
     ):
         params = base.params
@@ -99,7 +98,6 @@ class CoverSpec:
         self.profile = profile
         self.support = tuple(support)
         self.infinities = tuple(infinities)
-        self.h_basis = tuple(h_basis)
         self.name = name
         self.rank = len(self.components)
         if profile.group_order != params.p**self.rank:
@@ -185,14 +183,6 @@ class CoverSpec:
         self._support_map = out
         return out
 
-    def support_places(self) -> list[tuple[Place, DeclaredPlace]]:
-        """The resolved affine support places with their declarations."""
-        out = []
-        for key, decl in self.support_map().items():
-            if isinstance(decl, DeclaredPlace):
-                out.append((Place(degree=decl.degree, key=key, rep=key), decl))
-        return out
-
 
 @dataclass(frozen=True)
 class DecompositionRecord:
@@ -255,8 +245,11 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
     Unramified base places of degree <= d_max are decomposed by trace;
     declared support and infinite places contribute their declared lists;
     the genus comes from the conductor-discriminant formula applied to the
-    cover's character profile.
+    cover's character profile.  Raises UnsupportedSize before any work when
+    degree d_max is out of reach.
     """
+    require_supported_degree(cover.params, d_max)
+    require_root_scan(cover.base, d_max)
     declared = cover.support_map()
     a = {d: 0 for d in range(1, d_max + 1)}
     for decl in declared.values():
@@ -327,10 +320,9 @@ def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleRe
         total += fiber
         if singular:
             singular_solutions += fiber
-    amap = spectrum.a_map
-    if any(d not in amap for d in divisors(n)):
-        raise ValueError(f"spectrum does not cover all divisors of {n}")
-    spectrum_points = sum(d * amap[d] for d in divisors(n))
+    if n > spectrum.d_max:
+        raise ValueError(f"spectrum stops at degree {spectrum.d_max} < {n}")
+    spectrum_points = spectrum.n_map[n]
     inf_pts = 0
     decl_pts = 0
     for key, decl in cover.support_map().items():

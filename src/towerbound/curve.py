@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange, UnsupportedSize
-from .ff import ExtField, FieldParams, make_ext_field
+from .ff import ExtField, FieldParams, make_ext_field, require_supported_degree
 
 Poly2 = Mapping[tuple[int, int], int]  # (x exponent, y exponent) -> coefficient mod p
 
@@ -259,9 +259,10 @@ def require_root_scan(model: CurveModel, n: int) -> None:
     """Raise UnsupportedSize when points over F_{q^n} would need the brute
     root scan (y-degree >= 3) over a field of order above ROOT_SCAN_LIMIT.
 
-    The CLI checks each command's largest degree with it before counting,
-    next to ff.require_supported_degree.  q >= 2, so every n beyond the
-    limit's bit length is refused without computing q**n.
+    spectrum_from_counts and cover.assemble_spectrum check their whole
+    reach with it before counting, next to ff.require_supported_degree.
+    q >= 2, so every n beyond the limit's bit length is refused without
+    computing q**n.
     """
     deg_y = max((j for (_, j), _ in model.poly), default=0)
     if deg_y >= 3 and model.params.q ** min(n, ROOT_SCAN_LIMIT.bit_length()) > ROOT_SCAN_LIMIT:
@@ -344,11 +345,10 @@ def spectrum_to_counts(a: Mapping[int, int], n_max: int) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class PlaceSpectrum:
-    """Counts a_d of places by degree, with the derived N_n and the genus."""
+    """Counts a_d of places by degree and the genus; N_n derives from a_d."""
 
     params: FieldParams
     a: tuple  # ((d, a_d), ...), d = 1..d_max
-    N: tuple  # ((n, N_n), ...)
     genus: int
 
     @property
@@ -357,7 +357,7 @@ class PlaceSpectrum:
 
     @property
     def n_map(self) -> dict[int, int]:
-        return dict(self.N)
+        return spectrum_to_counts(self.a_map, self.d_max)
 
     @property
     def d_max(self) -> int:
@@ -369,45 +369,18 @@ class PlaceSpectrum:
         return tuple(amap.get(d, 0) for d in range(1, d_max + 1))
 
     @staticmethod
-    def from_counts(params: FieldParams, N: Mapping[int, int], genus: int) -> "PlaceSpectrum":
-        d_max = max(N)
-        a = counts_to_spectrum(N, d_max)
-        spec = PlaceSpectrum(
-            params=params,
-            a=tuple(sorted(a.items())),
-            N=tuple(sorted(N.items())),
-            genus=genus,
-        )
-        spec.validate()
-        return spec
-
-    @staticmethod
     def from_spectrum(params: FieldParams, a: Mapping[int, int], genus: int) -> "PlaceSpectrum":
-        d_max = max(a)
-        full = {d: a.get(d, 0) for d in range(1, d_max + 1)}
-        N = spectrum_to_counts(full, d_max)
-        spec = PlaceSpectrum(
-            params=params,
-            a=tuple(sorted(full.items())),
-            N=tuple(sorted(N.items())),
-            genus=genus,
-        )
+        full = {d: a.get(d, 0) for d in range(1, max(a) + 1)}
+        spec = PlaceSpectrum(params=params, a=tuple(sorted(full.items())), genus=genus)
         spec.validate()
         return spec
 
     def validate(self):
-        amap, nmap = self.a_map, self.n_map
         q = self.params.q
-        for d, v in amap.items():
+        for d, v in self.a:
             if v < 0:
                 raise InconsistentModel(f"negative place count a_{d} = {v}")
-        for n, Nn in nmap.items():
-            if all(m in amap for m in divisors(n)):
-                derived = sum(m * amap[m] for m in divisors(n))
-                if derived != Nn:
-                    raise InconsistentModel(
-                        f"divisor sum over a_d gives N_{n} = {derived}, stored {Nn}"
-                    )
+        for n, Nn in self.n_map.items():
             # Weil bound, exact form: (N_n - q^n - 1)^2 <= 4 g^2 q^n
             if (Nn - q**n - 1) ** 2 > 4 * self.genus**2 * q**n:
                 raise InconsistentModel(
@@ -416,9 +389,14 @@ class PlaceSpectrum:
 
 
 def spectrum_from_counts(model: CurveModel, d_max: int) -> PlaceSpectrum:
-    """Place spectrum of the model up to degree d_max, from exact point counts."""
+    """Place spectrum of the model up to degree d_max, from exact point counts.
+
+    Raises UnsupportedSize before counting when F_{q^d_max} is out of reach.
+    """
+    require_supported_degree(model.params, d_max)
+    require_root_scan(model, d_max)
     N = {n: count_points(model, n) for n in range(1, d_max + 1)}
-    return PlaceSpectrum.from_counts(model.params, N, model.genus)
+    return PlaceSpectrum.from_spectrum(model.params, counts_to_spectrum(N, d_max), model.genus)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ MAX_CANDIDATES = 10**7  # 10^6 candidates take about 0.8 s; the bundled spaces h
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Candidate plans over a fixed base field with a known spectrum and genus."""
+    """Candidate plans over a fixed base field; the spectrum carries its genus."""
 
     spectrum: PlaceSpectrum
-    base_genus: int
     degrees: tuple[int, ...] = (5, 6, 7, 8, 9, 10)
     allowed_nu: tuple[int, ...] = ()  # empty means (p,)
     t_values: tuple[int, ...] = ()  # empty means (a_1,)
@@ -40,9 +39,9 @@ class SearchSpace:
             raise OutOfRange(f"top_n must be >= 1, got {self.top_n}")
         if self.max_multiplicity < 0:
             raise OutOfRange(f"max_multiplicity must be >= 0, got {self.max_multiplicity}")
-        if self.base_genus < 1:
+        if self.spectrum.genus < 1:
             raise DegenerateGenus(
-                f"base genus {self.base_genus} < 1: the refined denominator can be nonpositive"
+                f"base genus {self.spectrum.genus} < 1: the refined denominator can be nonpositive"
             )
 
     def nus(self) -> tuple[int, ...]:
@@ -113,16 +112,15 @@ def optimize(space: SearchSpace) -> SearchResult:
         options.append(opts)
     *head, last = options
 
-    base_e = scale * (space.base_genus - 1)
+    base_e = scale * (space.spectrum.genus - 1)
     top_n = space.top_n
     certifies = cft.certifies
     heap = []  # (bound, negated vector, -t, E); the root is the worst kept
-    candidates = certified = 0
+    certified = 0
     for prefix in itertools.product(*head):
         rank0 = sum(o[0] for o in prefix)
         rd0 = sum(o[1] for o in prefix)
         e0 = base_e + sum(o[2] for o in prefix)
-        candidates += len(last) * len(ts)
         for r, rd, e, neg in last:
             rank = rank0 + r
             for t in ts:
@@ -149,13 +147,13 @@ def optimize(space: SearchSpace) -> SearchResult:
     for bound, negated, neg_t, _ in sorted(heap, reverse=True):
         entries = tuple((d, -m, -nu) for d, (m, nu) in zip(degrees, negated) if m)
         plan = cft.RamificationPlan(params, entries, -neg_t, available_spectrum=space.spectrum)
-        cert = cft.certify_tower(space.base_genus, plan)
+        cert = cft.certify_tower(space.spectrum.genus, plan)
         if not cert.infinite or cert.bound_refined != bound:
             raise RuntimeError("optimizer bound disagrees with certify_tower")
         ranked.append((plan, cert))
     return SearchResult(
         ranked=tuple(ranked),
-        candidates_evaluated=candidates,
+        candidates_evaluated=size,
         certified_count=certified,
         space=space,
     )

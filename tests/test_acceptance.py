@@ -259,7 +259,7 @@ def test_criterion_8_optimizer(spectrum_k1, spectrum_k2, spectrum_k3):
          Fraction(1240029, 2515901)),
     ]
     for spec, genus, degrees, paper_entries, paper_t, paper_bound in targets:
-        space = search.SearchSpace(spectrum=spec, base_genus=genus, degrees=degrees)
+        space = search.SearchSpace(spectrum=spec, degrees=degrees)
         result = search.optimize(space)
         # the published plan lies inside the space and certifies
         plan = cft.RamificationPlan(spec.params, paper_entries, paper_t, available_spectrum=spec)

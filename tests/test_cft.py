@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from towerbound import cft
-from towerbound.errors import DegenerateGenus, InconsistentModel, ParityViolation
+from towerbound.errors import InconsistentModel, ParityViolation
 from towerbound.ff import FieldParams
 
 P2 = FieldParams(2)
@@ -150,12 +150,6 @@ def test_not_certified_raises():
     assert cert.bound is None and cert.bound_refined is None
 
 
-def test_asymptotic_ratio():
-    assert cft.asymptotic_ratio(5, 2) == 5
-    with pytest.raises(DegenerateGenus):
-        cft.asymptotic_ratio(5, 1)
-
-
 def test_asymptotic_ratio_consistent_with_bounds():
     # lifting t and the genus through a degree-[K:k] cover leaves the ratio
     # equal to the plain bound: t*[K:k] / (g(K) - 1) with
@@ -164,8 +158,8 @@ def test_asymptotic_ratio_consistent_with_bounds():
         order = 4096  # any cover degree works; the ratio is scale-invariant
         gk_minus_1 = order * (genus - 1) + order * plan.conductor_degree // 2
         plain = cft.certify_tower(genus, plan).bound
-        assert cft.asymptotic_ratio(plan.t * order, gk_minus_1 + 1) == plain
-    assert cft.asymptotic_ratio(567 * 81, 81 * (601 - 1 + 3 * 368 // 2) + 1) == Fraction(63, 128)
+        assert Fraction(plan.t * order, gk_minus_1) == plain
+    assert Fraction(567 * 81, 81 * (601 - 1 + 3 * 368 // 2)) == Fraction(63, 128)
 
 
 def test_certify_tower_certificate():

@@ -123,4 +123,4 @@ def test_support_records_round_trip(doc1):
         (5, 2, ((5, 1),)),
     }
     assert [i.above for i in k1.infinities] == [((1, 32),)]
-    assert len(k1.h_basis) == 5
+    assert len(k1.components) == 5

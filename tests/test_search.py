@@ -45,7 +45,7 @@ def test_compare_rejects_negative():
 
 
 def test_optimizer_tower1(spectrum_k1):
-    space = search.SearchSpace(spectrum=spectrum_k1, base_genus=276)
+    space = search.SearchSpace(spectrum=spectrum_k1)
     result = search.optimize(space)
     assert result.candidates_evaluated == search.candidate_count(space)
     best_plan, best_cert = result.best
@@ -57,7 +57,7 @@ def test_optimizer_tower1(spectrum_k1):
 
 
 def test_optimizer_tower2(spectrum_k2):
-    space = search.SearchSpace(spectrum=spectrum_k2, base_genus=343)
+    space = search.SearchSpace(spectrum=spectrum_k2)
     result = search.optimize(space)
     best_plan, best_cert = result.best
     assert best_cert.bound_refined >= Fraction(24576, 77527)
@@ -67,7 +67,7 @@ def test_optimizer_tower2(spectrum_k2):
 
 
 def test_optimizer_f3(spectrum_k3):
-    space = search.SearchSpace(spectrum=spectrum_k3, base_genus=601, degrees=(5, 6, 7, 8, 9))
+    space = search.SearchSpace(spectrum=spectrum_k3, degrees=(5, 6, 7, 8, 9))
     result = search.optimize(space)
     best_plan, best_cert = result.best
     assert best_cert.bound_refined >= Fraction(1240029, 2515901)
@@ -75,7 +75,7 @@ def test_optimizer_f3(spectrum_k3):
 
 
 def test_optimizer_deterministic(spectrum_k1):
-    space = search.SearchSpace(spectrum=spectrum_k1, base_genus=276, top_n=8)
+    space = search.SearchSpace(spectrum=spectrum_k1, top_n=8)
     r1 = search.optimize(space)
     r2 = search.optimize(space)
     key = lambda res: [(p.entries, p.t, c.bound_refined) for p, c in res.ranked]
@@ -84,7 +84,7 @@ def test_optimizer_deterministic(spectrum_k1):
 
 
 def test_optimizer_certificates_are_certified(spectrum_k2):
-    space = search.SearchSpace(spectrum=spectrum_k2, base_genus=343, top_n=5)
+    space = search.SearchSpace(spectrum=spectrum_k2, top_n=5)
     for plan, cert in search.optimize(space).ranked:
         assert cert.infinite and cert.gs_margin >= 0
         assert plan.side_condition_ok
@@ -93,7 +93,7 @@ def test_optimizer_certificates_are_certified(spectrum_k2):
 
 def test_completeness_count_small_space(spectrum_k1):
     # degrees 5 and 10 only: a_5 = 1, a_10 = 48 -> (1+1)*(1+48) candidates
-    space = search.SearchSpace(spectrum=spectrum_k1, base_genus=276, degrees=(5, 10))
+    space = search.SearchSpace(spectrum=spectrum_k1, degrees=(5, 10))
     result = search.optimize(space)
     assert search.candidate_count(space) == 2 * 49
     assert result.candidates_evaluated == 98
@@ -102,23 +102,24 @@ def test_completeness_count_small_space(spectrum_k1):
 def test_empty_space():
     spec = curve.PlaceSpectrum.from_spectrum(P2, {1: 3, 2: 0, 3: 0, 4: 0, 5: 0}, 9)
     with pytest.raises(EmptySpace):
-        search.optimize(search.SearchSpace(spectrum=spec, base_genus=9))
+        search.optimize(search.SearchSpace(spectrum=spec))
 
 
 def test_bad_t_rejected(spectrum_k1):
-    space = search.SearchSpace(spectrum=spectrum_k1, base_genus=276, t_values=(161,))
+    space = search.SearchSpace(spectrum=spectrum_k1, t_values=(161,))
     with pytest.raises(ValueError):
         search.optimize(space)
 
 
 def test_space_rejects_bad_sizes(spectrum_k1):
     with pytest.raises(ValueError):
-        search.SearchSpace(spectrum=spectrum_k1, base_genus=276, top_n=0)
+        search.SearchSpace(spectrum=spectrum_k1, top_n=0)
     with pytest.raises(ValueError):
-        search.SearchSpace(spectrum=spectrum_k1, base_genus=276, max_multiplicity=-1)
+        search.SearchSpace(spectrum=spectrum_k1, max_multiplicity=-1)
+    genus_0 = curve.PlaceSpectrum.from_spectrum(P2, {1: 3, 2: 1, 3: 2}, 0)  # the projective line
     with pytest.raises(DegenerateGenus):
-        search.SearchSpace(spectrum=spectrum_k1, base_genus=0)
-    assert search.SearchSpace(spectrum=spectrum_k1, base_genus=276, max_multiplicity=0)
+        search.SearchSpace(spectrum=genus_0)
+    assert search.SearchSpace(spectrum=spectrum_k1, max_multiplicity=0)
 
 
 def _brute_force(space):
@@ -139,7 +140,7 @@ def _brute_force(space):
             plan = cft.RamificationPlan(
                 space.spectrum.params, entries, t, available_spectrum=space.spectrum
             )
-            cert = cft.certify_tower(space.base_genus, plan)
+            cert = cft.certify_tower(space.spectrum.genus, plan)
             if cert.infinite:
                 kept.append((-cert.bound_refined, vector, t, plan, cert))
     kept.sort(key=lambda item: item[:3])
@@ -155,7 +156,7 @@ def _brute_force(space):
 )
 def test_optimizer_matches_brute_force(spectrum_k1, degrees, nus, t_values):
     space = search.SearchSpace(
-        spectrum=spectrum_k1, base_genus=276, degrees=degrees,
+        spectrum=spectrum_k1, degrees=degrees,
         allowed_nu=nus, t_values=t_values, top_n=1000,
     )
     candidates, kept = _brute_force(space)
@@ -190,7 +191,7 @@ def test_bundled_searches_pinned(cfg_name, request):
     sc = config.load_config(cfg_name).searches["default"]
     spectrum = request.getfixturevalue(f"spectrum_{sc.on}")
     space = search.SearchSpace(
-        spectrum=spectrum, base_genus=spectrum.genus, degrees=sc.degrees,
+        spectrum=spectrum, degrees=sc.degrees,
         allowed_nu=sc.nus, max_multiplicity=sc.cap, top_n=sc.top,
     )
     result = search.optimize(space)

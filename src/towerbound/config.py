@@ -155,10 +155,16 @@ def _power(a: dict, e: int) -> dict:
     return out
 
 
+def _parse_expr(text: str) -> dict:
+    try:
+        return _PolyParser(_tokenize(text)).parse()
+    except RecursionError:  # each nesting level is a few frames of the descent
+        raise ConfigError("parentheses in polynomial nest too deeply") from None
+
+
 def parse_poly(text: str, p: int) -> dict:
     """Polynomial in x, y with coefficients reduced mod p."""
-    raw = _PolyParser(_tokenize(text)).parse()
-    return curve_mod.normalize_poly2(raw, p)
+    return curve_mod.normalize_poly2(_parse_expr(text), p)
 
 
 def parse_equation(text: str, p: int) -> dict:
@@ -166,7 +172,7 @@ def parse_equation(text: str, p: int) -> dict:
     if "=" not in text:
         raise ConfigError(f"equation needs '=': {text!r}")
     lhs, rhs = text.split("=", 1)
-    diff = _add(_PolyParser(_tokenize(lhs)).parse(), _scale(_PolyParser(_tokenize(rhs)).parse(), -1))
+    diff = _add(_parse_expr(lhs), _scale(_parse_expr(rhs), -1))
     return curve_mod.normalize_poly2(diff, p)
 
 

@@ -52,6 +52,11 @@ class ASComponent:
         )
 
 
+def _check_above(above: tuple[tuple[int, int], ...]) -> None:
+    if any(deg < 1 or cnt < 1 for deg, cnt in above):
+        raise OutOfRange(f"places above need degree >= 1 and count >= 1, got {list(above)}")
+
+
 @dataclass(frozen=True)
 class DeclaredPlace:
     """A support place whose behavior in the cover is input, not derived.
@@ -69,11 +74,22 @@ class DeclaredPlace:
     count: int = 1
     rep: tuple[int, int] | None = None
 
+    def __post_init__(self):
+        if self.degree < 1 or self.count < 1 or self.nu < 0:
+            raise OutOfRange(
+                "support places need degree >= 1, count >= 1 and nu >= 0, got "
+                f"degree {self.degree}, count {self.count}, nu {self.nu}"
+            )
+        _check_above(self.above)
+
 
 @dataclass(frozen=True)
 class DeclaredInfinity:
     index: int
     above: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        _check_above(self.above)
 
 
 class CoverSpec:

@@ -68,7 +68,9 @@ def optimize(space: SearchSpace) -> SearchResult:
     that certify an infinite tower, and rank them by the refined bound.
 
     Ties break toward the lexicographically smaller multiplicity vector,
-    then the smaller t.  Raises EmptySpace when nothing certifies, and
+    then the smaller t.  Rational places serve S and T alike, so a
+    candidate certifies only with m_1 + t <= a_1, as RamificationPlan
+    requires.  Raises EmptySpace when nothing certifies, and
     UnsupportedSize before enumerating more than MAX_CANDIDATES.
 
     The inner loop is integer only.  With D the largest degree searched, the
@@ -98,17 +100,18 @@ def optimize(space: SearchSpace) -> SearchResult:
     d_top = max(degrees)
     scale = 2 * q**d_top
 
-    # per-degree options: (unit rank, rd bound, scaled refined term, (-m, -nu));
-    # a min-heap on negated vectors keeps the largest vector at its root
+    # per-degree options: (unit rank, rd bound, scaled refined term, (-m, -nu),
+    # rational places taken from T); a min-heap on negated vectors keeps the
+    # largest vector at its root
     options = []
     for d in degrees:
         damped = d * (q**d_top - q ** (d_top - d))
-        opts = [(0, 0, 0, (0, 0))]
+        opts = [(0, 0, 0, (0, 0), 0)]
         for nu in nus:
             r1 = cft.local_unit_rank(params, d, nu)
             rd1 = cft.local_rd_bound(params, d, nu)
             for m in range(1, min(amap[d], space.max_multiplicity) + 1):
-                opts.append((m * r1, m * rd1, m * damped * nu, (-m, -nu)))
+                opts.append((m * r1, m * rd1, m * damped * nu, (-m, -nu), m if d == 1 else 0))
         options.append(opts)
     *head, last = options
 
@@ -121,11 +124,13 @@ def optimize(space: SearchSpace) -> SearchResult:
         rank0 = sum(o[0] for o in prefix)
         rd0 = sum(o[1] for o in prefix)
         e0 = base_e + sum(o[2] for o in prefix)
-        for r, rd, e, neg in last:
-            rank = rank0 + r
+        free0 = a1 - sum(o[4] for o in prefix)
+        for r, rd, e, neg, taken in last:
+            rank, free = rank0 + r, free0 - taken
+            t_max = rank if rank < free else free  # min() here doubled the time of this loop
             for t in ts:
-                if t > rank:
-                    break  # d < 1 here and for every later t; ts ascend
+                if t > t_max:
+                    break  # d < 1, or S and T overlap, here and for every later t; ts ascend
                 if not certifies(1 + rank - t, rd0 + rd + t - 1):
                     continue
                 certified += 1

@@ -46,6 +46,16 @@ def test_spectrum_cover_json(capsys):
     assert block["genus"] == "601"
 
 
+@pytest.mark.parametrize("cfg_name, name, a1", [("f2_tower1", "k1", "160"), ("f3_tower", "k3", "567")])
+def test_spectrum_cover_dmax_1(capsys, cfg_name, name, a1):
+    # the oracle runs at n = 2, past the table's last degree
+    code, out, _ = run(capsys, "spectrum", "--config", cfg_name, "--name", name, "--dmax", "1", "--json")
+    assert code == 0
+    block = cli.parse_machine_block(out)
+    assert block["a.1"] == a1 and "a.2" not in block
+    assert block["oracle.1.residual"] == block["oracle.2.residual"] == "0"
+
+
 def test_spectrum_unknown_name_exit_2(capsys):
     code, _, err = run(capsys, "spectrum", "--config", "f2_tower1", "--name", "nope")
     assert code == 2
@@ -206,12 +216,15 @@ _WEAK_PLAN = "\n[plan weak]\non = k1\nentries = {entries}\nt = {t}\n"
         (r"^nu = 2$", "nu = 1", ("optimize",)),
         (r"^t = a1$", "t = 999", ("optimize",)),
         (r"deg=4 nu=2 above=8:1 ;", "deg=4 nu=2 above=8:1 rep=1:1 ;", ("spectrum", "--name", "k1")),
+        (r"^support = deg=4 nu=2 above=8:1 ; deg=5 nu=2 above=5:1$", "support = deg=0 nu=0 above=1:1",
+         ("spectrum", "--name", "k1")),
+        (r"^infinity = idx=0 above=1:32$", "infinity = idx=0 above=0:0", ("spectrum", "--name", "k1")),
         (None, None, ("compare", "--s", "-1", "--l", "2", "--t", "20", "--s-prime", "1", "--T", "81")),
     ],
     ids=[
         "genus-negative", "infinity-degree-zero", "field-e-zero", "cover-over-e-2",
         "profile-count", "plan-nu-1", "plan-t-0", "search-nu-1", "search-t-above-a1",
-        "support-rep-off-degree", "compare-s-negative",
+        "support-rep-off-degree", "support-degree-zero", "infinity-above-zero", "compare-s-negative",
     ],
 )
 def test_out_of_range_model_values_exit_2(capsys, tmp_path, pattern, replacement, argv):
@@ -226,6 +239,19 @@ def test_out_of_range_model_values_exit_2(capsys, tmp_path, pattern, replacement
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("depth", [400, 5000])
+def test_deep_parentheses_rejected_quickly(capsys, tmp_path, depth):
+    cfg = tmp_path / "deep.cfg"
+    equation = "(" * depth + "x" + ")" * depth
+    cfg.write_text(f"[field]\np = 2\n\n[curve X]\nequation = {equation} = y\ninfinity = 1:1\ngenus = 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg), "--name", "X", "--dmax", "1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_huge_exponent_rejected_quickly(capsys, tmp_path):
@@ -398,6 +424,22 @@ def test_search_space_above_cap_rejected(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "search space of 209310948 candidates exceeds the cap 10000000" in err
+
+
+@pytest.mark.parametrize(
+    "search", ["degrees = 1..10", "degrees = 1, 5, 8, 10\nt = 100"], ids=["t-a1", "t-100"]
+)
+def test_search_over_rational_places(capsys, tmp_path, search):
+    # degree-1 places are also the candidates for T: plans that would use a
+    # rational place twice are not counted as certified or ranked
+    cfg = tmp_path / "rational.cfg"
+    text = _bundled_text("f2_tower1").replace("degrees = 5..10", search)
+    if "t = 100" in search:
+        text = text.replace("t = a1\n", "")
+    cfg.write_text(text)
+    code, _, err = run(capsys, "optimize", "--config", str(cfg))
+    assert code in (0, 5)
+    assert "overlap" not in err
 
 
 @pytest.mark.parametrize(

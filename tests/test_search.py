@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from towerbound import cft, config, curve, search
-from towerbound.errors import DegenerateGenus, EmptySpace
+from towerbound.errors import DegenerateGenus, EmptySpace, InconsistentModel
 from towerbound.ff import FieldParams
 
 P2 = FieldParams(2)
@@ -123,8 +123,9 @@ def test_space_rejects_bad_sizes(spectrum_k1):
 
 
 def _brute_force(space):
-    """Certify every candidate plan with certify_tower and rank by
-    (-bound_refined, vector, t): the reference the optimizer must match."""
+    """Certify every candidate plan that RamificationPlan accepts with
+    certify_tower and rank by (-bound_refined, vector, t): the reference
+    the optimizer must match."""
     amap = space.spectrum.a_map
     degrees = [d for d in space.degrees if amap.get(d, 0) > 0]
     caps = [min(amap[d], space.max_multiplicity) for d in degrees]
@@ -137,9 +138,12 @@ def _brute_force(space):
         entries = tuple((d, m, nu) for d, (m, nu) in zip(degrees, vector) if m)
         for t in space.ts():
             candidates += 1
-            plan = cft.RamificationPlan(
-                space.spectrum.params, entries, t, available_spectrum=space.spectrum
-            )
+            try:
+                plan = cft.RamificationPlan(
+                    space.spectrum.params, entries, t, available_spectrum=space.spectrum
+                )
+            except InconsistentModel:  # S and T overlap on the rational places
+                continue
             cert = cft.certify_tower(space.spectrum.genus, plan)
             if cert.infinite:
                 kept.append((-cert.bound_refined, vector, t, plan, cert))
@@ -148,16 +152,24 @@ def _brute_force(space):
 
 
 @pytest.mark.parametrize(
-    "degrees, nus, t_values",
-    [((5, 10), (2, 3), (160, 100)), ((10,), (2, 3), (100,)), ((10,), (3, 2), (100,))],
+    "degrees, nus, t_values, cap",
+    [
+        ((5, 10), (2, 3), (160, 100), 200),
+        ((10,), (2, 3), (100,), 200),
+        ((10,), (3, 2), (100,), 200),
+        ((10, 1), (2, 4), (100, 160), 18),
+    ],
     # at degree 10, (m, 2) and (2m/3, 3) tie in bound; the nu order decides
-    # whether the better of the two meets a full heap after or before the worse
-    ids=["two-degrees-two-t", "tie-winner-arrives-last", "tie-loser-arrives-last"],
+    # whether the better of the two meets a full heap after or before the worse.
+    # Degree 1 shares the rational places with T: at t = 160 = a_1 every
+    # m_1 >= 1 would overlap, and such plans certify by the margin alone
+    ids=["two-degrees-two-t", "tie-winner-arrives-last", "tie-loser-arrives-last",
+         "rational-places-shared-with-t"],
 )
-def test_optimizer_matches_brute_force(spectrum_k1, degrees, nus, t_values):
+def test_optimizer_matches_brute_force(spectrum_k1, degrees, nus, t_values, cap):
     space = search.SearchSpace(
         spectrum=spectrum_k1, degrees=degrees,
-        allowed_nu=nus, t_values=t_values, top_n=1000,
+        allowed_nu=nus, t_values=t_values, max_multiplicity=cap, top_n=1000,
     )
     candidates, kept = _brute_force(space)
     result = search.optimize(space)

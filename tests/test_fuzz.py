@@ -13,7 +13,7 @@ import re
 import time
 from importlib import resources
 
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from towerbound import cli
 
@@ -49,12 +49,7 @@ def _names(text: str) -> list[str]:
     return re.findall(r"^\[(?:curve|cover) (\w+)\]$", text, flags=re.M) or ["none"]
 
 
-@settings(
-    derandomize=True,
-    max_examples=500,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(derandomize=True, max_examples=500, deadline=None)
 @given(
     cfg_name=st.sampled_from(CONFIGS),
     edits=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(VALUES)), max_size=2),

@@ -3,10 +3,12 @@
 A curve is presented as a bivariate polynomial identity F(x, y) = 0 with
 prime-field coefficients, together with an explicit list of places at
 infinity (the shipped base models each have a single rational one) and a
-declared genus.  Point counts N_n over F_{q^n} are obtained by direct
-enumeration in x with exact root counting in y; the place spectrum a_d
-follows by Moebius inversion, and for genus <= 2 the counts are validated
-against the L-polynomial reconstructed through Newton's identities.
+declared genus.  Point counts N_n over F_{q^n} take one x per Frobenius
+orbit of F_{q^n}, with exact root counting in y weighted by the orbit size;
+the place spectrum a_d follows by Moebius inversion, and for genus <= 2 the
+counts are validated against the L-polynomial reconstructed through Newton's
+identities.  Places of degree d come from the same orbit representatives,
+with their roots in y grouped into orbits.
 """
 
 from __future__ import annotations
@@ -273,15 +275,25 @@ def require_root_scan(model: CurveModel, n: int) -> None:
 
 
 def count_affine(model: CurveModel, n: int) -> int:
-    """Number of solutions of F(x, y) = 0 in F_{q^n} x F_{q^n}."""
+    """Number of solutions of F(x, y) = 0 in F_{q^n} x F_{q^n}.
+
+    One x per Frobenius orbit, weighted by the orbit size: the coefficients
+    lie in F_p, so y -> y^q maps the roots over x onto those over x^q.
+    """
     require_root_scan(model, n)
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
-    return sum(_poly_root_count(F, _y_polynomial(F, coeffs, x)) for x in range(F.order))
+    return sum(
+        e * _poly_root_count(F, _y_polynomial(F, coeffs, x)) for x, e in F.frobenius_orbits()
+    )
 
 
 def affine_solutions(model: CurveModel, n: int) -> Iterator[tuple[int, int]]:
-    """All (x, y) solutions over F_{q^n}, root finding rather than counting."""
+    """All (x, y) solutions over F_{q^n}, root finding rather than counting.
+
+    A scan of every x with no orbit grouping: cover.oracle_report uses it
+    as the derivation that is independent of the orbit-based spectrum.
+    """
     require_root_scan(model, n)
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
@@ -428,24 +440,27 @@ def make_affine_place(model: CurveModel, d: int, x: int, y: int) -> Place:
 
 
 def enumerate_places(model: CurveModel, d: int) -> list[Place]:
-    """One canonical representative per place of degree exactly d.
+    """One canonical representative per place of degree exactly d, ascending by key.
 
-    Affine places are found by enumerating points over F_{q^d} and grouping
-    into Frobenius orbits; infinite places come from the model metadata and
-    are returned as symbolic entries.
+    Affine places come from one x per Frobenius orbit over F_{q^d}: with e
+    the orbit size of x, the points of a place over x form one orbit of
+    y -> y^(q^e) among the roots over x, and the place has degree e times
+    its size.  Its key, the least point of the orbit, is (x, least such y).
+    Infinite places come from the model metadata and are returned as
+    symbolic entries.
     """
+    require_root_scan(model, d)
     F = make_ext_field(model.params, d)
-    seen: set[tuple[int, int]] = set()
+    coeffs = _y_coefficients(model)
     places = []
-    for pt in affine_solutions(model, d):
-        if pt in seen:
-            continue
-        orbit = _frobenius_orbit(F, *pt)
-        seen.update(orbit)
-        if len(orbit) == d:
-            key = min(orbit)
-            places.append(Place(degree=d, key=key, rep=key))
-    places.sort(key=lambda pl: pl.key)
+    for x, e in F.frobenius_orbits():
+        step = model.params.q**e
+        for y in sorted(_poly_roots(F, _y_polynomial(F, coeffs, x))):
+            orbit = [y]
+            while (cy := F.pow(orbit[-1], step)) != y:
+                orbit.append(cy)
+            if e * len(orbit) == d and y == min(orbit):
+                places.append(Place(degree=d, key=(x, y), rep=(x, y)))
     idx = 0
     for m, cnt in model.infinite_places:
         for _ in range(cnt):

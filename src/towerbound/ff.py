@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import NotPrime, OutOfRange, UnsupportedSize
 
@@ -293,6 +294,29 @@ class ExtField:
     def frobenius_base(self, a: int) -> int:
         """x -> x^q, the Frobenius over the constant field F_q."""
         return self.pow(a, self.params.q)
+
+    def frobenius_orbits(self) -> Iterator[tuple[int, int]]:
+        """(x, e) for each orbit of x -> x^q, ascending in x: x is the least
+        packed element of its orbit and e the orbit size (the least k with
+        x^(q^k) = x, a divisor of n).
+
+        Orbits are walked in log space, k -> k*q mod (order - 1), and their
+        members marked, so the next representative is the next unmarked
+        element.
+        """
+        exp, log, q, q1 = self._exp, self._log, self.params.q, self._q1
+        seen = bytearray(self.order)
+        seen[0] = 1
+        yield 0, 1
+        x = seen.find(0)
+        while x >= 0:
+            e, k = 0, log[x]
+            while not seen[exp[k]]:
+                seen[exp[k]] = 1
+                e += 1
+                k = k * q % q1
+            yield x, e
+            x = seen.find(0, x + 1)
 
     # -- tables ---------------------------------------------------------------
 

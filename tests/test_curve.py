@@ -60,14 +60,69 @@ def test_degree_three_root_path_against_brute_force():
         assert sum(d * a[d] for d in curve.divisors(n)) == N[n]
 
 
-def test_root_scan_refused_before_counting():
+def reference_places(model, d):
+    """The whole-field scan: every affine solution over F_{q^d}, grouped into
+    Frobenius orbits, one (degree, key, rep) per orbit of size d, by key."""
+    F = make_ext_field(model.params, d)
+    seen, out = set(), []
+    for pt in curve.affine_solutions(model, d):
+        if pt in seen:
+            continue
+        orbit = [pt]
+        while (nxt := tuple(F.frobenius_base(c) for c in orbit[-1])) != pt:
+            orbit.append(nxt)
+        seen.update(orbit)
+        if len(orbit) == d:
+            out.append((d, min(orbit), min(orbit)))
+    return sorted(out)
+
+
+def test_orbit_scan_matches_whole_field_scan(curve_E, curve_H, curve_E3):
+    line = curve.CurveModel.create(P2, {(0, 1): 1}, ((1, 1),), genus=0, name="y=0")
+    e_over_f4 = dataclasses.replace(curve_E, params=FieldParams(2, 2))
+    cases = [(curve_E, 12), (curve_H, 11), (curve_E3, 7), (_genus3_y_cubic(), 8),
+             (line, 8), (e_over_f4, 5)]
+    for model, d_max in cases:
+        for d in range(1, d_max + 1):
+            places = curve.enumerate_places(model, d)
+            affine = [(pl.degree, pl.key, pl.rep) for pl in places if not pl.is_infinite]
+            assert affine == reference_places(model, d), (model.name, d)
+            assert curve.count_affine(model, d) == sum(1 for _ in curve.affine_solutions(model, d))
+
+
+def test_one_y_polynomial_per_frobenius_orbit(curve_E, monkeypatch):
+    # F_2^12 has 352 orbits of x -> x^2 against 4,096 elements: a fallback to
+    # the whole-field scan fails here, not just runs slower
+    calls = []
+    y_polynomial = curve._y_polynomial
+
+    def counted(F, coeffs, x):
+        calls.append(x)
+        return y_polynomial(F, coeffs, x)
+
+    monkeypatch.setattr(curve, "_y_polynomial", counted)
+    curve.count_affine(curve_E, 12)
+    assert len(calls) == len(set(calls)) == 352
+    calls.clear()
+    curve.enumerate_places(curve_E, 12)
+    assert len(calls) == len(set(calls)) == 352
+
+
+def test_root_scan_refused_before_counting(monkeypatch):
     model = _genus3_y_cubic()
+
+    def no_counting(F, coeffs, x):
+        raise AssertionError("counted before the refusal")
+
+    monkeypatch.setattr(curve, "_y_polynomial", no_counting)
     curve.require_root_scan(model, 12)  # 2^12 is the largest scanned field
     for n in (13, 10**9):
         with pytest.raises(UnsupportedSize, match="degree-3 root finding"):
             curve.require_root_scan(model, n)
     with pytest.raises(UnsupportedSize):
         curve.count_points(model, 13)
+    with pytest.raises(UnsupportedSize):
+        curve.enumerate_places(model, 13)
     curve.require_root_scan(curve.CurveModel.create(P2, {(0, 2): 1, (3, 0): 1}), 20)  # y-degree 2
 
 

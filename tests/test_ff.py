@@ -97,6 +97,24 @@ def test_frobenius_orbit_closure_exhaustive(params, n):
         assert F.pow(a, F.order) == a
 
 
+@pytest.mark.parametrize("params,n_max", [(P2, 12), (P3, 7), (FieldParams(2, 2), 4)])
+def test_frobenius_orbits_partition_exhaustive(params, n_max):
+    for n in range(1, n_max + 1):
+        F = make_ext_field(params, n)
+        reps = list(F.frobenius_orbits())
+        members = []
+        for x, e in reps:
+            orbit = [x]  # x, x^q, x^(q^2), ... up to the first return to x
+            while (y := F.frobenius_base(orbit[-1])) != x:
+                orbit.append(y)
+            assert e == len(orbit) and n % e == 0
+            assert x == min(orbit)
+            members += orbit
+        assert sorted(members) == list(range(F.order))  # a partition of the field
+        xs = [x for x, _ in reps]
+        assert xs == sorted(set(xs))
+
+
 @pytest.mark.parametrize("params,n", [(P2, 6), (P2, 11), (P3, 5), (P3, 7)])
 def test_trace_balanced_exhaustive(params, n):
     F = make_ext_field(params, n)

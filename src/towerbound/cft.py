@@ -137,21 +137,6 @@ def certifies(d: int, rd: int) -> bool:
     return d >= 1 and rd >= 0 and gs_margin(d, rd) >= 0
 
 
-def gs_margin_raw(d: int, rd: int) -> bool:
-    """True when a finite p-group with >= d generators and relation slack
-    <= rd is impossible: rd <= d^2/4 - d (exact rational comparison).
-
-    d = 0 never certifies: a trivial group satisfies everything.  No program
-    path calls this; it is the rational reference the tests compare
-    `certifies` against.
-    """
-    if d < 0 or rd < 0:
-        raise ValueError("d and rd must be nonnegative")
-    if d < 1:
-        return False
-    return Fraction(d * d, 4) - d >= rd
-
-
 @dataclass(frozen=True)
 class CharacterConductorProfile:
     """Conductor degrees of the nontrivial characters of an abelian cover group."""

@@ -328,6 +328,8 @@ class OracleReport:
 
 
 def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleReport:
+    if n > spectrum.d_max:
+        raise OutOfRange(f"spectrum stops at degree {spectrum.d_max} < {n}")
     F = make_ext_field(cover.params, n)
     total = 0
     singular_solutions = 0
@@ -336,8 +338,6 @@ def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleRe
         total += fiber
         if singular:
             singular_solutions += fiber
-    if n > spectrum.d_max:
-        raise ValueError(f"spectrum stops at degree {spectrum.d_max} < {n}")
     spectrum_points = spectrum.n_map[n]
     inf_pts = 0
     decl_pts = 0

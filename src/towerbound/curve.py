@@ -3,18 +3,18 @@
 A curve is presented as a bivariate polynomial identity F(x, y) = 0 with
 prime-field coefficients, together with an explicit list of places at
 infinity (the shipped base models each have a single rational one) and a
-declared genus.  Point counts N_n over F_{q^n} take one x per Frobenius
-orbit of F_{q^n}, with exact root counting in y weighted by the orbit size;
-the place spectrum a_d follows by Moebius inversion, and for genus <= 2 the
-counts are validated against the L-polynomial reconstructed through Newton's
-identities.  Places of degree d come from the same orbit representatives,
-with their roots in y grouped into orbits.
+declared genus.  Point counts and places read one walk over F_{q^n}: one x
+per Frobenius orbit and its list of roots in y.  N_n sums the lengths of the
+root lists weighted by the orbit sizes; the place spectrum a_d follows by
+Moebius inversion, and for genus <= 2 the counts are validated against the
+L-polynomial reconstructed through Newton's identities.  Places of degree d
+group the same roots into orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange, UnsupportedSize
 from .ff import ExtField, FieldParams, make_ext_field, require_supported_degree
@@ -191,20 +191,6 @@ def _y_polynomial(F: ExtField, coeffs: PolyEvaluator, x: int) -> list[int]:
     return cs
 
 
-def _quadratic_root_count(F: ExtField, a0: int, a1: int, a2: int) -> int:
-    """Distinct roots of a2 y^2 + a1 y + a0, a2 != 0."""
-    if F.p == 2:
-        if a1 == 0:
-            return 1  # y^2 = c has a unique root: Frobenius is bijective
-        u = F.div(F.mul(a0, a2), F.mul(a1, a1))
-        return 2 if F.trace(u) == 0 else 0
-    four = 4 % F.p
-    disc = F.sub(F.mul(a1, a1), F.mul(four, F.mul(a2, a0)))
-    if disc == 0:
-        return 1
-    return 2 if F.is_square(disc) else 0
-
-
 def _quadratic_roots(F: ExtField, a0: int, a1: int, a2: int) -> list[int]:
     if F.p == 2:
         if a1 == 0:
@@ -222,30 +208,19 @@ def _quadratic_roots(F: ExtField, a0: int, a1: int, a2: int) -> list[int]:
     return [F.mul(F.sub(r, a1), inv2a) for r in roots]
 
 
-def _poly_root_count(F: ExtField, cs: list[int]) -> int:
-    """Distinct roots in F of the univariate polynomial with coefficients cs."""
+def _poly_roots(F: ExtField, cs: list[int]) -> Sequence[int]:
+    """Distinct roots in F of the univariate polynomial with coefficients cs.
+
+    The zero polynomial gives range(F.order), not a list: counting over a
+    vertical component takes its len() without holding q^n roots per x.
+    """
     deg = len(cs) - 1
     if deg <= 0:
-        return F.order if not cs else 0
-    if deg == 1:
-        return 1
-    if deg == 2:
-        return _quadratic_root_count(F, cs[0], cs[1], cs[2])
-    return len(_poly_roots_generic(F, cs))
-
-
-def _poly_roots(F: ExtField, cs: list[int]) -> list[int]:
-    deg = len(cs) - 1
-    if deg <= 0:
-        return list(range(F.order)) if not cs else []
+        return range(F.order) if not cs else []
     if deg == 1:
         return [F.div(F.neg(cs[0]), cs[1])]
     if deg == 2:
         return _quadratic_roots(F, cs[0], cs[1], cs[2])
-    return _poly_roots_generic(F, cs)
-
-
-def _poly_roots_generic(F: ExtField, cs: list[int]) -> list[int]:
     # degree >= 3 only happens for user-supplied models; require_root_scan bounds the field
     return [y for y in range(F.order) if _eval_univariate(F, cs, y) == 0]
 
@@ -274,22 +249,31 @@ def require_root_scan(model: CurveModel, n: int) -> None:
         )
 
 
-def count_affine(model: CurveModel, n: int) -> int:
-    """Number of solutions of F(x, y) = 0 in F_{q^n} x F_{q^n}.
+def _orbit_roots(model: CurveModel, n: int) -> Iterator[tuple[ExtField, int, int, Sequence[int]]]:
+    """(F, x, e, roots) for each Frobenius orbit of F = F_{q^n}: x is its
+    least element, e its size, roots the distinct y with F(x, y) = 0.
 
-    One x per Frobenius orbit, weighted by the orbit size: the coefficients
-    lie in F_p, so y -> y^q maps the roots over x onto those over x^q.
+    count_affine and enumerate_places both read these roots.
     """
     require_root_scan(model, n)
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
-    return sum(
-        e * _poly_root_count(F, _y_polynomial(F, coeffs, x)) for x, e in F.frobenius_orbits()
-    )
+    for x, e in F.frobenius_orbits():
+        yield F, x, e, _poly_roots(F, _y_polynomial(F, coeffs, x))
+
+
+def count_affine(model: CurveModel, n: int) -> int:
+    """Number of solutions of F(x, y) = 0 in F_{q^n} x F_{q^n}.
+
+    The length of each orbit representative's root list, weighted by the
+    orbit size: the coefficients lie in F_p, so y -> y^q maps the roots over
+    x onto those over x^q.
+    """
+    return sum(e * len(roots) for _, _, e, roots in _orbit_roots(model, n))
 
 
 def affine_solutions(model: CurveModel, n: int) -> Iterator[tuple[int, int]]:
-    """All (x, y) solutions over F_{q^n}, root finding rather than counting.
+    """All (x, y) solutions over F_{q^n}.
 
     A scan of every x with no orbit grouping: cover.oracle_report uses it
     as the derivation that is independent of the orbit-based spectrum.
@@ -449,13 +433,10 @@ def enumerate_places(model: CurveModel, d: int) -> list[Place]:
     Infinite places come from the model metadata and are returned as
     symbolic entries.
     """
-    require_root_scan(model, d)
-    F = make_ext_field(model.params, d)
-    coeffs = _y_coefficients(model)
     places = []
-    for x, e in F.frobenius_orbits():
+    for F, x, e, roots in _orbit_roots(model, d):
         step = model.params.q**e
-        for y in sorted(_poly_roots(F, _y_polynomial(F, coeffs, x))):
+        for y in sorted(roots):
             orbit = [y]
             while (cy := F.pow(orbit[-1], step)) != y:
                 orbit.append(cy)

@@ -476,11 +476,6 @@ class ExtField:
         """The unique b with b^p = a (Frobenius is bijective)."""
         return self.pow(a, self.p ** (self.degree - 1))
 
-    def is_square(self, a: int) -> bool:
-        """Whether a is a square: the parity of its log.  Every element is
-        one in characteristic 2."""
-        return a == 0 or self.p == 2 or self._log[a] % 2 == 0
-
     def sqrt_list(self, a: int) -> list[int]:
         """All square roots of a; characteristic must be odd."""
         if self.p == 2:

@@ -16,6 +16,8 @@ from towerbound import cft, cli, cover, curve, search
 from towerbound.errors import InconsistentModel
 from towerbound.ff import FieldParams, make_ext_field
 
+from test_cft import gs_margin_raw
+
 P2 = FieldParams(2)
 P3 = FieldParams(3)
 
@@ -202,7 +204,7 @@ def test_criterion_6c_margin_identity_10000_plans():
         cert = cft.certify_tower(2, plan)
         d, rd = cert.d_lower, cert.rd_upper
         assert cert.gs_margin == d * d - 4 * d - 4 * rd
-        assert cert.infinite == cft.gs_margin_raw(d, rd)
+        assert cert.infinite == gs_margin_raw(d, rd)
         bumped, _ = inequality_margin(params, entries, t + 1)
         assert bumped == cert.gs_margin - 2 * d + 1
     _ok("6c (gs margin identities on 10000 random plans)")

@@ -9,6 +9,21 @@ from towerbound import cft
 from towerbound.errors import InconsistentModel, ParityViolation
 from towerbound.ff import FieldParams
 
+
+def gs_margin_raw(d: int, rd: int) -> bool:
+    """True when a finite p-group with >= d generators and relation slack
+    <= rd is impossible: rd <= d^2/4 - d (exact rational comparison).
+
+    d = 0 never certifies: a trivial group satisfies everything.  This is
+    the rational reference that `cft.certifies` is checked against.
+    """
+    if d < 0 or rd < 0:
+        raise ValueError("d and rd must be nonnegative")
+    if d < 1:
+        return False
+    return Fraction(d * d, 4) - d >= rd
+
+
 P2 = FieldParams(2)
 P3 = FieldParams(3)
 
@@ -95,16 +110,16 @@ def test_certifies_matches_rational_reference():
             if d < 0 or rd < 0:
                 assert not cft.certifies(d, rd)
             else:
-                assert cft.certifies(d, rd) == cft.gs_margin_raw(d, rd)
+                assert cft.certifies(d, rd) == gs_margin_raw(d, rd)
 
 
 def test_gs_margin_raw_examples():
-    assert cft.gs_margin_raw(72, 1201) is True
-    assert cft.gs_margin_raw(4, 1) is False
-    assert cft.gs_margin_raw(4, 0) is True
-    assert cft.gs_margin_raw(0, 0) is False  # a trivial group contradicts nothing
+    assert gs_margin_raw(72, 1201) is True
+    assert gs_margin_raw(4, 1) is False
+    assert gs_margin_raw(4, 0) is True
+    assert gs_margin_raw(0, 0) is False  # a trivial group contradicts nothing
     with pytest.raises(ValueError):
-        cft.gs_margin_raw(-1, 0)
+        gs_margin_raw(-1, 0)
 
 
 def test_genus_goldens():
@@ -203,7 +218,7 @@ def test_random_plans_identities_10000():
         d, rd = cert.d_lower, cert.rd_upper
         # the margin is 4 * (d^2/4 - d - rd); both formulations agree
         assert cert.gs_margin == d * d - 4 * d - 4 * rd
-        assert cert.infinite == cft.gs_margin_raw(d, rd)
+        assert cert.infinite == gs_margin_raw(d, rd)
         assert cert.gs_margin == margin_oracle(plan.params, plan.entries, plan.t)
         # raising t by one drops the margin by exactly 2*d - 1
         bumped_margin = margin_oracle(plan.params, plan.entries, plan.t + 1)

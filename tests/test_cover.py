@@ -3,7 +3,7 @@
 import pytest
 
 from towerbound import cft, cover, curve
-from towerbound.errors import InconsistentModel, PoleAtPlace, RamifiedPlace
+from towerbound.errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
 from towerbound.ff import FieldParams, make_ext_field
 
 P2 = FieldParams(2)
@@ -233,6 +233,15 @@ def test_brute_force_oracle(which, cover_k1, cover_k2, cover_k3,
             rep.spectrum_points - rep.infinite_points - rep.declared_points
             + rep.singular_solutions
         )
+
+
+def test_oracle_refuses_out_of_reach_n_before_scanning(cover_k1, spectrum_k1, monkeypatch):
+    def no_scan(model, n):
+        raise AssertionError("scanned before the refusal")
+
+    monkeypatch.setattr(cover, "affine_solutions", no_scan)
+    with pytest.raises(OutOfRange, match="spectrum stops at degree 10 < 11"):
+        cover.oracle_report(cover_k1, spectrum_k1, 11)
 
 
 def test_oracle_sees_singular_points(cover_k2, spectrum_k2):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -54,10 +55,16 @@ def test_degree_three_root_path_against_brute_force():
     model = _genus3_y_cubic()
     N = {n: curve.count_points(model, n) for n in range(1, 5)}
     assert N == {n: brute_count_points(model, n) for n in range(1, 5)} == {1: 1, 2: 1, 3: 13, 4: 33}
-    # the root path (enumerate_places) agrees with the counting path
+    # places (enumerate_places) group the roots that the counts take the
+    # lengths of; the brute force above checks the counts themselves
     a = {d: len(curve.enumerate_places(model, d)) for d in range(1, 5)}
     for n in range(1, 5):
         assert sum(d * a[d] for d in curve.divisors(n)) == N[n]
+
+
+def _plane():
+    """0 = 0, the whole plane: its y-polynomial vanishes over every x."""
+    return curve.CurveModel.create(P2, {}, ((1, 1),), genus=0, name="0=0")
 
 
 def reference_places(model, d):
@@ -80,14 +87,25 @@ def reference_places(model, d):
 def test_orbit_scan_matches_whole_field_scan(curve_E, curve_H, curve_E3):
     line = curve.CurveModel.create(P2, {(0, 1): 1}, ((1, 1),), genus=0, name="y=0")
     e_over_f4 = dataclasses.replace(curve_E, params=FieldParams(2, 2))
+    # x^2 + x = 0: the two vertical lines x = 0 and x = 1
+    lines = curve.CurveModel.create(P2, {(2, 0): 1, (1, 0): 1}, ((1, 1),), genus=0, name="x=0,1")
     cases = [(curve_E, 12), (curve_H, 11), (curve_E3, 7), (_genus3_y_cubic(), 8),
-             (line, 8), (e_over_f4, 5)]
+             (line, 8), (e_over_f4, 5), (_plane(), 4), (lines, 4)]
     for model, d_max in cases:
         for d in range(1, d_max + 1):
             places = curve.enumerate_places(model, d)
             affine = [(pl.degree, pl.key, pl.rep) for pl in places if not pl.is_infinite]
             assert affine == reference_places(model, d), (model.name, d)
             assert curve.count_affine(model, d) == sum(1 for _ in curve.affine_solutions(model, d))
+
+
+def test_vertical_component_counts_without_listing_roots():
+    # over every x the y-polynomial of 0 = 0 vanishes: a list of its 2^16
+    # roots per orbit takes seconds, where the count is the field order
+    make_ext_field(P2, 16)  # time the count, not the field build
+    start = time.perf_counter()
+    assert curve.count_affine(_plane(), 16) == 2**32
+    assert time.perf_counter() - start < 1.0
 
 
 def test_one_y_polynomial_per_frobenius_orbit(curve_E, monkeypatch):

@@ -239,7 +239,6 @@ def assert_agree(F, pairs, unary):
             assert mul(F.pow(a, -3), power(a, 3)) == 1
         if p != 2:
             square = euler_square(a)
-            assert F.is_square(a) == square
             roots = F.sqrt_list(a)
             assert bool(roots) == square
             for r in roots:

@@ -130,14 +130,11 @@ def _scale(a: dict, s: int) -> dict:
     return {k: v * s for k, v in a.items()} if s != 1 else a
 
 
-def _degree(a: dict) -> int:
-    return max((i + j for i, j in a), default=0)
-
-
 def _mul(a: dict, b: dict) -> dict:
-    if _degree(a) + _degree(b) > MAX_DEGREE:
+    da, db = curve_mod.total_degree(a), curve_mod.total_degree(b)
+    if da + db > MAX_DEGREE:
         raise ConfigError(
-            f"a product of degree {_degree(a)} and degree {_degree(b)} polynomials "
+            f"a product of degree {da} and degree {db} polynomials "
             f"exceeds the degree cap {MAX_DEGREE}"
         )
     out: dict = {}

@@ -20,18 +20,19 @@ list and cross-checked by the brute-force compositum oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import cft
 from .curve import (
     CurveModel,
     Place,
     PlaceSpectrum,
-    PolyEvaluator,
     enumerate_places,
     affine_solutions,
     make_affine_place,
     normalize_poly2,
     require_root_scan,
+    total_degree,
 )
 from .errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
 from .ff import make_ext_field, require_supported_degree
@@ -92,6 +93,12 @@ class DeclaredInfinity:
         _check_above(self.above)
 
 
+def _surviving_terms(poly: tuple, x_zero: bool, y_zero: bool) -> tuple:
+    """(c, i, j) for each term c x^i y^j of poly that is not zero where x = 0
+    (if x_zero) and y = 0 (if y_zero)."""
+    return tuple((c, i, j) for (i, j), c in poly if not (x_zero and i or y_zero and j))
+
+
 class CoverSpec:
     """Immutable description of an elementary abelian p-cover of a base curve."""
 
@@ -128,14 +135,18 @@ class CoverSpec:
                 f"cover must declare behavior for all {len(inf_degrees)} infinite "
                 f"places (indices {declared_idx} given)"
             )
-        # the components' A and B, compiled once: each distinct A (the shipped
-        # covers share one) is evaluated and inverted once per point
+        # the terms (c, i, j) of each distinct A (the shipped covers share one)
+        # and of each B, compiled once per zero pattern (x == 0, y == 0) of a
+        # point: a zero coordinate drops every term with a positive power of it
         distinct_a = list(dict.fromkeys(c.a for c in self.components))
-        self._a_count = len(distinct_a)
         self._a_slot = tuple(distinct_a.index(c.a) for c in self.components)
-        self._evaluate = PolyEvaluator(
-            [dict(a) for a in distinct_a] + [dict(c.b) for c in self.components], params.p
-        )
+        self._terms = {
+            zeros: (
+                tuple(_surviving_terms(a, *zeros) for a in distinct_a),
+                tuple(_surviving_terms(c.b, *zeros) for c in self.components),
+            )
+            for zeros in product((False, True), repeat=2)
+        }
         self._support_map = None
 
     @property
@@ -162,7 +173,7 @@ class CoverSpec:
 
     def _a_vanishes(self, place: Place) -> bool:
         F = make_ext_field(self.params, place.degree)
-        return 0 in self._evaluate(F, *place.rep)[: self._a_count]
+        return None in _component_traces(self, F, *place.rep)
 
     def support_map(self) -> dict:
         """Canonical place key -> (DeclaredPlace | DeclaredInfinity)."""
@@ -171,6 +182,20 @@ class CoverSpec:
         out = {}
         for inf in self.infinities:
             out[("inf", inf.index)] = inf
+        located = [dp for dp in self.support if dp.rep is None]
+        for dp in located:
+            require_supported_degree(self.params, dp.degree)
+            require_root_scan(self.base, dp.degree)
+        # located places are zeros on the curve of some A: affine Bezout bounds
+        # their points by the sum of deg A * deg F over the distinct A
+        declared = sum(dp.count * dp.degree for dp in located)
+        bound = sum(total_degree(dict(a)) for a in {c.a for c in self.components})
+        bound *= total_degree(self.base.poly_dict)
+        if declared > bound:
+            raise InconsistentModel(
+                f"declared support places of total degree {declared} exceed the Bezout "
+                f"bound {bound} on the zeros of the component coefficients"
+            )
         by_degree: dict[int, list[DeclaredPlace]] = {}
         for dp in self.support:
             by_degree.setdefault(dp.degree, []).append(dp)
@@ -211,14 +236,35 @@ class DecompositionRecord:
 
 def _component_traces(cover: CoverSpec, F, x: int, y: int) -> list[int | None]:
     """Tr(B/A^p) over F of each component at the point (x, y); None for a
-    component whose A vanishes there."""
-    p = cover.params.p
-    values = cover._evaluate(F, x, y)
-    inv_ap = [F.inv(F.pow(a, p)) if a else None for a in values[: cover._a_count]]
+    component whose A vanishes there.
+
+    The trace is F_p-linear: Tr(B/A^p) = sum c * Tr(x^i y^j A^-p) over the
+    terms c x^i y^j of B, and each Tr(x^i y^j A^-p) is one read of
+    F.trace_of_power at the log i log x + j log y - p log A.  Only A is
+    summed as a field element.
+    """
+    p, q1, log, exp, add = F.p, F.order - 1, F._log, F._exp, F.add
+    lx = log[x] if x else 0  # a zero coordinate only meets terms free of it
+    ly = log[y] if y else 0
+    a_terms, b_terms = cover._terms[not x, not y]
+    shifts = []  # p log A for each distinct A, None where it vanishes
+    for terms in a_terms:
+        a = 0
+        for c, i, j in terms:
+            v = exp[(i * lx + j * ly) % q1]
+            a = add(a, v if c == 1 else F.mul(c, v))
+        shifts.append(p * log[a] if a else None)
+    tr = F.trace_of_power
     out = []
-    for slot, b in zip(cover._a_slot, values[cover._a_count :]):
-        w = inv_ap[slot]
-        out.append(None if w is None else F.trace(F.mul(b, w)))
+    for slot, terms in zip(cover._a_slot, b_terms):
+        s = shifts[slot]
+        if s is None:
+            out.append(None)
+            continue
+        t = 0
+        for c, i, j in terms:
+            t += c * tr[(i * lx + j * ly - s) % q1]
+        out.append(t % p)
     return out
 
 

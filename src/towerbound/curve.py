@@ -33,6 +33,11 @@ def normalize_poly2(poly: Mapping[tuple[int, int], int], p: int) -> dict[tuple[i
     return out
 
 
+def total_degree(poly: Poly2) -> int:
+    """max(i + j) over the terms c x^i y^j; 0 for the zero polynomial."""
+    return max((i + j for i, j in poly), default=0)
+
+
 def poly2_str(poly: Poly2) -> str:
     if not poly:
         return "0"
@@ -339,6 +344,15 @@ def spectrum_to_counts(a: Mapping[int, int], n_max: int) -> dict[int, int]:
     return {n: sum(d * a[d] for d in divisors(n)) for n in range(1, n_max + 1)}
 
 
+def _check_weil_bound(q: int, genus: int, n: int, Nn: int) -> None:
+    """Raise InconsistentModel unless (N_n - q^n - 1)^2 <= 4 g^2 q^n, the
+    exact form of the Weil bound."""
+    if (Nn - q**n - 1) ** 2 > 4 * genus**2 * q**n:
+        raise InconsistentModel(
+            f"N_{n} = {Nn} violates the Weil bound for genus {genus} over F_{q}"
+        )
+
+
 @dataclass(frozen=True)
 class PlaceSpectrum:
     """Counts a_d of places by degree and the genus; N_n derives from a_d."""
@@ -372,26 +386,25 @@ class PlaceSpectrum:
         return spec
 
     def validate(self):
-        q = self.params.q
         for d, v in self.a:
             if v < 0:
                 raise InconsistentModel(f"negative place count a_{d} = {v}")
         for n, Nn in self.n_map.items():
-            # Weil bound, exact form: (N_n - q^n - 1)^2 <= 4 g^2 q^n
-            if (Nn - q**n - 1) ** 2 > 4 * self.genus**2 * q**n:
-                raise InconsistentModel(
-                    f"N_{n} = {Nn} violates the Weil bound for genus {self.genus} over F_{q}"
-                )
+            _check_weil_bound(self.params.q, self.genus, n, Nn)
 
 
 def spectrum_from_counts(model: CurveModel, d_max: int) -> PlaceSpectrum:
     """Place spectrum of the model up to degree d_max, from exact point counts.
 
-    Raises UnsupportedSize before counting when F_{q^d_max} is out of reach.
+    Raises UnsupportedSize before counting when F_{q^d_max} is out of reach,
+    and InconsistentModel as soon as a count breaks the Weil bound.
     """
     require_supported_degree(model.params, d_max)
     require_root_scan(model, d_max)
-    N = {n: count_points(model, n) for n in range(1, d_max + 1)}
+    N = {}
+    for n in range(1, d_max + 1):
+        N[n] = count_points(model, n)
+        _check_weil_bound(model.params.q, model.genus, n, N[n])
     return PlaceSpectrum.from_spectrum(model.params, counts_to_spectrum(N, d_max), model.genus)
 
 

@@ -13,12 +13,18 @@ addition, subtraction and negation lookups too.  The absolute trace and
 the solutions of w^p - w = u are two lookups in one pair of tables of
 about sqrt(q) entries.  Polynomial arithmetic mod the modulus is used
 only to find the modulus and to build the tables.
+
+One table is built lazily, on first use: `trace_of_power`, the trace of
+each power of the generator.  Fields used only for point counts never
+build it.  The trace kernel of `cover` reads it together with the exp and
+log tables, so that Tr(c x^i y^j / A^p) costs one read at an integer log.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import NotPrime, OutOfRange, UnsupportedSize
@@ -192,7 +198,9 @@ class ExtField:
     """F_{p^(e*n)}: degree-n extension of F_q, realized as F_p[x]/(modulus).
 
     All element-level methods take and return packed integers.  Instances
-    are immutable after construction and safe to share between workers.
+    are immutable after construction, apart from the `trace_of_power` table
+    built on first use (always to the same bytes), and safe to share
+    between workers.
     """
 
     def __init__(self, params: FieldParams, n: int):
@@ -460,6 +468,16 @@ class ExtField:
         F_p, returned as an int in [0, p).  The two entries are added as
         integers: carries only move up, so the constant digit is Tr(a)."""
         return (self._lin_lo[a % self._split] + self._lin_hi[a // self._split]) % self.p
+
+    @cached_property
+    def trace_of_power(self) -> bytes:
+        """Entry k is Tr(g^k), g the generator behind the exp/log tables.
+
+        Tr is F_p-linear, so Tr(c * g^k) = c * Tr(g^k) for c in F_p: with
+        the logs of its factors in hand, the trace of a monomial is one read
+        here.  Built from `trace` on first use.
+        """
+        return bytes(map(self.trace, self._exp))
 
     def solve_additive(self, u: int) -> list[int]:
         """All w with w^p - w = u, ascending (empty when the trace of u is nonzero).

@@ -78,6 +78,41 @@ def test_model_inconsistency_exit_3(capsys, tmp_path):
     assert "Weil" in err or "inconsisten" in err.lower()
 
 
+def test_weil_violation_refused_at_the_first_count(capsys, tmp_path):
+    # 0 = 0 declared genus 0 breaks the Weil bound at N_1 = 4 + 1; each N_n is
+    # checked as it is counted, so F_2^2..F_2^20 are never scanned
+    cfg = tmp_path / "plane.cfg"
+    cfg.write_text("[field]\np = 2\ne = 1\n\n[curve Z]\nequation = 0 = 0\ninfinity = 1:1\ngenus = 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg), "--name", "Z", "--dmax", "20")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "N_1 = 5 violates the Weil bound" in err
+
+
+@pytest.mark.parametrize(
+    "degree, code, message",
+    [(20, 3, "exceed the Bezout bound 12"), (21, 2, "exceeds the supported field order")],
+)
+def test_declared_support_checked_before_enumerating(capsys, tmp_path, degree, code, message):
+    # k1's A has degree 4 and E degree 3, so A has at most 12 zeros on E: places
+    # of degrees 4 + 5 + 20 cannot all be among them, and no F_2^20 scan is
+    # needed to find that out; a degree beyond the field cap is still refused first
+    text = _bundled_text("f2_tower1").replace(
+        "deg=5 nu=2 above=5:1\n", f"deg=5 nu=2 above=5:1 ; deg={degree} nu=2 above={degree}:1\n"
+    )
+    assert text.count(f"deg={degree} ") == 1  # k1's support line only
+    cfg = tmp_path / "far_support.cfg"
+    cfg.write_text(text)
+    start = time.perf_counter()
+    got, out, err = run(capsys, "spectrum", "--config", str(cfg), "--name", "k1", "--dmax", "1")
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert out == ""
+    assert message in err
+
+
 def test_certify_golden_and_roundtrip(capsys):
     code, out, _ = run(capsys, "certify", "--config", "f2_tower1", "--name", "tower1", "--json")
     assert code == 0

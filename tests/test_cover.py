@@ -4,9 +4,10 @@ import pytest
 
 from towerbound import cft, cover, curve
 from towerbound.errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
-from towerbound.ff import FieldParams, make_ext_field
+from towerbound.ff import ExtField, FieldParams, make_ext_field
 
 P2 = FieldParams(2)
+P3 = FieldParams(3)
 
 
 def conjugate_places(model, place):
@@ -271,3 +272,65 @@ def test_rank_zero_cover_is_identity(curve_E):
 def test_weil_bound_on_assembled_spectra(spectrum_k1, spectrum_k2, spectrum_k3):
     for spec in (spectrum_k1, spectrum_k2, spectrum_k3):
         spec.validate()  # includes the exact Weil inequality at every stored n
+
+
+def traces_by_field_arithmetic(cov, F, x, y):
+    """Tr(B/A^p) of each component by evaluating A and B and inverting A^p;
+    None where A vanishes.  The reference for the table-read kernel."""
+    out = []
+    for comp in cov.components:
+        a = curve.eval_poly2(F, dict(comp.a), x, y)
+        if a == 0:
+            out.append(None)
+            continue
+        b = curve.eval_poly2(F, dict(comp.b), x, y)
+        out.append(F.trace(F.mul(b, F.inv(F.pow(a, cov.params.p)))))
+    return out
+
+
+def _mixed_terms_cover(curve_E3):
+    """Rank 2 over F_3: A and the B have constant, pure-x, pure-y and mixed
+    terms, with coefficients 1 and 2, so each zero pattern of (x, y) drops
+    some term of each."""
+    a = {(0, 0): 2, (1, 0): 1, (0, 1): 2, (1, 1): 1}
+    b1 = {(0, 0): 1, (2, 0): 2, (0, 2): 1, (2, 1): 2}
+    b2 = {(0, 1): 1, (3, 0): 1, (1, 2): 2}
+    return cover.CoverSpec(
+        base=curve_E3,
+        components=tuple(cover.ASComponent.create(a, b, 3) for b in (b1, b2)),
+        profile=cft.CharacterConductorProfile(((4, 8),), 9),
+        infinities=(cover.DeclaredInfinity(0, ((1, 9),)),),
+        name="mixed",
+    )
+
+
+def test_trace_kernel_matches_field_arithmetic(cover_C, cover_k1, cover_k2, cover_k3, curve_E3):
+    # every point of the plane, on the curve or not, zero coordinates included
+    cases = [(cover_C, 4), (cover_k1, 4), (cover_k2, 4), (cover_k3, 3),
+             (_mixed_terms_cover(curve_E3), 3)]
+    vanishing = 0
+    for cov, n_max in cases:
+        for n in range(1, n_max + 1):
+            F = make_ext_field(cov.params, n)
+            for x in range(F.order):
+                for y in range(F.order):
+                    want = traces_by_field_arithmetic(cov, F, x, y)
+                    assert cover._component_traces(cov, F, x, y) == want, (cov.name, n, x, y)
+                    vanishing += None in want
+    assert vanishing  # the None branch is compared too
+
+
+def test_assembly_makes_no_per_place_trace_calls(cover_k1, monkeypatch):
+    # the second assembly finds every trace table built: each component trace
+    # is a table read, not a call of ExtField.trace
+    cover.assemble_spectrum(cover_k1, 8)
+    calls = []
+    trace = ExtField.trace
+
+    def counted(F, a):
+        calls.append(a)
+        return trace(F, a)
+
+    monkeypatch.setattr(ExtField, "trace", counted)
+    cover.assemble_spectrum(cover_k1, 8)
+    assert calls == []

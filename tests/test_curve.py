@@ -200,7 +200,7 @@ def test_counts_to_spectrum_rejects_non_integral():
 
 
 def test_weil_violation_rejected(curve_E):
-    # declaring genus 0 for the elliptic model must fail at n = 4 (N_4 = 25)
+    # declaring genus 0 for the elliptic model must fail at N_1 = 5 > 2 + 1
     wrong = dataclasses.replace(curve_E, genus=0)
     with pytest.raises(InconsistentModel):
         curve.spectrum_from_counts(wrong, 4)

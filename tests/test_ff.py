@@ -129,6 +129,9 @@ def test_trace_matches_powering_formula(params, n):
     step = 37  # sampled; the two paths share nothing but mul
     for a in range(0, F.order, step):
         assert F.trace(a) == trace_by_powering(F, a)
+    assert len(F.trace_of_power) == F.order - 1
+    for k in range(0, F.order - 1, step):  # entry k is Tr(g^k)
+        assert F.trace_of_power[k] == trace_by_powering(F, F._exp[k])
 
 
 @pytest.mark.parametrize(

@@ -320,6 +320,34 @@ def test_trace_kernel_matches_field_arithmetic(cover_C, cover_k1, cover_k2, cove
     assert vanishing  # the None branch is compared too
 
 
+def test_cover_over_a_prime_above_255():
+    # traces over F_257 do not fit in a byte.  On the line y = 0 the cover
+    # is w^p - w = x^2 / x^p = x^-255: ramified at x = 0, split at infinity,
+    # and x^-255 = x on F_257^*, so no other rational place splits
+    p = 257
+    line = curve.CurveModel.create(FieldParams(p), {(0, 1): 1}, genus=0, name="L")
+    a = {(1, 0): 1, (0, 1): 1}  # x + y: the y terms are zero on the curve only
+    b = {(2, 0): 1, (1, 1): 2, (0, 3): 1}
+    cov = cover.CoverSpec(
+        base=line,
+        components=(cover.ASComponent.create(a, b, p),),
+        profile=cft.CharacterConductorProfile(((p - 1, p - 1),), p),
+        support=(cover.DeclaredPlace(degree=1, nu=p - 1, above=((1, 1),)),),
+        infinities=(cover.DeclaredInfinity(0, ((1, p),)),),
+        name="k257",
+    )
+    for n, step in ((1, 1), (2, 97)):
+        F = make_ext_field(cov.params, n)
+        for x in range(0, F.order, step):
+            for y in range(0, F.order, 31 * step):
+                want = traces_by_field_arithmetic(cov, F, x, y)
+                assert cover._component_traces(cov, F, x, y) == want, (n, x, y)
+    spec = cover.assemble_spectrum(cov, 2)
+    assert spec.a_map[1] == 1 + p
+    for n in (1, 2):
+        assert cover.oracle_report(cov, spec, n).residual == 0
+
+
 def test_assembly_makes_no_per_place_trace_calls(cover_k1, monkeypatch):
     # the second assembly finds every trace table built: each component trace
     # is a table read, not a call of ExtField.trace
@@ -334,3 +362,18 @@ def test_assembly_makes_no_per_place_trace_calls(cover_k1, monkeypatch):
     monkeypatch.setattr(ExtField, "trace", counted)
     cover.assemble_spectrum(cover_k1, 8)
     assert calls == []
+
+
+def test_locating_support_reads_no_trace_table(cover_k1, monkeypatch):
+    # whether A vanishes at a place is decided from A alone: no trace table
+    def refuse(F):
+        raise AssertionError(f"trace table of F_2^{F.degree} read")
+
+    monkeypatch.setattr(ExtField, "trace_of_power", property(refuse))
+    vanishing = [
+        pl.degree
+        for d in (4, 5)
+        for pl in curve.enumerate_places(cover_k1.base, d)
+        if cover_k1._a_vanishes(pl)
+    ]
+    assert vanishing == [4, 5]  # the two located conductor places of k1

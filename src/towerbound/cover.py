@@ -20,7 +20,6 @@ list and cross-checked by the brute-force compositum oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import cft
 from .curve import (
@@ -29,6 +28,8 @@ from .curve import (
     PlaceSpectrum,
     enumerate_places,
     affine_solutions,
+    compile_poly2,
+    eval_compiled,
     make_affine_place,
     normalize_poly2,
     require_root_scan,
@@ -93,12 +94,6 @@ class DeclaredInfinity:
         _check_above(self.above)
 
 
-def _surviving_terms(poly: tuple, x_zero: bool, y_zero: bool) -> tuple:
-    """(c, i, j) for each term c x^i y^j of poly that is not zero where x = 0
-    (if x_zero) and y = 0 (if y_zero)."""
-    return tuple((c, i, j) for (i, j), c in poly if not (x_zero and i or y_zero and j))
-
-
 class CoverSpec:
     """Immutable description of an elementary abelian p-cover of a base curve."""
 
@@ -135,18 +130,12 @@ class CoverSpec:
                 f"cover must declare behavior for all {len(inf_degrees)} infinite "
                 f"places (indices {declared_idx} given)"
             )
-        # the terms (c, i, j) of each distinct A (the shipped covers share one)
-        # and of each B, compiled once per zero pattern (x == 0, y == 0) of a
-        # point: a zero coordinate drops every term with a positive power of it
+        # each distinct A (the shipped covers share one) and each B, compiled
+        # once into curve's terms per zero pattern
         distinct_a = list(dict.fromkeys(c.a for c in self.components))
         self._a_slot = tuple(distinct_a.index(c.a) for c in self.components)
-        self._terms = {
-            zeros: (
-                tuple(_surviving_terms(a, *zeros) for a in distinct_a),
-                tuple(_surviving_terms(c.b, *zeros) for c in self.components),
-            )
-            for zeros in product((False, True), repeat=2)
-        }
+        self._a_terms = compile_poly2(distinct_a)
+        self._b_terms = compile_poly2([c.b for c in self.components])
         self._support_map = None
 
     @property
@@ -173,7 +162,8 @@ class CoverSpec:
 
     def _a_vanishes(self, place: Place) -> bool:
         F = make_ext_field(self.params, place.degree)
-        return None in _a_shifts(self, F, *place.rep)
+        x, y = place.rep
+        return 0 in eval_compiled(F, self._a_terms[not x, not y], F._log[x], F._log[y])
 
     def support_map(self) -> dict:
         """Canonical place key -> (DeclaredPlace | DeclaredInfinity)."""
@@ -234,28 +224,6 @@ class DecompositionRecord:
     places_above: tuple[tuple[int, int], ...]  # (degree, count)
 
 
-def _a_shifts(cover: CoverSpec, F, x: int, y: int) -> list[int | None]:
-    """p log A at the point (x, y) for each distinct A of the cover; None
-    where A vanishes.
-
-    A is summed as a field element from its compiled terms, each term one
-    exp read.  Evaluating A with curve.PolyEvaluator instead makes the
-    whole trace kernel 1.3-2x slower per point on the bundled covers (k1
-    over F_2^12: 8.3 against 4.3 us, CPython 3.11 on a 2-vCPU Xeon).
-    """
-    p, q1, log, exp, add = F.p, F.order - 1, F._log, F._exp, F.add
-    lx = log[x] if x else 0  # a zero coordinate only meets terms free of it
-    ly = log[y] if y else 0
-    shifts = []
-    for terms in cover._terms[not x, not y][0]:
-        a = 0
-        for c, i, j in terms:
-            v = exp[(i * lx + j * ly) % q1]
-            a = add(a, v if c == 1 else F.mul(c, v))
-        shifts.append(p * log[a] if a else None)
-    return shifts
-
-
 def _component_traces(cover: CoverSpec, F, x: int, y: int) -> list[int | None]:
     """Tr(B/A^p) over F of each component at the point (x, y); None for a
     component whose A vanishes there.
@@ -264,20 +232,20 @@ def _component_traces(cover: CoverSpec, F, x: int, y: int) -> list[int | None]:
     terms c x^i y^j of B, and each Tr(x^i y^j A^-p) is one read of
     F.trace_of_power at the log i log x + j log y - p log A.
     """
-    shifts = _a_shifts(cover, F, x, y)
-    q1, log, tr = F.order - 1, F._log, F.trace_of_power
-    lx = log[x] if x else 0
-    ly = log[y] if y else 0
+    p, q1, log, tr = F.p, F.order - 1, F._log, F.trace_of_power
+    lx, ly = log[x], log[y]
+    a_values = eval_compiled(F, cover._a_terms[not x, not y], lx, ly)
     out = []
-    for slot, terms in zip(cover._a_slot, cover._terms[not x, not y][1]):
-        s = shifts[slot]
-        if s is None:
+    for slot, terms in zip(cover._a_slot, cover._b_terms[not x, not y]):
+        a = a_values[slot]
+        if not a:
             out.append(None)
             continue
+        s = p * log[a]
         t = 0
         for c, i, j in terms:
             t += c * tr[(i * lx + j * ly - s) % q1]
-        out.append(t % F.p)
+        out.append(t % p)
     return out
 
 

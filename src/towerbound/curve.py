@@ -9,12 +9,19 @@ root lists weighted by the orbit sizes; the place spectrum a_d follows by
 Moebius inversion, and for genus <= 2 the counts are validated against the
 L-polynomial reconstructed through Newton's identities.  Places of degree d
 group the same roots into orbits.
+
+Every bivariate polynomial, here and in `cover`, is evaluated one way: it is
+compiled once into terms (c, i, j) for each zero pattern of a point
+(`compile_poly2`), and `eval_compiled` sums c * g^(i log x + j log y) with
+one exp read per term.  The y-coefficients of F are such polynomials in x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import product
+from operator import xor
+from typing import Iterator, Mapping, Sequence
 
 from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange, UnsupportedSize
 from .ff import ExtField, FieldParams, make_ext_field, require_supported_degree
@@ -129,68 +136,62 @@ class Place:
 
 
 # ---------------------------------------------------------------------------
-# point counting
+# compiled polynomials and point counting
 # ---------------------------------------------------------------------------
 
 
-class PolyEvaluator:
-    """Evaluates a fixed list of polynomials in (x, y) at points over F_p-extensions.
-
-    The work shared between the polynomials is done once per point: the
-    powers of x and y, and each distinct mixed monomial x^i y^j.
-    Coefficients are reduced mod p once, at construction.
+def compile_poly2(polys: Sequence[tuple]) -> dict[tuple[bool, bool], tuple]:
+    """Each of polys, a canonical ((i, j), c) tuple, as the terms (c, i, j)
+    that survive a zero pattern (x == 0, y == 0) of a point, keyed by the
+    pattern: a zero coordinate drops every term with a positive power of it.
     """
-
-    def __init__(self, polys: Iterable[Poly2], p: int):
-        polys = [normalize_poly2(dict(poly), p) for poly in polys]
-        monos = {m for poly in polys for m in poly}
-        self._max_x = max((i for i, _ in monos), default=0)
-        self._max_y = max((j for _, j in monos), default=0)
-        # slots: x^0..x^max_x, then y^1..y^max_y, then the mixed monomials
-        self._mixed = tuple(sorted((i, j) for i, j in monos if i and j))
-        slot = {(i, 0): i for i in range(self._max_x + 1)}
-        slot.update({(0, j): self._max_x + j for j in range(1, self._max_y + 1)})
-        base = self._max_x + self._max_y + 1
-        slot.update({m: base + k for k, m in enumerate(self._mixed)})
-        # per polynomial: (constant term, ((slot, coefficient), ...))
-        self._terms = tuple(
-            (poly.pop((0, 0), 0), tuple((slot[m], c) for m, c in sorted(poly.items())))
+    return {
+        (x_zero, y_zero): tuple(
+            tuple((c, i, j) for (i, j), c in poly if not (x_zero and i or y_zero and j))
             for poly in polys
         )
+        for x_zero, y_zero in product((False, True), repeat=2)
+    }
 
-    def __call__(self, F: ExtField, x: int, y: int) -> list[int]:
-        """The value of each polynomial at (x, y), packed, in construction order."""
-        mul, add = F.mul, F.add
-        values = F.powers(x, self._max_x)
-        if self._max_y:
-            xp, yp = values, F.powers(y, self._max_y)
-            values = xp + yp[1:] + [mul(xp[i], yp[j]) for i, j in self._mixed]
-        out = []
-        for acc, terms in self._terms:
-            for k, c in terms:
-                v = values[k] if c == 1 else mul(c, values[k])
-                acc = add(acc, v) if acc else v
-            out.append(acc)
-        return out
+
+def eval_compiled(F: ExtField, polys: tuple, lx: int, ly: int) -> list[int]:
+    """The value of each compiled polynomial of polys at the point whose
+    coordinates have logs lx, ly: c * g^(i lx + j ly) summed over its terms,
+    one exp read per term.
+
+    polys must be compiled for the point's zero pattern.  F._log[0] is 0, so
+    the logs of a zero coordinate need no special case: only terms free of
+    it survive.
+    """
+    q1, exp, mul = F.order - 1, F._exp, F.mul
+    add = xor if F.p == 2 else F.add
+    out = []
+    for terms in polys:
+        acc = 0
+        for c, i, j in terms:
+            v = exp[(i * lx + j * ly) % q1]
+            acc = add(acc, v if c == 1 else mul(c, v))
+        out.append(acc)
+    return out
 
 
 def eval_poly2(F: ExtField, poly: Poly2, x: int, y: int) -> int:
-    """Evaluate sum c * x^i * y^j at a point with packed coordinates."""
-    return PolyEvaluator((poly,), F.p)(F, x, y)[0]
+    """Evaluate sum c * x^i * y^j at a point with packed coordinates in [0, F.order)."""
+    compiled = compile_poly2((tuple(normalize_poly2(poly, F.p).items()),))
+    return eval_compiled(F, compiled[not x, not y], F._log[x], F._log[y])[0]
 
 
-def _y_coefficients(model: CurveModel) -> PolyEvaluator:
-    """Evaluator of the coefficients of F(x, y) as a polynomial in y, low to high."""
+def _y_coefficients(model: CurveModel) -> dict[tuple[bool, bool], tuple]:
+    """The coefficients of F(x, y) as a polynomial in y, low to high, compiled."""
     deg_y = max((j for (_, j), _ in model.poly), default=0)
-    return PolyEvaluator(
-        [{(i, 0): c for (i, j), c in model.poly if j == k} for k in range(deg_y + 1)],
-        model.params.p,
+    return compile_poly2(
+        [tuple(((i, 0), c) for (i, j), c in model.poly if j == k) for k in range(deg_y + 1)]
     )
 
 
-def _y_polynomial(F: ExtField, coeffs: PolyEvaluator, x: int) -> list[int]:
+def _y_polynomial(F: ExtField, coeffs: dict, x: int) -> list[int]:
     """Coefficient list (low to high in y) of F(x, y) at x, trailing zeros trimmed."""
-    cs = coeffs(F, x, 0)
+    cs = eval_compiled(F, coeffs[not x, False], F._log[x], 0)
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
@@ -423,8 +424,14 @@ def _frobenius_orbit(F: ExtField, x: int, y: int) -> list[tuple[int, int]]:
 
 
 def make_affine_place(model: CurveModel, d: int, x: int, y: int) -> Place:
-    """Build the degree-d place through (x, y) over F_{q^d}; validates membership."""
+    """Build the degree-d place through (x, y) over F_{q^d}; validates the
+    coordinates, then membership."""
     F = make_ext_field(model.params, d)
+    if not (0 <= x < F.order and 0 <= y < F.order):
+        raise OutOfRange(
+            f"({x}, {y}) has a coordinate outside [0, {F.order}), the packed "
+            f"elements of F_{F.order}"
+        )
     if eval_poly2(F, model.poly_dict, x, y) != 0:
         raise OutOfRange(f"({x}, {y}) does not lie on the curve over F_{F.order}")
     orbit = _frobenius_orbit(F, x, y)

@@ -280,17 +280,6 @@ class ExtField:
             return 1 if k == 0 else 0
         return self._exp[(self._log[a] * k) % self._q1]
 
-    def powers(self, a: int, k: int) -> list[int]:
-        """[1, a, a^2, ..., a^k]."""
-        if a == 0:
-            return [1] + [0] * k
-        la, exp, q1 = self._log[a], self._exp, self._q1
-        out, e = [1], 0
-        for _ in range(k):
-            e = (e + la) % q1
-            out.append(exp[e])
-        return out
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverting zero field element")
@@ -329,7 +318,7 @@ class ExtField:
     # -- tables ---------------------------------------------------------------
 
     def _build_tables(self) -> tuple[array, array, array | None]:
-        """exp (g^k for k < q - 1), log (log_g(a) for a != 0; entry 0 unused)
+        """exp (g^k for k < q - 1), log (log_g(a) for a != 0; entry 0 is 0)
         and, in odd characteristic, zech (log_g(1 + g^k), -1 where g^k = -1).
 
         Until they exist, products are taken as polynomials mod the modulus.

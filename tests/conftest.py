@@ -3,6 +3,15 @@ import pytest
 from towerbound import config, cover
 
 
+def plain_eval_poly2(F, poly, x, y):
+    """sum c * x^i * y^j by F.pow, F.mul and F.add alone: a reference that
+    shares no code with curve's compiled terms."""
+    acc = 0
+    for (i, j), c in dict(poly).items():
+        acc = F.add(acc, F.mul(c % F.p, F.mul(F.pow(x, i), F.pow(y, j))))
+    return acc
+
+
 @pytest.fixture(scope="session")
 def doc1():
     return config.load_config("f2_tower1")

@@ -16,6 +16,7 @@ from towerbound import cft, cli, cover, curve, search
 from towerbound.errors import InconsistentModel
 from towerbound.ff import FieldParams, make_ext_field
 
+from conftest import plain_eval_poly2
 from test_cft import gs_margin_raw
 
 P2 = FieldParams(2)
@@ -52,7 +53,7 @@ def brute_points(model, n):
         1
         for x in range(F.order)
         for y in range(F.order)
-        if curve.eval_poly2(F, poly, x, y) == 0
+        if plain_eval_poly2(F, poly, x, y) == 0
     )
     for m, cnt in model.infinite_places:
         if n % m == 0:

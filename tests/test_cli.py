@@ -113,6 +113,25 @@ def test_declared_support_checked_before_enumerating(capsys, tmp_path, degree, c
     assert message in err
 
 
+@pytest.mark.parametrize("rep", ["99999:3", "-1:12"])
+def test_support_rep_outside_the_field_refused(capsys, tmp_path, rep):
+    # the packed elements of F_16 are 0..15: unchecked, -1 would read as 15
+    # and its orbit walk would never return to -1, and 99999 is past the
+    # log table
+    text = _bundled_text("f2_tower1").replace(
+        "deg=4 nu=2 above=8:1 ;", f"deg=4 nu=2 above=8:1 rep={rep} ;"
+    )
+    assert text.count(f"rep={rep}") == 1  # k1's support line only
+    cfg = tmp_path / "far_rep.cfg"
+    cfg.write_text(text)
+    start = time.perf_counter()
+    got, out, err = run(capsys, "spectrum", "--config", str(cfg), "--name", "k1")
+    assert time.perf_counter() - start < 1.0
+    assert got == 2
+    assert out == ""
+    assert "outside [0, 16)" in err and "Traceback" not in err
+
+
 def test_certify_golden_and_roundtrip(capsys):
     code, out, _ = run(capsys, "certify", "--config", "f2_tower1", "--name", "tower1", "--json")
     assert code == 0

@@ -6,6 +6,8 @@ from towerbound import cft, cover, curve
 from towerbound.errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
 from towerbound.ff import ExtField, FieldParams, make_ext_field
 
+from conftest import plain_eval_poly2
+
 P2 = FieldParams(2)
 P3 = FieldParams(3)
 
@@ -29,8 +31,8 @@ def test_normalization_identity(cover_k1, cover_k3):
         F = make_ext_field(cov.params, n)
         comp = cov.components[0]
         for x, y in curve.affine_solutions(cov.base, n):
-            aval = curve.eval_poly2(F, dict(comp.a), x, y)
-            bval = curve.eval_poly2(F, dict(comp.b), x, y)
+            aval = plain_eval_poly2(F, comp.a, x, y)
+            bval = plain_eval_poly2(F, comp.b, x, y)
             if aval == 0:
                 continue
             u = F.div(bval, F.pow(aval, p))
@@ -279,11 +281,11 @@ def traces_by_field_arithmetic(cov, F, x, y):
     None where A vanishes.  The reference for the table-read kernel."""
     out = []
     for comp in cov.components:
-        a = curve.eval_poly2(F, dict(comp.a), x, y)
+        a = plain_eval_poly2(F, comp.a, x, y)
         if a == 0:
             out.append(None)
             continue
-        b = curve.eval_poly2(F, dict(comp.b), x, y)
+        b = plain_eval_poly2(F, comp.b, x, y)
         out.append(F.trace(F.mul(b, F.inv(F.pow(a, cov.params.p)))))
     return out
 

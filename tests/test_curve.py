@@ -7,8 +7,10 @@ import time
 import pytest
 
 from towerbound import curve
-from towerbound.errors import InconsistentModel, UnsupportedSize
+from towerbound.errors import InconsistentModel, OutOfRange, UnsupportedSize
 from towerbound.ff import FieldParams, make_ext_field
+
+from conftest import plain_eval_poly2
 
 P2 = FieldParams(2)
 P3 = FieldParams(3)
@@ -21,7 +23,7 @@ def brute_count_points(model, n):
     total = 0
     for x in range(F.order):
         for y in range(F.order):
-            if curve.eval_poly2(F, poly, x, y) == 0:
+            if plain_eval_poly2(F, poly, x, y) == 0:
                 total += 1
     for m, cnt in model.infinite_places:
         if n % m == 0:
@@ -124,6 +126,50 @@ def test_one_y_polynomial_per_frobenius_orbit(curve_E, monkeypatch):
     calls.clear()
     curve.enumerate_places(curve_E, 12)
     assert len(calls) == len(set(calls)) == 352
+
+
+# constant, pure-x, pure-y and mixed terms; mod 3 and mod 257 the
+# coefficients are not all 1
+MIXED_POLY = {(0, 0): 5, (4, 0): 7, (0, 3): 11, (2, 1): 13, (1, 2): 2}
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (257, 1)])
+def test_compiled_terms_match_plain_arithmetic(p, n):
+    # every point of the plane, x = 0 and y = 0 included; several polynomials
+    # in one call, each compiled for the point's zero pattern.  eval_poly2
+    # compiles per call, so over F_257 it is checked on the axes only
+    F = make_ext_field(FieldParams(p), n)
+    polys = [MIXED_POLY, {(0, 0): 3}, {(1, 0): 2, (0, 1): 1}, {}]
+    canonical = [tuple(curve.normalize_poly2(poly, p).items()) for poly in polys]
+    compiled = curve.compile_poly2(canonical)
+    log = F._log
+    for x in range(F.order):
+        for y in range(F.order):
+            want = [plain_eval_poly2(F, poly, x, y) for poly in polys]
+            assert curve.eval_compiled(F, compiled[not x, not y], log[x], log[y]) == want
+            if p < 257 or x * y == 0:
+                assert curve.eval_poly2(F, MIXED_POLY, x, y) == want[0]
+
+
+def test_y_polynomial_matches_plain_coefficients(curve_E, curve_H, curve_E3):
+    # the shipped models would hide a lost zero pattern: at x = 0, reading
+    # each x^i as 1 happens to give every coefficient's true value (x^3 + x
+    # over F_2, -x^3 + x - 1 over F_3); MIXED_POLY's 2 + x^4 over F_3 does not
+    mixed = curve.CurveModel.create(P3, MIXED_POLY, name="mixed")
+    models = ((curve_E, 4), (curve_H, 4), (curve_E3, 3), (_genus3_y_cubic(), 4), (mixed, 3))
+    for model, n_max in models:
+        deg_y = max(j for (_, j), _ in model.poly)
+        coeffs = curve._y_coefficients(model)
+        for n in range(1, n_max + 1):
+            F = make_ext_field(model.params, n)
+            for x in range(F.order):
+                want = [
+                    plain_eval_poly2(F, {(i, 0): c for (i, j), c in model.poly if j == k}, x, 0)
+                    for k in range(deg_y + 1)
+                ]
+                while want and want[-1] == 0:
+                    want.pop()
+                assert curve._y_polynomial(F, coeffs, x) == want, (model.name, n, x)
 
 
 def test_root_scan_refused_before_counting(monkeypatch):
@@ -241,6 +287,22 @@ def test_make_affine_place_rejects_off_curve(curve_E):
         curve.make_affine_place(curve_E, 2, 2, 0)
     with pytest.raises(ValueError):
         curve.make_affine_place(curve_E, 2, 0, 2)
+
+
+def test_make_affine_place_rejects_coordinates_outside_the_field(curve_E, monkeypatch):
+    # packed elements of F_16 are 0..15: 99999 is past the log table, and -1
+    # would read its last entry, as x = 15, and (15, 12) lies on E, so the
+    # orbit walk from x = -1 would never close
+    F = make_ext_field(P2, 4)
+    assert plain_eval_poly2(F, curve_E.poly, 15, 12) == 0
+
+    def no_evaluation(F, poly, x, y):
+        raise AssertionError("evaluated before the refusal")
+
+    monkeypatch.setattr(curve, "eval_poly2", no_evaluation)
+    for x, y in ((99999, 3), (-1, 12), (16, 0), (0, -1), (3, 16)):
+        with pytest.raises(OutOfRange, match=r"outside \[0, 16\)"):
+            curve.make_affine_place(curve_E, 4, x, y)
 
 
 def test_make_affine_place_rejects_wrong_degree(curve_E):

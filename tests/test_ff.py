@@ -236,7 +236,6 @@ def assert_agree(F, pairs, unary):
     for a in unary:
         assert F.neg(a) == neg(a)
         assert F.pow(a, 5) == power(a, 5)
-        assert F.powers(a, 4) == [power(a, k) for k in range(5)]
         if a:
             assert mul(a, F.inv(a)) == 1
             assert mul(F.pow(a, -3), power(a, 3)) == 1

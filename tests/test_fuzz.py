@@ -32,6 +32,7 @@ VALUES = (
     "1:1", "0:0", "0:1", "1:32", "10:1 ; 18:30", "1..10", "5..13", "1, 5, 8, 10",
     "deg=0 nu=0 above=1:1", "idx=0 above=0:0", "deg=4 nu=0 above=8:1", "deg=5 nu=-1 above=5:1",
     "deg=5 nu=2 above=5:1 count=2", "deg=4 nu=2 above=8:1 rep=1:1",
+    "deg=4 nu=2 above=8:1 rep=99999:3", "deg=4 nu=2 above=8:1 rep=-1:12",
 )
 SECONDS_PER_RUN = 5.0
 
@@ -64,6 +65,8 @@ def _names(text: str) -> list[str]:
 @example("f2_tower1", [(24, "deg=0 nu=0 above=1:1")], "spectrum", 3, 2)  # k1 support of degree 0
 @example("f2_tower1", [(25, "idx=0 above=0:0")], "spectrum", 3, 2)  # no places above k1's infinity
 @example("f2_tower1", [(30, "1..10")], "optimize", 0, 1)  # degree-1 places shared with T
+@example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=99999:3")], "spectrum", 3, 1)  # past F_16
+@example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=-1:12")], "spectrum", 3, 1)  # below 0
 def test_hostile_config_keeps_exit_contract(
     tmp_path_factory, cfg_name, edits, command, name_index, dmax
 ):

@@ -293,7 +293,8 @@ def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -
     for sname, sc in sorted(doc.searches.items()):
         cov = doc.covers[sc.on]
         d_max = max([_default_dmax(cov.params)] + list(sc.degrees))
-        spectrum = cover_mod.assemble_spectrum(cov, d_max)
+        with cover_mod.after_each_degree(search_mod.size_check(sc.degrees, sc.nus, sc.cap)):
+            spectrum = cover_mod.assemble_spectrum(cov, d_max)
         t_values = () if sc.t == "a1" else (int(sc.t),)
         space = search_mod.SearchSpace(
             spectrum=spectrum,

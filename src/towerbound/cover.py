@@ -19,6 +19,8 @@ list and cross-checked by the brute-force compositum oracle.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from . import cft
@@ -282,17 +284,36 @@ def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
     )
 
 
+# set by after_each_degree: a context, not a parameter, so that every caller
+# of assemble_spectrum keeps its one signature (cover, d_max)
+_degree_check = ContextVar("degree_check", default=None)
+
+
+@contextmanager
+def after_each_degree(check):
+    """Within the block, assemble_spectrum calls check(d, a) once the base
+    places of degree d are decomposed.  Then a[d'] is final for every
+    d' <= d (a place of degree d' lies over one of degree d' or d'/p), so
+    check can refuse the rest of the assembly by raising."""
+    token = _degree_check.set(check)
+    try:
+        yield
+    finally:
+        _degree_check.reset(token)
+
+
 def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
     """Place spectrum of the cover up to degree d_max.
 
-    Unramified base places of degree <= d_max are decomposed by trace;
-    declared support and infinite places contribute their declared lists;
-    the genus comes from the conductor-discriminant formula applied to the
-    cover's character profile.  Raises UnsupportedSize before any work when
-    degree d_max is out of reach.
+    Unramified base places of degree <= d_max are decomposed by trace, in
+    increasing degree; declared support and infinite places contribute their
+    declared lists; the genus comes from the conductor-discriminant formula
+    applied to the cover's character profile.  Raises UnsupportedSize before
+    any work when degree d_max is out of reach.
     """
     require_supported_degree(cover.params, d_max)
     require_root_scan(cover.base, d_max)
+    check = _degree_check.get()
     declared = cover.support_map()
     a = {d: 0 for d in range(1, d_max + 1)}
     for decl in declared.values():
@@ -307,6 +328,8 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
             for deg, cnt in rec.places_above:
                 if deg <= d_max:
                     a[deg] += cnt
+        if check is not None:
+            check(d, a)
     genus = cft.genus_from_conductors(cover.base.genus, cover.profile)
     return PlaceSpectrum.from_spectrum(cover.params, a, genus)
 

@@ -12,15 +12,17 @@ group the same roots into orbits.
 
 Every bivariate polynomial, here and in `cover`, is evaluated one way: it is
 compiled once into terms (c, i, j) for each zero pattern of a point
-(`compile_poly2`), and `eval_compiled` sums c * g^(i log x + j log y) with
-one exp read per term.  The y-coefficients of F are such polynomials in x.
+(`compile_poly2`), and `eval_compiled` sums c * g^(i log x + j log y).  The
+y-coefficients of F are such polynomials in x.  This sum and the quadratic
+formula read the field's tables with no element-method call per term or
+root: in odd characteristic a sum is held as a log and each addition is one
+read of the Zech table log(1 + g^k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from operator import xor
 from typing import Iterator, Mapping, Sequence
 
 from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange, UnsupportedSize
@@ -156,27 +158,50 @@ def compile_poly2(polys: Sequence[tuple]) -> dict[tuple[bool, bool], tuple]:
 
 def eval_compiled(F: ExtField, polys: tuple, lx: int, ly: int) -> list[int]:
     """The value of each compiled polynomial of polys at the point whose
-    coordinates have logs lx, ly: c * g^(i lx + j ly) summed over its terms,
-    one exp read per term.
+    coordinates have logs lx, ly: c * g^(i lx + j ly) summed over its terms.
 
     polys must be compiled for the point's zero pattern.  F._log[0] is 0, so
     the logs of a zero coordinate need no special case: only terms free of
-    it survive.
+    it survive.  Over F_2 every c is 1 and the terms are xored.  In odd
+    characteristic the sum is held as a log (log c joins the exponent) and
+    each term is added by ExtField.add's rule inlined: one Zech read.
     """
-    q1, exp, mul = F.order - 1, F._exp, F.mul
-    add = xor if F.p == 2 else F.add
+    q1, exp, log = F._q1, F._exp, F._log
     out = []
+    if F.p == 2:
+        for terms in polys:
+            acc = 0
+            for _, i, j in terms:
+                acc ^= exp[(i * lx + j * ly) % q1]
+            out.append(acc)
+        return out
+    zech = F._zech
     for terms in polys:
-        acc = 0
+        acc = -1  # the log of the sum so far, unreduced; -1 for zero
         for c, i, j in terms:
-            v = exp[(i * lx + j * ly) % q1]
-            acc = add(acc, v if c == 1 else mul(c, v))
-        out.append(acc)
+            t = log[c] + i * lx + j * ly
+            if acc < 0:
+                acc = t
+            else:
+                z = zech[(t - acc) % q1]
+                acc = -1 if z < 0 else acc + z
+        out.append(0 if acc < 0 else exp[acc % q1])
     return out
 
 
+def _require_packed(F: ExtField, x: int, y: int) -> None:
+    """Raise OutOfRange unless x and y are packed elements of F, in [0, F.order)."""
+    if not (0 <= x < F.order and 0 <= y < F.order):
+        raise OutOfRange(
+            f"({x}, {y}) has a coordinate outside [0, {F.order}), the packed "
+            f"elements of F_{F.order}"
+        )
+
+
 def eval_poly2(F: ExtField, poly: Poly2, x: int, y: int) -> int:
-    """Evaluate sum c * x^i * y^j at a point with packed coordinates in [0, F.order)."""
+    """Evaluate sum c * x^i * y^j at a point with packed coordinates in
+    [0, F.order); raises OutOfRange for any other coordinate."""
+    _require_packed(F, x, y)
     compiled = compile_poly2((tuple(normalize_poly2(poly, F.p).items()),))
     return eval_compiled(F, compiled[not x, not y], F._log[x], F._log[y])[0]
 
@@ -198,20 +223,46 @@ def _y_polynomial(F: ExtField, coeffs: dict, x: int) -> list[int]:
 
 
 def _quadratic_roots(F: ExtField, a0: int, a1: int, a2: int) -> list[int]:
+    """The roots of a2 y^2 + a1 y + a0 (a2 != 0), on logs: products are log
+    sums, and in odd characteristic each sum of two elements is ExtField.add's
+    rule inlined, one Zech read (-1 stands for the log of zero).
+
+    The order is that of the square roots sqrt_list lists (odd p), or of the
+    solutions solve_additive lists (p = 2).
+    """
+    exp, log, q1 = F._exp, F._log, F._q1
+    l2 = log[a2]
     if F.p == 2:
-        if a1 == 0:
-            return [F.pth_root(F.div(F.neg(a0), a2))]
+        if a1 == 0:  # y^2 = a0/a2; the square root halves the log mod the odd q1
+            return [exp[(log[a0] - l2) * ((q1 + 1) // 2) % q1] if a0 else 0]
         # substitute y = (a1/a2) w: w^2 + w = a0*a2/a1^2
-        u = F.div(F.mul(a0, a2), F.mul(a1, a1))
-        scale = F.div(a1, a2)
-        return [F.mul(scale, w) for w in F.solve_additive(u)]
-    four = 4 % F.p
-    disc = F.sub(F.mul(a1, a1), F.mul(four, F.mul(a2, a0)))
-    roots = F.sqrt_list(disc)  # [0] or two distinct square roots: y = (r - a1)/(2 a2) is injective
-    if not roots:
+        l1 = log[a1]
+        u = exp[(log[a0] + l2 - 2 * l1) % q1] if a0 else 0
+        return [exp[(log[w] + l1 - l2) % q1] if w else 0 for w in F.solve_additive(u)]
+    zech, half, p = F._zech, F._half, F.p  # g^half = -1
+    d = log[4 % p] + half + log[a0] + l2 if a0 else -1  # -4 a0 a2, then plus a1^2
+    if a1:
+        l1 = log[a1]
+        z = zech[(d - 2 * l1) % q1] if d >= 0 else 0
+        d = -1 if z < 0 else 2 * l1 + z
+    if d < 0:
+        roots = [-1]  # the double root r = 0
+    elif d % 2:  # q1 is even: an odd log is a nonsquare
         return []
-    inv2a = F.inv(F.mul(2 % F.p, a2))
-    return [F.mul(F.sub(r, a1), inv2a) for r in roots]
+    else:
+        r = d // 2 % q1
+        roots = sorted((r, (r + half) % q1), key=exp.__getitem__)
+    shift = log[2 % p] + l2
+    out = []
+    for r in roots:  # y = (r - a1)/(2 a2)
+        m = r
+        if a1:
+            m = l1 + half  # -a1
+            if r >= 0:
+                z = zech[(m - r) % q1]
+                m = -1 if z < 0 else r + z
+        out.append(exp[(m - shift) % q1] if m >= 0 else 0)
+    return out
 
 
 def _poly_roots(F: ExtField, cs: list[int]) -> Sequence[int]:
@@ -427,11 +478,7 @@ def make_affine_place(model: CurveModel, d: int, x: int, y: int) -> Place:
     """Build the degree-d place through (x, y) over F_{q^d}; validates the
     coordinates, then membership."""
     F = make_ext_field(model.params, d)
-    if not (0 <= x < F.order and 0 <= y < F.order):
-        raise OutOfRange(
-            f"({x}, {y}) has a coordinate outside [0, {F.order}), the packed "
-            f"elements of F_{F.order}"
-        )
+    _require_packed(F, x, y)
     if eval_poly2(F, model.poly_dict, x, y) != 0:
         raise OutOfRange(f"({x}, {y}) does not lie on the curve over F_{F.order}")
     orbit = _frobenius_orbit(F, x, y)

@@ -9,7 +9,10 @@ Every supported field has order at most MAX_ORDER = 2^20 (F_2^20, F_3^12,
 F_p for p <= 2^20, ...), and every field gets compact exp/log tables at
 construction: multiplication, inversion and powering are table lookups,
 and in odd characteristic a table of Zech logarithms log(1 + g^k) makes
-addition, subtraction and negation lookups too.  The absolute trace and
+addition, subtraction and negation lookups too.  `add` is the reference
+form of that rule; the per-point kernels of `curve` (`eval_compiled` and
+`_quadratic_roots`) inline it, reading the exp, log and Zech tables
+themselves and keeping their sums as logs.  The absolute trace and
 the solutions of w^p - w = u are two lookups in one pair of tables of
 about sqrt(q) entries.  Polynomial arithmetic mod the modulus is used
 only to find the modulus and to build the tables.
@@ -197,7 +200,12 @@ def require_supported_degree(params: FieldParams, n: int) -> None:
 class ExtField:
     """F_{p^(e*n)}: degree-n extension of F_q, realized as F_p[x]/(modulus).
 
-    All element-level methods take and return packed integers.  Instances
+    All element-level methods take and return packed integers in
+    [0, order).  They do not check the range, since they sit in every inner
+    loop: a negative value reads the log table from its end and aliases a
+    real element, and one at or above the order raises IndexError.  Code
+    that takes elements from outside the package checks them first
+    (`curve.eval_poly2`, `curve.make_affine_place`).  Instances
     are immutable after construction, apart from the `trace_of_power` table
     built on first use (always to the same bytes), and safe to share
     between workers.
@@ -482,14 +490,10 @@ class ExtField:
 
     # -- roots ------------------------------------------------------------------
 
-    def pth_root(self, a: int) -> int:
-        """The unique b with b^p = a (Frobenius is bijective)."""
-        return self.pow(a, self.p ** (self.degree - 1))
-
     def sqrt_list(self, a: int) -> list[int]:
         """All square roots of a; characteristic must be odd."""
         if self.p == 2:
-            raise ValueError("use pth_root in characteristic 2")
+            raise ValueError("sqrt_list needs odd characteristic")
         if a == 0:
             return [0]
         l = self._log[a]

@@ -90,8 +90,7 @@ def optimize(space: SearchSpace) -> SearchResult:
         if t < 1 or t > a1:
             raise OutOfRange(f"split count t = {t} not available (a_1 = {a1})")
     size = candidate_count(space)
-    if size > MAX_CANDIDATES:
-        raise UnsupportedSize(f"search space of {size} candidates exceeds the cap {MAX_CANDIDATES}")
+    _refuse_above_cap(size)
 
     nothing = f"no plan over degrees {list(space.degrees)} certifies an infinite tower"
     degrees = [d for d in space.degrees if amap.get(d, 0) > 0]
@@ -166,13 +165,42 @@ def optimize(space: SearchSpace) -> SearchResult:
 
 def candidate_count(space: SearchSpace) -> int:
     """Size of the enumeration; optimize refuses spaces above MAX_CANDIDATES."""
-    amap = space.spectrum.a_map
+    vectors = _vector_count(
+        space.spectrum.a_map, space.degrees, len(space.nus()), space.max_multiplicity
+    )
+    return vectors * len(space.ts())
+
+
+def _vector_count(a, degrees, nu_count: int, cap: int) -> int:
+    """The multiplicity vectors over degrees: each d with a_d > 0 takes
+    m = 0, or m in 1..min(a_d, cap) with each of nu_count values of nu."""
     total = 1
-    for d in space.degrees:
-        if amap.get(d, 0) > 0:
-            cap = min(amap[d], space.max_multiplicity)
-            total *= 1 + cap * len(space.nus())
-    return total * len(space.ts())
+    for d in degrees:
+        if a.get(d, 0) > 0:
+            total *= 1 + min(a[d], cap) * nu_count
+    return total
+
+
+def _refuse_above_cap(size: int, complete: bool = True) -> None:
+    if size > MAX_CANDIDATES:
+        bound = "" if complete else "at least "  # a lower bound of the count
+        raise UnsupportedSize(
+            f"search space of {bound}{size} candidates exceeds the cap {MAX_CANDIDATES}"
+        )
+
+
+def size_check(degrees, nus, cap: int):
+    """A check(d, a) for cover.after_each_degree: raises UnsupportedSize once
+    the vectors over the searched degrees up to d, whose a_d are final,
+    exceed MAX_CANDIDATES.  Each other degree multiplies their count by at
+    least 1, so a space optimize would refuse is refused before the rest of
+    its spectrum is assembled.  Empty nus stands for (p,), as in SearchSpace."""
+
+    def check(d: int, a) -> None:
+        final = [f for f in degrees if f <= d]
+        _refuse_above_cap(_vector_count(a, final, len(nus) or 1, cap), final == list(degrees))
+
+    return check
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,21 @@ def test_search_space_above_cap_rejected(capsys, tmp_path):
     assert "search space of 209310948 candidates exceeds the cap 10000000" in err
 
 
+def test_search_space_refused_before_its_spectrum_is_assembled(capsys, tmp_path):
+    # the vectors over degrees 5..13 already exceed the cap, so k1 is not
+    # assembled past base degree 13 (to degree 20 that took over 6 s)
+    cfg = tmp_path / "wider.cfg"
+    cfg.write_text(_bundled_text("f2_tower1").replace("degrees = 5..10", "degrees = 5..20"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "optimize", "--config", str(cfg))
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: search space of at least 209310948 candidates exceeds the cap 10000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "search", ["degrees = 1..10", "degrees = 1, 5, 8, 10\nt = 100"], ids=["t-a1", "t-100"]
 )

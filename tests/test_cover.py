@@ -271,6 +271,25 @@ def test_rank_zero_cover_is_identity(curve_E):
     assert spec.genus == 1
 
 
+@pytest.mark.parametrize("which", ["k1", "k3"])
+def test_degrees_up_to_d_are_final_when_checked(
+    which, cover_k1, cover_k3, spectrum_k1, spectrum_k3
+):
+    # a cover place of degree d lies over a base place of degree d or d/p,
+    # so after base degree d every a[d'] with d' <= d is final (over F_3
+    # the inert places land three degrees up, not two)
+    cov, spec = {"k1": (cover_k1, spectrum_k1), "k3": (cover_k3, spectrum_k3)}[which]
+    seen = []
+    with cover.after_each_degree(lambda d, a: seen.append((d, dict(a)))):
+        assert cover.assemble_spectrum(cov, spec.d_max) == spec
+    assert [d for d, _ in seen] == list(range(1, spec.d_max + 1))
+    final = spec.a_map
+    for d, a in seen:
+        assert {e: a[e] for e in range(1, d + 1)} == {e: final[e] for e in range(1, d + 1)}
+    cover.assemble_spectrum(cov, 2)  # the check is gone after the block
+    assert len(seen) == spec.d_max
+
+
 def test_weil_bound_on_assembled_spectra(spectrum_k1, spectrum_k2, spectrum_k3):
     for spec in (spectrum_k1, spectrum_k2, spectrum_k3):
         spec.validate()  # includes the exact Weil inequality at every stored n

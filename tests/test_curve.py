@@ -3,12 +3,13 @@
 import dataclasses
 import random
 import time
+from itertools import product
 
 import pytest
 
 from towerbound import curve
 from towerbound.errors import InconsistentModel, OutOfRange, UnsupportedSize
-from towerbound.ff import FieldParams, make_ext_field
+from towerbound.ff import ExtField, FieldParams, make_ext_field
 
 from conftest import plain_eval_poly2
 
@@ -129,11 +130,13 @@ def test_one_y_polynomial_per_frobenius_orbit(curve_E, monkeypatch):
 
 
 # constant, pure-x, pure-y and mixed terms; mod 3 and mod 257 the
-# coefficients are not all 1
+# coefficients are not all 1, and mod 5 and mod 7 some are neither 1 nor
+# p - 1 (over F_3 every coefficient is one of the two, so a lost or wrong
+# coefficient log could pass there)
 MIXED_POLY = {(0, 0): 5, (4, 0): 7, (0, 3): 11, (2, 1): 13, (1, 2): 2}
 
 
-@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (257, 1)])
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2), (7, 2), (257, 1)])
 def test_compiled_terms_match_plain_arithmetic(p, n):
     # every point of the plane, x = 0 and y = 0 included; several polynomials
     # in one call, each compiled for the point's zero pattern.  eval_poly2
@@ -149,6 +152,58 @@ def test_compiled_terms_match_plain_arithmetic(p, n):
             assert curve.eval_compiled(F, compiled[not x, not y], log[x], log[y]) == want
             if p < 257 or x * y == 0:
                 assert curve.eval_poly2(F, MIXED_POLY, x, y) == want[0]
+
+
+def _brute_quadratic_roots(F, a0, a1, a2):
+    """The roots of a2 y^2 + a1 y + a0 by a scan of F with F.add and F.mul, in
+    the order _quadratic_roots promises: by the packed value of the square
+    root r = 2 a2 y + a1 of the discriminant (odd p), or of the solution
+    w = a2 y / a1 of w^2 + w = a0 a2 / a1^2 (p = 2, a1 != 0)."""
+    add, mul = F.add, F.mul
+    roots = [y for y in range(F.order) if add(add(mul(a2, mul(y, y)), mul(a1, y)), a0) == 0]
+    if F.p == 2:
+        return sorted(roots, key=lambda y: F.div(mul(a2, y), a1) if a1 else 0)
+    return sorted(roots, key=lambda y: add(mul(2 % F.p, mul(a2, y)), a1))
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (7, 1)])
+def test_quadratic_roots_against_brute_scan(p, n):
+    # every (a0, a1, a2) with a2 != 0: over F_3, 4 = 1 and 2 = -1, so the
+    # constants of the quadratic formula are only checked over F_5 and F_7
+    F = make_ext_field(FieldParams(p), n)
+    for a0, a1, a2 in product(range(F.order), range(F.order), range(1, F.order)):
+        assert curve._quadratic_roots(F, a0, a1, a2) == _brute_quadratic_roots(F, a0, a1, a2), (
+            a0, a1, a2,
+        )
+
+
+def test_quadratic_roots_over_f257():
+    F = make_ext_field(FieldParams(257), 1)
+    rng = random.Random(257)
+    triples = [(0, 0, 1), (0, 5, 3), (7, 0, 1), (1, 2, 1)]  # zero terms and a double root
+    triples += [(rng.randrange(257), rng.randrange(257), rng.randrange(1, 257)) for _ in range(300)]
+    for a0, a1, a2 in triples:
+        assert curve._quadratic_roots(F, a0, a1, a2) == _brute_quadratic_roots(F, a0, a1, a2), (
+            a0, a1, a2,
+        )
+
+
+def test_point_kernels_call_no_element_methods(curve_E, curve_E3, monkeypatch):
+    # eval_compiled and _quadratic_roots read the field's tables themselves;
+    # over F_2 only solve_additive, which adds its two table entries, may
+    # call ExtField.add
+    for model in (curve_E, curve_E3):
+        for n in range(1, 5):
+            make_ext_field(model.params, n)  # built before the methods go
+
+    def forbidden(*args):
+        raise AssertionError("element method called from a point kernel")
+
+    for name in ("sub", "neg", "mul", "div", "inv", "pow", "sqrt_list"):
+        monkeypatch.setattr(ExtField, name, forbidden)
+    assert {n: curve.count_points(curve_E, n) for n in range(1, 5)} == E_COUNTS
+    monkeypatch.setattr(ExtField, "add", forbidden)
+    assert {n: curve.count_points(curve_E3, n) for n in range(1, 5)} == E3_COUNTS
 
 
 def test_y_polynomial_matches_plain_coefficients(curve_E, curve_H, curve_E3):
@@ -303,6 +358,16 @@ def test_make_affine_place_rejects_coordinates_outside_the_field(curve_E, monkey
     for x, y in ((99999, 3), (-1, 12), (16, 0), (0, -1), (3, 16)):
         with pytest.raises(OutOfRange, match=r"outside \[0, 16\)"):
             curve.make_affine_place(curve_E, 4, x, y)
+
+
+def test_eval_poly2_rejects_coordinates_outside_the_field(curve_E):
+    # -1 would alias 15, the last entry of F_16's log table, and (15, 12) is
+    # on E; 16 would be past the table
+    F = make_ext_field(P2, 4)
+    for x, y in ((-1, 12), (15, -1), (F.order, 0), (0, F.order)):
+        with pytest.raises(OutOfRange, match=r"outside \[0, 16\)"):
+            curve.eval_poly2(F, curve_E.poly_dict, x, y)
+    assert curve.eval_poly2(F, curve_E.poly_dict, 15, 12) == 0
 
 
 def test_make_affine_place_rejects_wrong_degree(curve_E):

@@ -1,8 +1,9 @@
 """Searching plan space, and comparing the two inequality systems.
 
-The optimizer enumerates every multiplicity vector over the allowed degrees
-(places of equal degree are interchangeable in all the formulas), keeps the
-plans that certify, and ranks them by the refined bound.  On all three
+The optimizer decides every multiplicity vector over the allowed degrees
+(places of equal degree are interchangeable in all the formulas), the
+multiplicities at one degree in closed form, keeps the plans that certify,
+and ranks them by the refined bound.  On all three
 towers the published hand-picked plan turns out to be the optimum of its
 search space.
 

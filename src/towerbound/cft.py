@@ -8,6 +8,7 @@ produced only for display and never compared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,6 +136,61 @@ def certifies(d: int, rd: int) -> bool:
     Every verdict in the package comes from here.
     """
     return d >= 1 and rd >= 0 and gs_margin(d, rd) >= 0
+
+
+def certifying_runs(d: int, dd: int, rd: int, drd: int, m_max: int) -> list[tuple[int, int]]:
+    """The m in 1..m_max with certifies(d + m*dd, rd + m*drd), as at most
+    two disjoint runs [(lo, hi), ...] of consecutive integers, ascending,
+    for slopes dd >= 1 and drd >= 0: a place's unit rank and rd bound.
+
+    d + m*dd >= 1 and rd + m*drd >= 0 bound m from below, and the margin
+    is the quadratic dd^2 m^2 + (2dd(d - 2) - 4drd) m + gs_margin(d, rd),
+    convex in m, so it is nonnegative outside one open interval of roots.
+    The roots are found in integers with isqrt, and every run endpoint is
+    confirmed with certifies; for m_max <= 2 the verdicts are the answer.
+    """
+    if dd < 1 or drd < 0:
+        raise OutOfRange(f"need slopes dd >= 1 and drd >= 0, got {dd} and {drd}")
+    if m_max <= 2:  # two verdicts cost less than a solve and its confirmation
+        if m_max < 1:
+            return []
+        lo = 1 if certifies(d + dd, rd + drd) else 2
+        hi = 2 if m_max == 2 and certifies(d + 2 * dd, rd + 2 * drd) else 1
+        return [(lo, hi)] if lo <= hi else []
+    # conditionals, not max() and min(): this runs once per prefix of a search
+    lo = (dd - d) // dd  # the least m with d + m*dd >= 1
+    if lo < 1:
+        lo = 1
+    if drd:
+        bound = -(rd // drd)  # the least m with rd + m*drd >= 0
+        if bound > lo:
+            lo = bound
+    elif rd < 0:
+        return []
+    hi = m_max
+    if lo > hi:
+        return []
+    # the margin a2 m^2 + a1 m + a0 is nonnegative where |2 a2 m + a1| >= s,
+    # s the ceiling of the square root of the discriminant (0 if negative):
+    # for m <= left and for m >= right
+    a2, a1, a0 = dd * dd, 2 * dd * (d - 2) - 4 * drd, gs_margin(d, rd)
+    disc = a1 * a1 - 4 * a2 * a0
+    s = math.isqrt(disc - 1) + 1 if disc > 0 else 0
+    left, right = (-a1 - s) // (2 * a2), -((a1 - s) // (2 * a2))
+    if left + 1 >= right:  # no integer m strictly between the roots
+        runs = [(lo, hi)]
+    else:
+        runs = []
+        if left >= lo:
+            runs.append((lo, left if left < hi else hi))
+        if right <= hi:
+            runs.append((right if right > lo else lo, hi))
+    for a, b in runs:
+        if not certifies(d + a * dd, rd + a * drd) or (
+            b != a and not certifies(d + b * dd, rd + b * drd)
+        ):
+            raise RuntimeError(f"closed form disagrees with certifies on the run {(a, b)}")
+    return runs
 
 
 @dataclass(frozen=True)

@@ -247,7 +247,15 @@ def _parse_degrees(value: str, params: FieldParams, where: str) -> tuple[int, ..
         if min(ends) < 1:
             raise ConfigError(f"{where}: degrees must be >= 1, got {min(ends)}")
         require_supported_degree(params, max(ends))
-    return tuple(degrees)
+    return _distinct(degrees, "degrees", where)
+
+
+def _distinct(values, what: str, where: str) -> tuple[int, ...]:
+    """The values as a tuple; a repeat would rank one plan under several spellings."""
+    values = tuple(values)
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{where}: {what} repeat a value: {list(values)}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +406,9 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
             doc.searches[name or "default"] = SearchConfig(
                 on=keys["on"],
                 degrees=_parse_degrees(keys["degrees"], params, where),
-                nus=tuple(
-                    _parse_int(v, "nu") for v in keys.get("nu", "").split(",") if v.strip()
+                nus=_distinct(
+                    (_parse_int(v, "nu") for v in keys.get("nu", "").split(",") if v.strip()),
+                    "nu values", where,
                 ),
                 t=keys.get("t", "a1").strip(),
                 cap=cap,

@@ -12,7 +12,6 @@ over the same space return identical ranked lists.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,7 +19,9 @@ from . import cft
 from .curve import PlaceSpectrum
 from .errors import DegenerateGenus, EmptySpace, OutOfRange, UnsupportedSize
 
-MAX_CANDIDATES = 10**7  # 10^6 candidates take about 0.8 s; the bundled spaces have at most 65,526
+# 2^20 candidates over twenty degrees of one place each take about 1 s, 10^6 with
+# one large degree about 1 ms; the bundled spaces have at most 65,526
+MAX_CANDIDATES = 10**7
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,10 @@ class SearchSpace:
             raise OutOfRange(f"top_n must be >= 1, got {self.top_n}")
         if self.max_multiplicity < 0:
             raise OutOfRange(f"max_multiplicity must be >= 0, got {self.max_multiplicity}")
+        for name in ("degrees", "allowed_nu", "t_values"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise OutOfRange(f"{name} repeat a value: {list(values)}")
         if self.spectrum.genus < 1:
             raise DegenerateGenus(
                 f"base genus {self.spectrum.genus} < 1: the refined denominator can be nonpositive"
@@ -64,8 +69,8 @@ class SearchResult:
 
 
 def optimize(space: SearchSpace) -> SearchResult:
-    """Enumerate every multiplicity vector in the space, keep the candidates
-    that certify an infinite tower, and rank them by the refined bound.
+    """Rank every multiplicity vector in the space that certifies an
+    infinite tower by its refined bound, and keep the best top_n.
 
     Ties break toward the lexicographically smaller multiplicity vector,
     then the smaller t.  Rational places serve S and T alike, so a
@@ -73,12 +78,21 @@ def optimize(space: SearchSpace) -> SearchResult:
     requires.  Raises EmptySpace when nothing certifies, and
     UnsupportedSize before enumerating more than MAX_CANDIDATES.
 
-    The inner loop is integer only.  With D the largest degree searched, the
-    refined denominator (g - 1) + sum m*f*nu/2 * (1 - q^-f) scaled by 2*q^D
-    is the integer E = 2*q^D*(g - 1) + sum m*f*nu*(q^D - q^(D-f)), and the
-    refined bound is t*2*q^D / E; two candidates compare by t1*E2 vs t2*E1.
-    Candidates stream past a heap of the best top_n, so memory is O(top_n);
-    a Fraction is built only when a candidate enters the heap.
+    The arithmetic is integer only.  With D the largest degree searched,
+    the refined denominator (g - 1) + sum m*f*nu/2 * (1 - q^-f) scaled by
+    2*q^D is the integer E = 2*q^D*(g - 1) + sum m*f*nu*(q^D - q^(D-f)),
+    and the refined bound is t*2*q^D / E; two candidates compare by
+    t1*E2 vs t2*E1.
+
+    One degree c, the one with the most options, is never enumerated.  The
+    other degrees (the prefix) are enumerated as two precombined halves of
+    running sums, so a prefix costs four additions.  Per prefix, nu and t,
+    the multiplicities m >= 1 at c that certify are at most two runs, which
+    cft.certifying_runs solves in closed form; each run counts by its
+    length.  E grows with m, so a run is offered to a heap of the best
+    top_n in ascending m until the heap refuses one.  Memory is the two
+    halves plus O(top_n); a Fraction is built only when a candidate can
+    enter the heap.
     """
     params = space.spectrum.params
     q = params.q
@@ -98,52 +112,80 @@ def optimize(space: SearchSpace) -> SearchResult:
         raise EmptySpace(nothing)
     d_top = max(degrees)
     scale = 2 * q**d_top
+    cap = space.max_multiplicity
 
-    # per-degree options: (unit rank, rd bound, scaled refined term, (-m, -nu),
-    # rational places taken from T); a min-heap on negated vectors keeps the
-    # largest vector at its root
-    options = []
-    for d in degrees:
-        damped = d * (q**d_top - q ** (d_top - d))
-        opts = [(0, 0, 0, (0, 0), 0)]
-        for nu in nus:
-            r1 = cft.local_unit_rank(params, d, nu)
-            rd1 = cft.local_rd_bound(params, d, nu)
-            for m in range(1, min(amap[d], space.max_multiplicity) + 1):
-                opts.append((m * r1, m * rd1, m * damped * nu, (-m, -nu), m if d == 1 else 0))
-        options.append(opts)
-    *head, last = options
+    # per degree and nu: (unit rank, rd bound, scaled refined term, -nu) of one place
+    steps = {
+        d: [
+            (cft.local_unit_rank(params, d, nu), cft.local_rd_bound(params, d, nu),
+             d * (q**d_top - q ** (d_top - d)) * nu, -nu)
+            for nu in nus
+        ]
+        for d in degrees
+    }
+    c = max(reversed(degrees), key=lambda d: min(amap[d], cap))  # most options; the last on a tie
+    c_steps, c_cap = steps[c], min(amap[c], cap)
+    options = {  # every choice at a degree: m = 0, or m places with one nu
+        d: [(0, 0, 0, 0, (0, 0))] + [
+            (m * r1, m * rd1, m * de, m if d == 1 else 0, (-m, neg_nu))
+            for r1, rd1, de, neg_nu in steps[d]
+            for m in range(1, min(amap[d], cap) + 1)
+        ]
+        for d in degrees if d != c
+    }
+    (pos_a, half_a), (pos_b, half_b) = _halves(degrees, options)
 
     base_e = scale * (space.spectrum.genus - 1)
     top_n = space.top_n
     certifies = cft.certifies
-    heap = []  # (bound, negated vector, -t, E); the root is the worst kept
+    certifying_runs = cft.certifying_runs
+    heap = []  # (bound, negated vector, -t, E); a min-heap, so the root is the worst kept
     certified = 0
-    for prefix in itertools.product(*head):
-        rank0 = sum(o[0] for o in prefix)
-        rd0 = sum(o[1] for o in prefix)
-        e0 = base_e + sum(o[2] for o in prefix)
-        free0 = a1 - sum(o[4] for o in prefix)
-        for r, rd, e, neg, taken in last:
-            rank, free = rank0 + r, free0 - taken
-            t_max = rank if rank < free else free  # min() here doubled the time of this loop
-            for t in ts:
-                if t > t_max:
-                    break  # d < 1, or S and T overlap, here and for every later t; ts ascend
-                if not certifies(1 + rank - t, rd0 + rd + t - 1):
-                    continue
+
+    def offer(t, big_e, neg_a, neg_b, entry) -> bool:
+        """Put the candidate on the heap unless it is full and the root is
+        at least as good; True when it entered."""
+        vector = [entry] * len(degrees)
+        for i, v in zip(pos_a, neg_a):
+            vector[i] = v
+        for i, v in zip(pos_b, neg_b):
+            vector[i] = v
+        item = (Fraction(t * scale, big_e), tuple(vector), -t, big_e)
+        if len(heap) < top_n:
+            heapq.heappush(heap, item)
+        elif item > heap[0]:
+            heapq.heapreplace(heap, item)
+        else:
+            return False
+        return True
+
+    for rank_a, rd_a, e_a, taken_a, neg_a in half_a:
+        for rank_b, rd_b, e_b, taken_b, neg_b in half_b:
+            rank, rd0, e0 = rank_a + rank_b, rd_a + rd_b, base_e + e_a + e_b
+            free = a1 - taken_a - taken_b
+            # each t loop stops at the first t that certifies nothing: a larger t
+            # lowers d and raises rd, and rd >= 0 here, so it certifies nothing either
+            for t in ts:  # m = 0 at c
+                if t > rank or t > free or not certifies(1 + rank - t, rd0 + t - 1):
+                    break
                 certified += 1
-                big_e = e0 + e
-                if len(heap) == top_n:
-                    worst = heap[0]
-                    if t * worst[3] < -worst[2] * big_e:  # t/E below the worst t_w/E_w
-                        continue
-                negated = tuple(o[3] for o in prefix) + (neg,)
-                item = (Fraction(t * scale, big_e), negated, -t, big_e)
-                if len(heap) < top_n:
-                    heapq.heappush(heap, item)
-                elif item > heap[0]:
-                    heapq.heapreplace(heap, item)
+                if len(heap) < top_n or t * heap[0][3] >= -heap[0][2] * e0:
+                    offer(t, e0, neg_a, neg_b, (0, 0))
+            for r1, rd1, de, neg_nu in c_steps:
+                for t in ts:
+                    # degree-1 places at c leave t + m <= free rational places to T
+                    m_max = min(c_cap, free - t) if c == 1 else c_cap if t <= free else 0
+                    runs = certifying_runs(1 + rank - t, r1, rd0 + t - 1, rd1, m_max)
+                    if not runs:
+                        break
+                    for lo, hi in runs:
+                        certified += hi - lo + 1
+                        for m in range(lo, hi + 1):  # E grows with m: the bound falls
+                            big_e = e0 + m * de
+                            if len(heap) == top_n and t * heap[0][3] < -heap[0][2] * big_e:
+                                break  # t/E below the worst t_w/E_w
+                            if not offer(t, big_e, neg_a, neg_b, (-m, neg_nu)):
+                                break
 
     if not heap:
         raise EmptySpace(nothing)
@@ -161,6 +203,30 @@ def optimize(space: SearchSpace) -> SearchResult:
         certified_count=certified,
         space=space,
     )
+
+
+def _halves(degrees, options):
+    """Split the degrees in options into two halves whose products of
+    option counts are close, largest first into the smaller product, and
+    precombine each half: (positions in degrees, [(rank, rd, E, rational
+    places taken, negated vector)] over every choice in the half).  The
+    larger half comes second, for the inner loop."""
+    sides, products = ([], []), [1, 1]
+    for d in sorted(options, key=lambda d: -len(options[d])):
+        k = products[1] < products[0]
+        sides[k].append(d)
+        products[k] *= len(options[d])
+    halves = []
+    for side in sides:
+        combined = [(0, 0, 0, 0, ())]
+        for d in side:
+            combined = [
+                (r + r2, rd + rd2, e + e2, taken + taken2, neg + (neg2,))
+                for r, rd, e, taken, neg in combined
+                for r2, rd2, e2, taken2, neg2 in options[d]
+            ]
+        halves.append(([degrees.index(d) for d in side], combined))
+    return sorted(halves, key=lambda half: len(half[1]))
 
 
 def candidate_count(space: SearchSpace) -> int:

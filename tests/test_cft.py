@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from towerbound import cft
-from towerbound.errors import InconsistentModel, ParityViolation
+from towerbound.errors import InconsistentModel, OutOfRange, ParityViolation
 from towerbound.ff import FieldParams
 
 
@@ -111,6 +111,48 @@ def test_certifies_matches_rational_reference():
                 assert not cft.certifies(d, rd)
             else:
                 assert cft.certifies(d, rd) == gs_margin_raw(d, rd)
+
+
+def _runs_by_scan(d, dd, rd, drd, m_max):
+    certified = [m for m in range(1, m_max + 1) if cft.certifies(d + m * dd, rd + m * drd)]
+    runs = []
+    for m in certified:
+        if runs and runs[-1][1] == m - 1:
+            runs[-1] = (runs[-1][0], m)
+        else:
+            runs.append((m, m))
+    return runs
+
+
+def test_certifying_runs_match_certifies_on_a_grid():
+    for d in range(-12, 13):
+        for dd in range(1, 6):
+            for rd in range(-12, 13):
+                for drd in range(0, 6):
+                    for m_max in (-1, 0, 1, 2, 7):
+                        runs = cft.certifying_runs(d, dd, rd, drd, m_max)
+                        assert runs == _runs_by_scan(d, dd, rd, drd, m_max), (d, dd, rd, drd)
+
+
+def test_certifying_runs_match_certifies_at_search_scale():
+    # the optimizer's shape: dd and drd a place's rank and rd bound, d and
+    # rd the prefix's, both sides of every root and of the linear bounds
+    rng = random.Random(14)
+    two_runs = 0
+    for _ in range(3000):
+        d, rd = rng.randint(-300, 300), rng.randint(-2000, 20000)
+        dd, drd = rng.randint(1, 40), rng.randint(0, 900)
+        m_max = rng.randint(0, 60)
+        runs = cft.certifying_runs(d, dd, rd, drd, m_max)
+        assert runs == _runs_by_scan(d, dd, rd, drd, m_max), (d, dd, rd, drd, m_max)
+        two_runs += len(runs) == 2
+    assert two_runs
+
+
+def test_certifying_runs_refuses_other_slopes():
+    for dd, drd in ((0, 1), (1, -1)):
+        with pytest.raises(OutOfRange):
+            cft.certifying_runs(5, dd, 5, drd, 3)
 
 
 def test_gs_margin_raw_examples():

@@ -269,6 +269,8 @@ _WEAK_PLAN = "\n[plan weak]\non = k1\nentries = {entries}\nt = {t}\n"
         (r"\Z", _WEAK_PLAN.format(entries="5:1:2", t=0), ("certify", "--name", "weak")),
         (r"^nu = 2$", "nu = 1", ("optimize",)),
         (r"^t = a1$", "t = 999", ("optimize",)),
+        (r"^degrees = 5..10$", "degrees = 8 ; 8", ("optimize",)),
+        (r"^nu = 2$", "nu = 2, 2", ("optimize",)),
         (r"deg=4 nu=2 above=8:1 ;", "deg=4 nu=2 above=8:1 rep=1:1 ;", ("spectrum", "--name", "k1")),
         (r"^support = deg=4 nu=2 above=8:1 ; deg=5 nu=2 above=5:1$", "support = deg=0 nu=0 above=1:1",
          ("spectrum", "--name", "k1")),
@@ -278,6 +280,7 @@ _WEAK_PLAN = "\n[plan weak]\non = k1\nentries = {entries}\nt = {t}\n"
     ids=[
         "genus-negative", "infinity-degree-zero", "field-e-zero", "cover-over-e-2",
         "profile-count", "plan-nu-1", "plan-t-0", "search-nu-1", "search-t-above-a1",
+        "search-degree-repeated", "search-nu-repeated",
         "support-rep-off-degree", "support-degree-zero", "infinity-above-zero", "compare-s-negative",
     ],
 )

@@ -2,7 +2,8 @@
 
 Each example takes a bundled config, replaces the values of one or two of
 its `key = value` lines with entries from a small alphabet of hostile and
-ordinary values, and runs `spectrum --dmax <= 3` or `compare` in-process.
+ordinary values, and runs `spectrum --dmax <= 3` or `compare` in-process
+(`optimize` in a few pinned examples).
 Whatever the edit, the run must end with an exit code in {0, 2, 3, 4, 5},
 let no exception escape, and finish within a time bound.  The bound is an
 interval timer armed around each example, so a run that never ends fails
@@ -31,7 +32,7 @@ VALUES = (
     "", "0", "1", "2", "3", "-1", "5", "99999999", "a1", "x", "y", "x^64", "(x+1)^65",
     "x^2 + x", "0 = 0", "x^2 + x = 0",
     "y^2 + y = x^3 + x", "y^3 + y = x^4 + x + 1", f"{DEEP} = y", DEEP,
-    "1:1", "0:0", "0:1", "1:32", "10:1 ; 18:30", "1..10", "5..13", "1, 5, 8, 10",
+    "1:1", "0:0", "0:1", "1:32", "10:1 ; 18:30", "1..10", "5..13", "1, 5, 8, 10", "8 ; 8", "2, 2",
     "deg=0 nu=0 above=1:1", "idx=0 above=0:0", "deg=4 nu=0 above=8:1", "deg=5 nu=-1 above=5:1",
     "deg=5 nu=2 above=5:1 count=2", "deg=4 nu=2 above=8:1 rep=1:1",
     "deg=4 nu=2 above=8:1 rep=99999:3", "deg=4 nu=2 above=8:1 rep=-1:12",
@@ -71,6 +72,9 @@ def _names(text: str) -> list[str]:
 @example("f2_tower1", [(24, "deg=0 nu=0 above=1:1")], "spectrum", 3, 2)  # k1 support of degree 0
 @example("f2_tower1", [(25, "idx=0 above=0:0")], "spectrum", 3, 2)  # no places above k1's infinity
 @example("f2_tower1", [(30, "1..10")], "optimize", 0, 1)  # degree-1 places shared with T
+@example("f2_tower1", [(30, "8 ; 8")], "optimize", 0, 1)  # a searched degree twice
+@example("f2_tower1", [(31, "2, 2")], "optimize", 0, 1)  # a conductor exponent twice
+@example("f2_tower1", [(33, "0")], "optimize", 0, 1)  # cap = 0: every degree has one option
 @example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=99999:3")], "spectrum", 3, 1)  # past F_16
 @example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=-1:12")], "spectrum", 3, 1)  # below 0
 def test_hostile_config_keeps_exit_contract(

@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from towerbound import cft, config, curve, search
-from towerbound.errors import DegenerateGenus, EmptySpace, InconsistentModel
+from towerbound.errors import DegenerateGenus, EmptySpace, InconsistentModel, OutOfRange
 from towerbound.ff import FieldParams
 
 P2 = FieldParams(2)
@@ -120,6 +122,10 @@ def test_space_rejects_bad_sizes(spectrum_k1):
     with pytest.raises(DegenerateGenus):
         search.SearchSpace(spectrum=genus_0)
     assert search.SearchSpace(spectrum=spectrum_k1, max_multiplicity=0)
+    # a repeated value would rank one plan under several spellings
+    for repeated in ({"degrees": (8, 8)}, {"allowed_nu": (2, 2)}, {"t_values": (9, 9)}):
+        with pytest.raises(OutOfRange, match="repeat"):
+            search.SearchSpace(spectrum=spectrum_k1, **repeated)
 
 
 def _brute_force(space):
@@ -212,3 +218,84 @@ def test_bundled_searches_pinned(cfg_name, request):
     assert tuple(
         f"{c.bound_refined.numerator}/{c.bound_refined.denominator}" for _, c in result.ranked
     ) == top
+
+
+def _assert_matches_brute_force(space):
+    """optimize agrees with _brute_force on counts and ranking, also at
+    top_n values that cut the ranking inside a group of equal bounds, and
+    raises EmptySpace exactly when nothing certifies."""
+    candidates, kept = _brute_force(space)
+    assert candidates == search.candidate_count(space)
+    if not kept:
+        with pytest.raises(EmptySpace):
+            search.optimize(space)
+        return
+    ties = [k for k in range(1, len(kept)) if kept[k - 1][0] == kept[k][0]]
+    for top_n in sorted({1, len(kept), *ties[:3], *ties[-3:]}):
+        result = search.optimize(dataclasses.replace(space, top_n=top_n))
+        assert result.candidates_evaluated == candidates
+        assert result.certified_count == len(kept)
+        assert [(p.entries, p.t, c) for p, c in result.ranked] == [
+            (p.entries, p.t, c) for *_, p, c in kept[:top_n]
+        ]
+
+
+@st.composite
+def _small_spaces(draw, most_candidates=600):
+    """Spaces over F_2, F_3 or F_5 with up to three degrees, two nu and three
+    t; the cap is lowered until the brute force stays small."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    counts = st.sampled_from((0, 2, 5, 9, 12, 16))  # enough places for some plans to certify
+    a = {d: draw(counts) for d in range(1, draw(st.integers(1, 4)) + 1)}
+    a[1] = draw(counts.filter(bool))
+    spectrum = curve.PlaceSpectrum(
+        params=FieldParams(p), a=tuple(sorted(a.items())), genus=draw(st.integers(1, 30))
+    )
+
+    def distinct(values, least, most):  # a few distinct values in a drawn order
+        values = draw(st.permutations(values))
+        return tuple(values[: draw(st.integers(least, min(most, len(values))))])
+
+    space = search.SearchSpace(
+        spectrum=spectrum,
+        degrees=distinct(sorted(a), 1, 3),
+        allowed_nu=distinct(range(2, 6), 0, 2),
+        t_values=distinct(range(1, min(a[1], 6) + 1), 0, 3),
+        max_multiplicity=draw(st.integers(0, 16)),
+    )
+    while search.candidate_count(space) > most_candidates:
+        space = dataclasses.replace(space, max_multiplicity=space.max_multiplicity - 1)
+    return space
+
+
+def _space(p, a, genus, degrees, nus=(), ts=(), cap=6):
+    spectrum = curve.PlaceSpectrum(params=FieldParams(p), a=tuple(sorted(a.items())), genus=genus)
+    return search.SearchSpace(spectrum=spectrum, degrees=degrees, allowed_nu=nus,
+                              t_values=ts, max_multiplicity=cap)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(space=_small_spaces())
+# degree 1 as the one degree not enumerated (most options), then in the prefix
+@example(space=_space(2, {1: 9, 2: 3, 3: 2}, 4, (3, 1, 2), (2, 3), (1, 2, 4)))
+@example(space=_space(3, {1: 6, 2: 8, 3: 4}, 7, (1, 3, 2), (2, 4), (2, 5), cap=8))
+@example(space=_space(5, {1: 2, 2: 1}, 30, (1, 2), (), (1,)))  # nothing certifies
+def test_optimizer_matches_brute_force_on_small_spectra(space):
+    _assert_matches_brute_force(space)
+
+
+def test_optimizer_certifies_few_times_per_prefix(spectrum_k3, monkeypatch):
+    """The closed form calls certifies a bounded number of times per
+    enumerated prefix, not once per candidate."""
+    sc = config.load_config("f3_tower").searches["default"]
+    space = search.SearchSpace(
+        spectrum=spectrum_k3, degrees=sc.degrees, allowed_nu=sc.nus, max_multiplicity=sc.cap
+    )
+    widths = [1 + min(a, sc.cap) * len(space.nus()) for a in map(spectrum_k3.a_map.get, sc.degrees)]
+    prefixes = math.prod(widths) // max(widths)
+    assert prefixes == 326
+    calls = []
+    certifies = cft.certifies
+    monkeypatch.setattr(cft, "certifies", lambda d, rd: calls.append(1) or certifies(d, rd))
+    search.optimize(space)
+    assert 0 < len(calls) <= 10 * prefixes

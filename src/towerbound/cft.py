@@ -147,16 +147,10 @@ def certifying_runs(d: int, dd: int, rd: int, drd: int, m_max: int) -> list[tupl
     is the quadratic dd^2 m^2 + (2dd(d - 2) - 4drd) m + gs_margin(d, rd),
     convex in m, so it is nonnegative outside one open interval of roots.
     The roots are found in integers with isqrt, and every run endpoint is
-    confirmed with certifies; for m_max <= 2 the verdicts are the answer.
+    confirmed with certifies.
     """
     if dd < 1 or drd < 0:
         raise OutOfRange(f"need slopes dd >= 1 and drd >= 0, got {dd} and {drd}")
-    if m_max <= 2:  # two verdicts cost less than a solve and its confirmation
-        if m_max < 1:
-            return []
-        lo = 1 if certifies(d + dd, rd + drd) else 2
-        hi = 2 if m_max == 2 and certifies(d + 2 * dd, rd + 2 * drd) else 1
-        return [(lo, hi)] if lo <= hi else []
     # conditionals, not max() and min(): this runs once per prefix of a search
     lo = (dd - d) // dd  # the least m with d + m*dd >= 1
     if lo < 1:

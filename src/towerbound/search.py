@@ -19,8 +19,8 @@ from . import cft
 from .curve import PlaceSpectrum
 from .errors import DegenerateGenus, EmptySpace, OutOfRange, UnsupportedSize
 
-# 2^20 candidates over twenty degrees of one place each take about 1 s, 10^6 with
-# one large degree about 1 ms; the bundled spaces have at most 65,526
+# 2^20 candidates over twenty degrees of one place each take 1 to 2 s, 10^6 with
+# one large degree about 2 ms; the bundled spaces have at most 65,526
 MAX_CANDIDATES = 10**7
 
 

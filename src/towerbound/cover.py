@@ -339,22 +339,6 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def _fiber_count(cover: CoverSpec, F, x: int, y: int) -> tuple[int, bool]:
-    """Solutions (v_1..v_r) over F at a base point, and whether some A vanished.
-
-    Where A != 0 each component contributes p or 0 by the trace criterion
-    over F itself; where A = 0 the equation degenerates to v^p = B with
-    exactly one root.
-    """
-    p = cover.params.p
-    taus = _component_traces(cover, F, x, y)
-    fiber = 1
-    for tau in taus:
-        if tau is not None:
-            fiber *= 0 if tau else p
-    return fiber, None in taus
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Accounting of the brute-force count against the assembled spectrum.
@@ -380,13 +364,20 @@ class OracleReport:
 def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleReport:
     if n > spectrum.d_max:
         raise OutOfRange(f"spectrum stops at degree {spectrum.d_max} < {n}")
+    p = cover.params.p
     F = make_ext_field(cover.params, n)
     total = 0
     singular_solutions = 0
     for x, y in affine_solutions(cover.base, n):
-        fiber, singular = _fiber_count(cover, F, x, y)
+        # solutions (v_1..v_r) over F at the point: where A != 0 a component
+        # has p or 0 by the trace criterion over F itself (None, where A = 0,
+        # is falsy); where A = 0 the equation degenerates to v^p = B, one root
+        taus = _component_traces(cover, F, x, y)
+        if any(taus):
+            continue
+        fiber = p ** taus.count(0)
         total += fiber
-        if singular:
+        if None in taus:
             singular_solutions += fiber
     spectrum_points = spectrum.n_map[n]
     inf_pts = 0

@@ -14,8 +14,13 @@ form of that rule; the per-point kernels of `curve` (`eval_compiled` and
 `_quadratic_roots`) inline it, reading the exp, log and Zech tables
 themselves and keeping their sums as logs.  The absolute trace and
 the solutions of w^p - w = u are two lookups in one pair of tables of
-about sqrt(q) entries.  Polynomial arithmetic mod the modulus is used
-only to find the modulus and to build the tables.
+about sqrt(q) entries.
+
+The tables are built a block of about sqrt(q) powers at a time: each block
+is h times the one before, and multiplication by a fixed h is F_p-linear,
+so it too is two lookups in tables of about sqrt(q) entries.  Polynomial
+arithmetic mod the modulus is used only to find the modulus (Ben-Or's
+irreducibility test), the generator and the columns of those linear maps.
 
 One table is built lazily, on first use: `trace_of_power`, the trace of
 each power of the generator.  Fields used only for point counts never
@@ -28,6 +33,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from math import isqrt
 from typing import Iterator
 
 from .errors import NotPrime, OutOfRange, UnsupportedSize
@@ -143,36 +150,100 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: x^(p^m) == x mod f, and gcd(x^(p^(m/r)) - x, f) = 1 for primes r | m."""
+    """Ben-Or's test for a monic f of degree m: irreducible iff
+    gcd(x^(p^i) - x, f) = 1 for i = 1..m//2.  A reducible f has a monic
+    irreducible factor of some degree i <= m/2, which divides x^(p^i) - x,
+    so the loop stops at the least such i (Ben-Or, "Probabilistic
+    algorithms in finite fields", FOCS 1981)."""
     m = len(f) - 1
     if m < 1:
         return False
     x = _poly_mod([0, 1], f, p)
-    checkpoints = {m // r for r in _prime_factors(m)}
-    cur = list(x)
-    for k in range(1, m + 1):
+    cur = x
+    for _ in range(m // 2):
         cur = _poly_powmod(cur, p, f, p)
-        if k in checkpoints:
-            diff = list(cur) + [0] * (len(x) - len(cur))
-            for i, c in enumerate(x):
-                diff[i] = (diff[i] - c) % p
-            g = _poly_gcd(diff, f, p)
-            if len(g) > 1:
-                return False
-    return cur == x
+        diff = cur + [0] * (len(x) - len(cur))
+        for i, c in enumerate(x):
+            diff[i] = (diff[i] - c) % p
+        if len(_poly_gcd(diff, f, p)) > 1:
+            return False
+    return True
 
 
 def _smallest_irreducible(m: int, p: int) -> list[int]:
-    """Monic irreducible of degree m over F_p with the smallest packed value."""
+    """Monic irreducible of degree m over F_p with the smallest packed value.
+
+    For m >= 2 a candidate divisible by x (constant digit 0) or by x - 1
+    (digit sum 0 mod p, i.e. f(1) = 0) is skipped before the test."""
     for packed in range(p**m, 2 * p**m):
+        if m >= 2 and packed % p == 0:
+            continue
         coeffs = []
         v = packed
         while v:
             coeffs.append(v % p)
             v //= p
+        if m >= 2 and sum(coeffs) % p == 0:
+            continue
         if _is_irreducible(coeffs, p):
             return coeffs
     raise RuntimeError(f"no irreducible of degree {m} over F_{p}")  # unreachable
+
+
+def _add_digits(a: int, b: int, p: int) -> int:
+    """a + b digit by digit mod p, for packed a and b: the field sum,
+    without tables."""
+    out, place = 0, 1
+    while a or b:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        out += (da + db) % p * place
+        place *= p
+    return out
+
+
+def _span(images: list[int], p: int) -> list[int]:
+    """sum_k c_k * images[k] at every packed digit vector (c_0, c_1, ...),
+    for packed elements images[k].
+
+    A list, not an array: it has about sqrt(q) entries, and list indexing
+    returns a stored int instead of building one (F_2^16 trace, CPython 3.11:
+    about 100 against 160 ns).
+    """
+    out = [0]
+    for v in images:
+        size = len(out)
+        for _ in range(p - 1):  # the entries with c_k = c are those with c - 1, plus v
+            if p == 2:
+                out += [x ^ v for x in out[-size:]]
+            else:
+                out += [_add_digits(x, v, p) for x in out[-size:]]
+    return out
+
+
+def _rebase(v: int, p: int, r: int) -> int:
+    """The base-p digits of v, read in base r."""
+    out, place = 0, 1
+    while v:
+        v, d = divmod(v, p)
+        out += d * place
+        place *= r
+    return out
+
+
+def _narrowing(p: int, r: int, first: int, count: int) -> list[int]:
+    """Entry w, for w < r^count with base-r digits w_i, is the packed value
+    of sum_i (w_i mod p) x^(first + i)."""
+    out = [0]
+    for i in range(first, first + count):
+        out = [x + d % p * p**i for d in range(r) for x in out]
+    return out
+
+
+def _slices(a: array) -> Iterator[array]:
+    """Consecutive slices of about sqrt(len(a)) entries, covering a."""
+    step = isqrt(len(a)) + 1
+    return (a[i:i + step] for i in range(0, len(a), step))
 
 
 def require_supported_degree(params: FieldParams, n: int) -> None:
@@ -224,8 +295,8 @@ class ExtField:
         self.modulus = tuple(_smallest_irreducible(m, params.p))
         self._q1 = self.order - 1
         self._half = self._q1 // 2  # log(-1) in odd characteristic
-        self._exp, self._log, self._zech = self._build_tables()
         self._split = params.p ** (m // 2)  # the low half of the digits: a % split
+        self._exp, self._log, self._zech = self._build_tables()
         self._lin_lo, self._lin_hi = self._build_linear_tables()
 
     def __repr__(self):
@@ -329,7 +400,9 @@ class ExtField:
         """exp (g^k for k < q - 1), log (log_g(a) for a != 0; entry 0 is 0)
         and, in odd characteristic, zech (log_g(1 + g^k), -1 where g^k = -1).
 
-        Until they exist, products are taken as polynomials mod the modulus.
+        The generator g is the least packed element of full order, tested
+        by powering polynomials mod the modulus.  zech is filled a slice of
+        exp at a time, so no list of q entries is built.
         """
         p, mod, q1 = self.p, self.modulus, self._q1
         if q1 == 1:
@@ -348,65 +421,86 @@ class ExtField:
         if p == 2:
             return exp, log, None
         # 1 + v only changes the constant digit of v
-        zech = array("l", (log[v + 1 if v % p != p - 1 else v - p + 1] for v in exp))
+        zech = array("l", chain.from_iterable(
+            [log[v + 1 if v % p != p - 1 else v - p + 1] for v in s] for s in _slices(exp)
+        ))
         zech[self._half] = -1  # 1 + g^half = 1 + (-1) = 0 has no log
         return exp, log, zech
 
     def _powers_of(self, g: int) -> array:
-        """g^0, ..., g^(q-2) by repeated multiplication by g.
+        """g^0, ..., g^(q-2), a block of B = ceil(sqrt(q - 1)) powers at a time.
 
-        In F_p the packed value is the residue itself, so each step is one
-        modular product (the lane tables below would have p entries: 7 s
-        and 220 MB to build F_p for p near 2^20).  Otherwise, during
-        the loop the current power is held with each base-p digit in its
-        own lane of `width` bits, wide enough that two digits add without a
-        carry into the next lane.  Multiplication by g is linear, so the
-        product is (low digits)*g + (high digits)*g: two lookups in tables
-        of about sqrt(q) entries, one integer addition and a lanewise
-        reduction mod p.  The packed value of each power is the sum of two
-        more lookups.
+        The first block steps by g; every later block is h times the one
+        before, h = g^B.  Multiplying by a fixed c is F_p-linear, so `times(c)`
+        maps a whole block by one comprehension:
+          - in F_p, one modular product per element (tables over the digits
+            would have p entries: 7 s and 220 MB for p near 2^20);
+          - otherwise c*v is the sum of two reads, in tables of c*v over the
+            low and over the high digits of v (about sqrt(q) entries each,
+            spanned from the m images c*x^i).  Over F_2 the two add by XOR.
+            For odd p the tables hold each digit in base r = 2p - 1, so the
+            two add as integers without a carry, and two reads in tables over
+            the low and high base-r digits of the sum reduce it mod p and
+            pack it.
+        One power past g^(q-2) is stepped too: it must be 1.
         """
         p, m, q1 = self.p, self.degree, self._q1
-        out = array("l", [0]) * q1
-        cur = 1
         if m == 1:
-            for k in range(q1):
-                out[k] = cur
-                cur = cur * g % p
+
+            def times(c: int):
+                return lambda vals: [v * c % p for v in vals]
+
+        elif p == 2:
+            shift, mask = m // 2, self._split - 1
+
+            def times(c: int):
+                lo, hi = self._halves(self._images(c))
+                return lambda vals: [lo[v & mask] ^ hi[v >> shift] for v in vals]
+
         else:
-            width = (p - 1).bit_length() + 1  # 2^(width-1) >= p
-            ones = sum(1 << (width * i) for i in range(m))
-            bias = ((1 << (width - 1)) - p) * ones  # lane + bias has bit width-1 set iff lane >= p
-            tops = (1 << (width - 1)) * ones
+            s, split, r = m // 2, self._split, 2 * p - 1
+            wsplit = r**s
+            narrow_lo, narrow_hi = _narrowing(p, r, 0, s), _narrowing(p, r, s, m - s)
 
-            def lanes(v: int) -> int:
-                out, i = 0, 0
-                while v:
-                    out |= (v % p) << (width * i)
-                    v //= p
-                    i += 1
-                return out
+            def times(c: int):
+                lo, hi = self._halves(self._images(c))
+                lo, hi = [_rebase(v, p, r) for v in lo], [_rebase(v, p, r) for v in hi]
+                return lambda vals: [
+                    narrow_lo[(t := lo[v % split] + hi[v // split]) % wsplit]
+                    + narrow_hi[t // wsplit]
+                    for v in vals
+                ]
 
-            gc, mod = _poly_trim(list(self.coeffs(g))), self.modulus  # g is small: few terms
-
-            def times_g(v: int) -> int:
-                return lanes(self.from_coeffs(_poly_mulmod(self.coeffs(v), gc, mod, p)))
-
-            split = m // 2
-            unit = p**split
-            low = {lanes(v): (v, times_g(v)) for v in range(unit)}
-            high = {lanes(h): (h * unit, times_g(h * unit)) for h in range(p ** (m - split))}
-            shift = width * split
-            low_mask = (1 << shift) - 1
-            for k in range(q1):  # cur holds the lanes of g^k
-                v_lo, gv_lo = low[cur & low_mask]
-                v_hi, gv_hi = high[cur >> shift]
-                out[k] = v_lo + v_hi
-                s = gv_lo + gv_hi
-                cur = s - (((s + bias) & tops) >> (width - 1)) * p
-        if cur != 1:
+        step = isqrt(q1 - 1) + 1
+        times_g, block = times(g), [1]
+        while len(block) < step:
+            block += times_g(block[-1:])
+        times_h = times(times_g(block[-1:])[0])
+        out = array("l")
+        while len(out) <= q1:
+            out.extend(block)
+            block = times_h(block)
+        if out[q1] != 1:
             raise RuntimeError("generator does not have full order")
+        del out[q1:]
         return out
+
+    def _images(self, c: int) -> list[int]:
+        """c * x^i for i < degree: the columns of the F_p-linear map v -> c*v."""
+        p, mod = self.p, list(self.modulus)
+        out, img = [], _poly_trim(list(self.coeffs(c)))
+        for _ in range(self.degree):
+            out.append(self.from_coeffs(img))
+            img = _poly_mod([0] + img, mod, p)
+        return out
+
+    def _halves(self, images: list[int]) -> tuple[list[int], list[int]]:
+        """Tables of the F_p-linear map with columns `images`: on the low
+        digits (entry v, v < split) and on the high digits (entry h, for
+        h*split), so that the map at a is the sum of the entries at
+        a % split and a // split."""
+        s = self.degree // 2
+        return _span(images[:s], self.p), _span(images[s:], self.p)
 
     # -- the trace and w^p - w = u: one linear map, two lookups ---------------
 
@@ -445,20 +539,7 @@ class ExtField:
             if row[-1] >= p or self.sub(self.pow(w, p), w) != self.sub(p**k, mul(row[-1], theta)):
                 raise RuntimeError("additive Hilbert 90 failed on a basis element")
             images.append(w - w % p + row[-1])
-        s = m // 2
-        return self._span(images[:s]), self._span(images[s:])
-
-    def _span(self, images: list[int]) -> list[int]:
-        """sum_k c_k * images[k] at every packed digit vector (c_0, c_1, ...).
-
-        A list, not an array: it has about sqrt(q) entries, and list indexing
-        returns a stored int instead of building one (F_2^16 trace, CPython 3.11:
-        about 100 against 160 ns).
-        """
-        out = [0]
-        for v in images:
-            out = [self.add(r, self.mul(c, v)) for c in range(self.p) for r in out]
-        return out
+        return self._halves(images)
 
     def trace(self, a: int) -> int:
         """Absolute trace Tr(a) = a + a^p + ... + a^(p^(degree - 1)) down to
@@ -472,12 +553,16 @@ class ExtField:
 
         Tr is F_p-linear, so Tr(c * g^k) = c * Tr(g^k) for c in F_p: with
         the logs of its factors in hand, the trace of a monomial is one read
-        here.  Built from `trace` on first use.  `bytes` while every trace
-        fits in a byte (p < 256; indexing it is about 15% faster than an
-        array("B") on CPython 3.11), an array("l") above.
+        here.  Built on first use, a slice of exp at a time, by the two reads
+        of `trace`.  `bytes` while every trace fits in a byte (p < 256;
+        indexing it is about 15% faster than an array("B") on CPython 3.11),
+        an array("l") above.
         """
-        traces = map(self.trace, self._exp)
-        return bytes(traces) if self.p < 256 else array("l", traces)
+        lo, hi, split, p = self._lin_lo, self._lin_hi, self._split, self.p
+        traces = chain.from_iterable(
+            [(lo[v % split] + hi[v // split]) % p for v in s] for s in _slices(self._exp)
+        )
+        return bytes(traces) if p < 256 else array("l", traces)
 
     def solve_additive(self, u: int) -> list[int]:
         """All w with w^p - w = u, ascending (empty when the trace of u is nonzero).

@@ -1,8 +1,10 @@
 """Field construction, trace and enumeration properties."""
 
 import collections
+import math
 import random
 import time
+from array import array
 
 import pytest
 
@@ -274,3 +276,88 @@ def test_table_limit_covers_f2_17_and_f3_11():
         F = make_ext_field(params, n)
         assert len(F._exp) == F.order - 1 and len(F._log) == F.order
         assert (F._zech is None) == (params.p == 2)
+
+
+# -- tables built a block at a time, checked entry by entry ------------------
+
+@pytest.mark.parametrize(
+    "params,n",
+    [(P2, 2), (P2, 8), (P2, 16), (P2, 17), (P2, 20), (P3, 2), (P3, 7), (P3, 10), (P3, 12),
+     (P5, 5), (FieldParams(2, 2), 3), (FieldParams(257), 2)],
+    ids=["f2_2", "f2_8", "f2_16", "f2_17", "f2_20", "f3_2", "f3_7", "f3_10", "f3_12",
+         "f5_5", "f4_3", "f257_2"],
+)
+def test_tables_entry_by_entry(params, n):
+    """exp is a permutation of 1..q-1 with log its inverse; at seeded k and
+    at every block boundary, exp[k] is g^k by polynomial powering, and the
+    Zech and trace_of_power entries agree with add and trace."""
+    F = make_ext_field(params, n)
+    q1, exp, log, p = F.order - 1, F._exp, F._log, F.p
+    assert len(exp) == q1 and len(log) == F.order and log[0] == 0
+    assert min(exp) >= 1 and max(exp) <= q1
+    assert array("l", map(log.__getitem__, exp)) == array("l", range(q1))  # so exp is 1:1
+    g, block = F.coeffs(exp[1]), math.isqrt(q1 - 1) + 1
+    rng = random.Random(f"ff-blocks:{p}:{F.degree}")
+    ks = [rng.randrange(q1) for _ in range(200)] + [block - 1, block, block + 1, q1 - 1]
+    for k in (k for k in ks if 0 <= k < q1):
+        assert exp[k] == F.from_coeffs(ff._poly_powmod(list(g), k, list(F.modulus), p))
+        if p != 2:
+            z = F._zech[k]
+            assert F.add(1, exp[k]) == (0 if z < 0 else exp[z])
+        assert F.trace_of_power[k] == F.trace(exp[k])
+
+
+def _monic(m: int, p: int):
+    """Every monic polynomial of degree m over F_p, in packed order."""
+    for low in range(p**m):
+        yield [low // p**i % p for i in range(m)] + [1]
+
+
+def _has_monic_factor(f: list[int], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg(f)/2."""
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for g in _monic(d, p):
+            rem = list(f)
+            for top in range(m, d - 1, -1):  # g is monic: cancel the leading digit
+                c = rem[top]
+                for i in range(d + 1):
+                    rem[top - d + i] = (rem[top - d + i] - c * g[i]) % p
+            if not any(rem):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_smallest_irreducible_by_trial_division(p):
+    m = 1
+    while p**m <= 4096:
+        want = next(f for f in _monic(m, p) if not _has_monic_factor(f, p))
+        assert ff._smallest_irreducible(m, p) == want, (p, m)
+        m += 1
+    assert ff._smallest_irreducible(1, p) == [0, 1]  # x
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 4)])
+def test_irreducibility_test_agrees_with_trial_division(p, max_degree):
+    for m in range(1, max_degree + 1):
+        for f in _monic(m, p):
+            assert ff._is_irreducible(f, p) == (not _has_monic_factor(f, p)), f
+
+
+def test_tables_take_few_polynomial_products(monkeypatch):
+    """Building a field takes polynomial products only to find the modulus,
+    the generator and the columns of its linear maps, never one per table
+    entry."""
+    calls = [0]
+    mulmod = ff._poly_mulmod
+
+    def counted(*args):
+        calls[0] += 1
+        return mulmod(*args)
+
+    monkeypatch.setattr(ff, "_poly_mulmod", counted)
+    for n in (17, 20):
+        calls[0] = 0
+        ff.ExtField(P2, n)
+        assert calls[0] <= 300, (n, calls[0])

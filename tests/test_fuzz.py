@@ -2,8 +2,8 @@
 
 Each example takes a bundled config, replaces the values of one or two of
 its `key = value` lines with entries from a small alphabet of hostile and
-ordinary values, and runs `spectrum --dmax <= 3` or `compare` in-process
-(`optimize` in a few pinned examples).
+ordinary values, and runs `spectrum --dmax <= 3`, `compare` or `optimize`
+in-process.
 Whatever the edit, the run must end with an exit code in {0, 2, 3, 4, 5},
 let no exception escape, and finish within a time bound.  The bound is an
 interval timer armed around each example, so a run that never ends fails
@@ -62,7 +62,7 @@ def _names(text: str) -> list[str]:
 @given(
     cfg_name=st.sampled_from(CONFIGS),
     edits=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(VALUES)), max_size=2),
-    command=st.sampled_from(("spectrum", "compare")),
+    command=st.sampled_from(("spectrum", "compare", "optimize")),
     name_index=st.integers(0, 7),
     dmax=st.integers(1, 3),
 )

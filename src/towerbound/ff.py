@@ -442,7 +442,7 @@ class ExtField:
             two add as integers without a carry, and two reads in tables over
             the low and high base-r digits of the sum reduce it mod p and
             pack it.
-        One power past g^(q-2) is stepped too: it must be 1.
+        The power after g^(q-2), one more step by g, must be 1.
         """
         p, m, q1 = self.p, self.degree, self._q1
         if m == 1:
@@ -476,13 +476,12 @@ class ExtField:
         while len(block) < step:
             block += times_g(block[-1:])
         times_h = times(times_g(block[-1:])[0])
-        out = array("l")
-        while len(out) <= q1:
-            out.extend(block)
+        out = array("l", [0]) * q1
+        for k in range(0, q1, step):
+            out[k:k + step] = array("l", block[:q1 - k])
             block = times_h(block)
-        if out[q1] != 1:
+        if times_g(out[-1:])[0] != 1:
             raise RuntimeError("generator does not have full order")
-        del out[q1:]
         return out
 
     def _images(self, c: int) -> list[int]:

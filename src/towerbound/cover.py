@@ -369,11 +369,11 @@ def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleRe
     total = 0
     singular_solutions = 0
     for x, y in affine_solutions(cover.base, n):
-        # solutions (v_1..v_r) over F at the point: where A != 0 a component
-        # has p or 0 by the trace criterion over F itself (None, where A = 0,
-        # is falsy); where A = 0 the equation degenerates to v^p = B, one root
+        # the solutions (v_1..v_r) over F at the point: a component whose A
+        # vanishes (None) degenerates to v^p = B, one root; the others have
+        # p roots or none, by the trace criterion over F itself
         taus = _component_traces(cover, F, x, y)
-        if any(taus):
+        if any(taus):  # some nonzero trace (None and 0 are falsy): no solution
             continue
         fiber = p ** taus.count(0)
         total += fiber

@@ -233,11 +233,19 @@ def _rebase(v: int, p: int, r: int) -> int:
 
 def _narrowing(p: int, r: int, first: int, count: int) -> list[int]:
     """Entry w, for w < r^count with base-r digits w_i, is the packed value
-    of sum_i (w_i mod p) x^(first + i)."""
-    out = [0]
-    for i in range(first, first + count):
-        out = [x + d % p * p**i for d in range(r) for x in out]
-    return out
+    of sum_i (w_i mod p) x^(first + i).
+
+    Entries with equal values share one int: the table holds p^count ints
+    for its r^count entries, so it adds little to the peak memory."""
+
+    def expand(values: list[int], k: int) -> list[int]:  # values in packed order
+        if k == 0:
+            return values
+        size = len(values) // p
+        parts = [expand(values[c * size:(c + 1) * size], k - 1) for c in range(p)]
+        return [x for d in range(r) for x in parts[d % p]]  # top base-r digit d
+
+    return expand([v * p**first for v in range(p**count)], count)
 
 
 def _slices(a: array) -> Iterator[array]:

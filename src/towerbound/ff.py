@@ -248,10 +248,11 @@ def _narrowing(p: int, r: int, first: int, count: int) -> list[int]:
     return expand([v * p**first for v in range(p**count)], count)
 
 
-def _slices(a: array) -> Iterator[array]:
-    """Consecutive slices of about sqrt(len(a)) entries, covering a."""
+def _slices(a: array) -> Iterator[tuple[int, array]]:
+    """(start, slice) for consecutive slices of about sqrt(len(a)) entries,
+    covering a."""
     step = isqrt(len(a)) + 1
-    return (a[i:i + step] for i in range(0, len(a), step))
+    return ((i, a[i:i + step]) for i in range(0, len(a), step))
 
 
 def require_supported_degree(params: FieldParams, n: int) -> None:
@@ -409,8 +410,9 @@ class ExtField:
         and, in odd characteristic, zech (log_g(1 + g^k), -1 where g^k = -1).
 
         The generator g is the least packed element of full order, tested
-        by powering polynomials mod the modulus.  zech is filled a slice of
-        exp at a time, so no list of q entries is built.
+        by powering polynomials mod the modulus.  zech is filled in place, a
+        slice of exp at a time: no list of q entries, and no array grown
+        (and over-allocated) entry by entry.
         """
         p, mod, q1 = self.p, self.modulus, self._q1
         if q1 == 1:
@@ -428,10 +430,11 @@ class ExtField:
             log[v] = k
         if p == 2:
             return exp, log, None
-        # 1 + v only changes the constant digit of v
-        zech = array("l", chain.from_iterable(
-            [log[v + 1 if v % p != p - 1 else v - p + 1] for v in s] for s in _slices(exp)
-        ))
+        zech = array("l", [0]) * q1
+        for k, s in _slices(exp):  # 1 + v only changes the constant digit of v
+            zech[k:k + len(s)] = array(
+                "l", [log[v + 1 if v % p != p - 1 else v - p + 1] for v in s]
+            )
         zech[self._half] = -1  # 1 + g^half = 1 + (-1) = 0 has no log
         return exp, log, zech
 
@@ -567,7 +570,7 @@ class ExtField:
         """
         lo, hi, split, p = self._lin_lo, self._lin_hi, self._split, self.p
         traces = chain.from_iterable(
-            [(lo[v % split] + hi[v // split]) % p for v in s] for s in _slices(self._exp)
+            [(lo[v % split] + hi[v // split]) % p for v in s] for _, s in _slices(self._exp)
         )
         return bytes(traces) if p < 256 else array("l", traces)
 

@@ -135,8 +135,9 @@ def _poly_powmod(a: list[int], k: int, f: list[int], p: int) -> list[int]:
     while k:
         if k & 1:
             result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
         k >>= 1
+        if k:  # no square past the top bit
+            base = _poly_mulmod(base, base, f, p)
     return result
 
 
@@ -248,10 +249,9 @@ def _narrowing(p: int, r: int, first: int, count: int) -> list[int]:
     return expand([v * p**first for v in range(p**count)], count)
 
 
-def _slices(a: array) -> Iterator[tuple[int, array]]:
-    """(start, slice) for consecutive slices of about sqrt(len(a)) entries,
-    covering a."""
-    step = isqrt(len(a)) + 1
+def _slices(a: array, step: int = 1024) -> Iterator[tuple[int, array]]:
+    """(start, slice) for consecutive slices of `step` entries covering a:
+    about sqrt(q) for the largest fields, one slice for a small one."""
     return ((i, a[i:i + step]) for i in range(0, len(a), step))
 
 
@@ -491,7 +491,7 @@ class ExtField:
         for k in range(0, q1, step):
             out[k:k + step] = array("l", block[:q1 - k])
             block = times_h(block)
-        if times_g(out[-1:])[0] != 1:
+        if times_g([out[-1]])[0] != 1:
             raise RuntimeError("generator does not have full order")
         return out
 

@@ -249,9 +249,10 @@ def _narrowing(p: int, r: int, first: int, count: int) -> list[int]:
     return expand([v * p**first for v in range(p**count)], count)
 
 
-def _slices(a: array, step: int = 1024) -> Iterator[tuple[int, array]]:
-    """(start, slice) for consecutive slices of `step` entries covering a:
-    about sqrt(q) for the largest fields, one slice for a small one."""
+def _slices(a: array) -> Iterator[tuple[int, array]]:
+    """(start, slice) for consecutive slices of about sqrt(len(a)) entries,
+    covering a."""
+    step = isqrt(len(a)) + 1
     return ((i, a[i:i + step]) for i in range(0, len(a), step))
 
 

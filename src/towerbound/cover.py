@@ -15,6 +15,11 @@ p*m.
 Places where some A vanishes (and the places at infinity) cannot be decided
 by traces; their behavior is declared cover data, kept in one auditable
 list and cross-checked by the brute-force compositum oracle.
+
+One trace kernel serves both: `_component_traces` walks a sequence of
+points with every value held as a log.  `decompose_place` passes its one
+point; the oracle streams every affine point of the base over F_{q^n},
+whose root lists `curve` finds a chunk of x values at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from . import cft
 from .curve import (
@@ -165,7 +171,7 @@ class CoverSpec:
     def _a_vanishes(self, place: Place) -> bool:
         F = make_ext_field(self.params, place.degree)
         x, y = place.rep
-        return 0 in eval_compiled(F, self._a_terms[not x, not y], F._log[x], F._log[y])
+        return -1 in eval_compiled(F, self._a_terms[not x, not y], F._log[x], F._log[y])
 
     def support_map(self) -> dict:
         """Canonical place key -> (DeclaredPlace | DeclaredInfinity)."""
@@ -226,29 +232,32 @@ class DecompositionRecord:
     places_above: tuple[tuple[int, int], ...]  # (degree, count)
 
 
-def _component_traces(cover: CoverSpec, F, x: int, y: int) -> list[int | None]:
-    """Tr(B/A^p) over F of each component at the point (x, y); None for a
-    component whose A vanishes there.
+def _component_traces(cover: CoverSpec, F, points: Iterable[tuple[int, int]]) -> Iterator[list]:
+    """For each point (x, y) of points in turn, Tr(B/A^p) over F of each
+    component; None for a component whose A vanishes there.
 
     The trace is F_p-linear: Tr(B/A^p) = sum c * Tr(x^i y^j A^-p) over the
     terms c x^i y^j of B, and each Tr(x^i y^j A^-p) is one read of
-    F.trace_of_power at the log i log x + j log y - p log A.
+    F.trace_of_power at the log i log x + j log y - p log A, with log A as
+    eval_compiled gives it.
     """
     p, q1, log, tr = F.p, F.order - 1, F._log, F.trace_of_power
-    lx, ly = log[x], log[y]
-    a_values = eval_compiled(F, cover._a_terms[not x, not y], lx, ly)
-    out = []
-    for slot, terms in zip(cover._a_slot, cover._b_terms[not x, not y]):
-        a = a_values[slot]
-        if not a:
-            out.append(None)
-            continue
-        s = p * log[a]
-        t = 0
-        for c, i, j in terms:
-            t += c * tr[(i * lx + j * ly - s) % q1]
-        out.append(t % p)
-    return out
+    a_terms, b_terms, slots = cover._a_terms, cover._b_terms, cover._a_slot
+    for x, y in points:
+        lx, ly, pattern = log[x], log[y], (not x, not y)
+        a_logs = eval_compiled(F, a_terms[pattern], lx, ly)
+        taus = []
+        for slot, terms in zip(slots, b_terms[pattern]):
+            la = a_logs[slot]
+            if la < 0:
+                taus.append(None)
+                continue
+            s = p * la
+            t = 0
+            for c, i, j in terms:
+                t += c * tr[(i * lx + j * ly - s) % q1]
+            taus.append(t % p)
+        yield taus
 
 
 def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
@@ -268,7 +277,7 @@ def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
         )
     p = cover.params.p
     m = place.degree
-    taus = _component_traces(cover, make_ext_field(cover.params, m), *place.rep)
+    taus = next(_component_traces(cover, make_ext_field(cover.params, m), [place.rep]))
     if None in taus:
         raise PoleAtPlace(
             f"component coefficient vanishes at undeclared place {place.key}: "
@@ -368,11 +377,10 @@ def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleRe
     F = make_ext_field(cover.params, n)
     total = 0
     singular_solutions = 0
-    for x, y in affine_solutions(cover.base, n):
+    for taus in _component_traces(cover, F, affine_solutions(cover.base, n)):
         # the solutions (v_1..v_r) over F at the point: a component whose A
         # vanishes (None) degenerates to v^p = B, one root; the others have
         # p roots or none, by the trace criterion over F itself
-        taus = _component_traces(cover, F, x, y)
         if any(taus):  # some nonzero trace (None and 0 are falsy): no solution
             continue
         fiber = p ** taus.count(0)

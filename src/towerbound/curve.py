@@ -10,10 +10,18 @@ Moebius inversion, and for genus <= 2 the counts are validated against the
 L-polynomial reconstructed through Newton's identities.  Places of degree d
 group the same roots into orbits.
 
+Root lists are found a chunk of at most CHUNK x values at a time, for the
+orbit walk and for the whole-field scan that cover's oracle reads alike
+(`_chunk_roots`): each y-coefficient of F is evaluated over the chunk as a
+column of logs, and each row of logs is solved on logs (the linear root,
+the quadratic formula), so no value is turned into an element and read
+back.  Chunks bound the memory: no list holds the whole field.
+
 Every bivariate polynomial, here and in `cover`, is evaluated one way: it is
 compiled once into terms (c, i, j) for each zero pattern of a point
-(`compile_poly2`), and `eval_compiled` sums c * g^(i log x + j log y).  The
-y-coefficients of F are such polynomials in x.  This sum and the quadratic
+(`compile_poly2`), and `eval_compiled` gives the log of the sum of
+c * g^(i log x + j log y).  The y-coefficients of F are such polynomials in
+x, summed the same way a column at a time.  These sums and the quadratic
 formula read the field's tables with no element-method call per term or
 root: in odd characteristic a sum is held as a log and each addition is one
 read of the Zech table log(1 + g^k).
@@ -22,7 +30,7 @@ read of the Zech table log(1 + g^k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange, UnsupportedSize
@@ -31,6 +39,7 @@ from .ff import ExtField, FieldParams, make_ext_field, require_supported_degree
 Poly2 = Mapping[tuple[int, int], int]  # (x exponent, y exponent) -> coefficient mod p
 
 ROOT_SCAN_LIMIT = 1 << 12  # brute root scan allowed only on tiny fields
+CHUNK = 64  # x values whose root lists are found together
 
 
 def normalize_poly2(poly: Mapping[tuple[int, int], int], p: int) -> dict[tuple[int, int], int]:
@@ -157,8 +166,9 @@ def compile_poly2(polys: Sequence[tuple]) -> dict[tuple[bool, bool], tuple]:
 
 
 def eval_compiled(F: ExtField, polys: tuple, lx: int, ly: int) -> list[int]:
-    """The value of each compiled polynomial of polys at the point whose
-    coordinates have logs lx, ly: c * g^(i lx + j ly) summed over its terms.
+    """The log of each compiled polynomial of polys at the point whose
+    coordinates have logs lx, ly, or -1 where it vanishes: the log of
+    c * g^(i lx + j ly) summed over its terms.
 
     polys must be compiled for the point's zero pattern.  F._log[0] is 0, so
     the logs of a zero coordinate need no special case: only terms free of
@@ -173,7 +183,7 @@ def eval_compiled(F: ExtField, polys: tuple, lx: int, ly: int) -> list[int]:
             acc = 0
             for _, i, j in terms:
                 acc ^= exp[(i * lx + j * ly) % q1]
-            out.append(acc)
+            out.append(log[acc] if acc else -1)
         return out
     zech = F._zech
     for terms in polys:
@@ -185,7 +195,7 @@ def eval_compiled(F: ExtField, polys: tuple, lx: int, ly: int) -> list[int]:
             else:
                 z = zech[(t - acc) % q1]
                 acc = -1 if z < 0 else acc + z
-        out.append(0 if acc < 0 else exp[acc % q1])
+        out.append(acc % q1 if acc >= 0 else -1)
     return out
 
 
@@ -203,7 +213,8 @@ def eval_poly2(F: ExtField, poly: Poly2, x: int, y: int) -> int:
     [0, F.order); raises OutOfRange for any other coordinate."""
     _require_packed(F, x, y)
     compiled = compile_poly2((tuple(normalize_poly2(poly, F.p).items()),))
-    return eval_compiled(F, compiled[not x, not y], F._log[x], F._log[y])[0]
+    value = eval_compiled(F, compiled[not x, not y], F._log[x], F._log[y])[0]
+    return F._exp[value] if value >= 0 else 0
 
 
 def _y_coefficients(model: CurveModel) -> dict[tuple[bool, bool], tuple]:
@@ -214,35 +225,94 @@ def _y_coefficients(model: CurveModel) -> dict[tuple[bool, bool], tuple]:
     )
 
 
-def _y_polynomial(F: ExtField, coeffs: dict, x: int) -> list[int]:
-    """Coefficient list (low to high in y) of F(x, y) at x, trailing zeros trimmed."""
-    cs = eval_compiled(F, coeffs[not x, False], F._log[x], 0)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+def _y_columns(F: ExtField, coeffs: dict, xs: Sequence[int]) -> list[list[int]]:
+    """Column k holds the log of the y^k coefficient of F(x, y) at each x of
+    xs, or -1 where it vanishes; coeffs holds the coefficients compiled by
+    _y_coefficients.
+
+    The sums are eval_compiled's, a column at a time, with one
+    comprehension per compiled term: at x = g^k the term c x^i is
+    g^(log c + i k).  x = 0 keeps its own zero pattern, through
+    eval_compiled.
+    """
+    exp, log, q1, zech = F._exp, F._log, F._q1, F._zech
+    lxs = [log[x] for x in xs]
+    cols = []
+    for terms in coeffs[False, False]:
+        if F.p == 2:
+            col = [0] * len(lxs)
+            for _, i, _ in terms:
+                col = [v ^ exp[i * k % q1] for v, k in zip(col, lxs)]
+            cols.append([log[v] if v else -1 for v in col])
+            continue
+        col = [-1] * len(lxs)  # logs of the sums so far, unreduced
+        for c, i, _ in terms:
+            lc = log[c]
+            col = [
+                lc + i * k if a < 0
+                else -1 if (z := zech[(lc + i * k - a) % q1]) < 0
+                else a + z
+                for a, k in zip(col, lxs)
+            ]
+        cols.append([a % q1 if a >= 0 else -1 for a in col])
+    if 0 in xs:
+        at = xs.index(0)
+        for col, value in zip(cols, eval_compiled(F, coeffs[True, False], 0, 0)):
+            col[at] = value
+    return cols
 
 
-def _quadratic_roots(F: ExtField, a0: int, a1: int, a2: int) -> list[int]:
-    """The roots of a2 y^2 + a1 y + a0 (a2 != 0), on logs: products are log
-    sums, and in odd characteristic each sum of two elements is ExtField.add's
-    rule inlined, one Zech read (-1 stands for the log of zero).
+def _chunk_roots(F: ExtField, coeffs: dict, xs: Sequence[int]) -> Iterator[Sequence[int]]:
+    """The distinct roots in F of F(x, y) as a polynomial in y, for each x of
+    xs (at most CHUNK packed elements), in the order of xs.
+
+    Each row of _y_columns, the coefficient logs at one x, has the degree of
+    its last nonzero entry:
+      - no nonzero entry: the zero polynomial, whose roots are
+        range(F.order), not a list: counting over a vertical component takes
+        its len() without holding q^n roots per x;
+      - degree 0: no root; degree 1: -a0/a1; degree 2: _quadratic_roots;
+      - degree >= 3 (user-supplied models only; require_root_scan bounds
+        the field): a brute scan of F.
+    """
+    exp, q1 = F._exp, F._q1
+    neg = F._half if F.p != 2 else 0  # log(-1)
+    for row in zip(*_y_columns(F, coeffs, xs)):
+        deg = len(row) - 1
+        while deg >= 0 and row[deg] < 0:
+            deg -= 1
+        if deg == 2:
+            yield _quadratic_roots(F, row[0], row[1], row[2])
+        elif deg == 1:
+            yield [exp[(row[0] - row[1] + neg) % q1] if row[0] >= 0 else 0]
+        elif deg == 0:
+            yield []
+        elif deg < 0:
+            yield range(F.order)
+        else:
+            cs = [exp[c] if c >= 0 else 0 for c in row[:deg + 1]]
+            yield [y for y in range(F.order) if _eval_univariate(F, cs, y) == 0]
+
+
+def _quadratic_roots(F: ExtField, l0: int, l1: int, l2: int) -> list[int]:
+    """The roots of a2 y^2 + a1 y + a0 (a2 != 0) from the logs l0, l1, l2 of
+    its coefficients, -1 standing for the log of zero.  Products are log
+    sums, and in odd characteristic each sum of two elements is
+    ExtField.add's rule inlined, one Zech read.
 
     The order is that of the square roots sqrt_list lists (odd p), or of the
     solutions solve_additive lists (p = 2).
     """
     exp, log, q1 = F._exp, F._log, F._q1
-    l2 = log[a2]
     if F.p == 2:
-        if a1 == 0:  # y^2 = a0/a2; the square root halves the log mod the odd q1
-            return [exp[(log[a0] - l2) * ((q1 + 1) // 2) % q1] if a0 else 0]
+        if l1 < 0:  # y^2 = a0/a2; the square root halves the log mod the odd q1
+            return [exp[(l0 - l2) * ((q1 + 1) // 2) % q1] if l0 >= 0 else 0]
         # substitute y = (a1/a2) w: w^2 + w = a0*a2/a1^2
-        l1 = log[a1]
-        u = exp[(log[a0] + l2 - 2 * l1) % q1] if a0 else 0
+        u = exp[(l0 + l2 - 2 * l1) % q1] if l0 >= 0 else 0
         return [exp[(log[w] + l1 - l2) % q1] if w else 0 for w in F.solve_additive(u)]
     zech, half, p = F._zech, F._half, F.p  # g^half = -1
-    d = log[4 % p] + half + log[a0] + l2 if a0 else -1  # -4 a0 a2, then plus a1^2
-    if a1:
-        l1 = log[a1]
+    d = log[4 % p] + half + l0 + l2 if l0 >= 0 else -1  # -4 a0 a2, then plus a1^2
+    if l1 >= 0:
         z = zech[(d - 2 * l1) % q1] if d >= 0 else 0
         d = -1 if z < 0 else 2 * l1 + z
     if d < 0:
@@ -256,30 +326,13 @@ def _quadratic_roots(F: ExtField, a0: int, a1: int, a2: int) -> list[int]:
     out = []
     for r in roots:  # y = (r - a1)/(2 a2)
         m = r
-        if a1:
+        if l1 >= 0:
             m = l1 + half  # -a1
             if r >= 0:
                 z = zech[(m - r) % q1]
                 m = -1 if z < 0 else r + z
         out.append(exp[(m - shift) % q1] if m >= 0 else 0)
     return out
-
-
-def _poly_roots(F: ExtField, cs: list[int]) -> Sequence[int]:
-    """Distinct roots in F of the univariate polynomial with coefficients cs.
-
-    The zero polynomial gives range(F.order), not a list: counting over a
-    vertical component takes its len() without holding q^n roots per x.
-    """
-    deg = len(cs) - 1
-    if deg <= 0:
-        return range(F.order) if not cs else []
-    if deg == 1:
-        return [F.div(F.neg(cs[0]), cs[1])]
-    if deg == 2:
-        return _quadratic_roots(F, cs[0], cs[1], cs[2])
-    # degree >= 3 only happens for user-supplied models; require_root_scan bounds the field
-    return [y for y in range(F.order) if _eval_univariate(F, cs, y) == 0]
 
 
 def _eval_univariate(F: ExtField, cs: list[int], y: int) -> int:
@@ -315,8 +368,11 @@ def _orbit_roots(model: CurveModel, n: int) -> Iterator[tuple[ExtField, int, int
     require_root_scan(model, n)
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
-    for x, e in F.frobenius_orbits():
-        yield F, x, e, _poly_roots(F, _y_polynomial(F, coeffs, x))
+    orbits = F.frobenius_orbits()
+    while chunk := list(islice(orbits, CHUNK)):
+        roots = _chunk_roots(F, coeffs, [x for x, _ in chunk])
+        for (x, e), ys in zip(chunk, roots):
+            yield F, x, e, ys
 
 
 def count_affine(model: CurveModel, n: int) -> int:
@@ -338,9 +394,11 @@ def affine_solutions(model: CurveModel, n: int) -> Iterator[tuple[int, int]]:
     require_root_scan(model, n)
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
-    for x in range(F.order):
-        for y in _poly_roots(F, _y_polynomial(F, coeffs, x)):
-            yield (x, y)
+    for start in range(0, F.order, CHUNK):
+        xs = range(start, min(start + CHUNK, F.order))
+        for x, roots in zip(xs, _chunk_roots(F, coeffs, xs)):
+            for y in roots:
+                yield (x, y)
 
 
 def count_points(model: CurveModel, n: int) -> int:

@@ -10,9 +10,10 @@ F_p for p <= 2^20, ...), and every field gets compact exp/log tables at
 construction: multiplication, inversion and powering are table lookups,
 and in odd characteristic a table of Zech logarithms log(1 + g^k) makes
 addition, subtraction and negation lookups too.  `add` is the reference
-form of that rule; the per-point kernels of `curve` (`eval_compiled` and
-`_quadratic_roots`) inline it, reading the exp, log and Zech tables
-themselves and keeping their sums as logs.  The absolute trace and
+form of that rule; the kernels of `curve` (`eval_compiled`, the
+coefficient columns of `_y_columns` and `_quadratic_roots`) inline it,
+reading the exp, log and Zech tables themselves and keeping their sums as
+logs from the first term to the last.  The absolute trace and
 the solutions of w^p - w = u are two lookups in one pair of tables of
 about sqrt(q) entries.
 
@@ -24,8 +25,9 @@ irreducibility test), the generator and the columns of those linear maps.
 
 One table is built lazily, on first use: `trace_of_power`, the trace of
 each power of the generator.  Fields used only for point counts never
-build it.  The trace kernel of `cover` reads it together with the exp and
-log tables, so that Tr(c x^i y^j / A^p) costs one read at an integer log.
+build it.  The trace kernel of `cover` reads it at logs, with log A as
+`eval_compiled` gives it, so that Tr(c x^i y^j / A^p) costs one read at an
+integer log.
 """
 
 from __future__ import annotations

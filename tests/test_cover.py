@@ -326,30 +326,33 @@ def _mixed_terms_cover(curve_E3):
 
 
 def test_trace_kernel_matches_field_arithmetic(cover_C, cover_k1, cover_k2, cover_k3, curve_E3):
-    # every point of the plane, on the curve or not, zero coordinates included
+    # every point of the plane, on the curve or not, zero coordinates
+    # included, passed to the kernel as one sequence
     cases = [(cover_C, 4), (cover_k1, 4), (cover_k2, 4), (cover_k3, 3),
              (_mixed_terms_cover(curve_E3), 3)]
     vanishing = 0
     for cov, n_max in cases:
         for n in range(1, n_max + 1):
             F = make_ext_field(cov.params, n)
-            for x in range(F.order):
-                for y in range(F.order):
-                    want = traces_by_field_arithmetic(cov, F, x, y)
-                    assert cover._component_traces(cov, F, x, y) == want, (cov.name, n, x, y)
-                    vanishing += None in want
+            points = [(x, y) for x in range(F.order) for y in range(F.order)]
+            got = list(cover._component_traces(cov, F, points))
+            assert len(got) == len(points)
+            for (x, y), taus in zip(points, got):
+                want = traces_by_field_arithmetic(cov, F, x, y)
+                assert taus == want, (cov.name, n, x, y)
+                vanishing += None in want
     assert vanishing  # the None branch is compared too
 
 
-def test_cover_over_a_prime_above_255():
-    # traces over F_257 do not fit in a byte.  On the line y = 0 the cover
-    # is w^p - w = x^2 / x^p = x^-255: ramified at x = 0, split at infinity,
-    # and x^-255 = x on F_257^*, so no other rational place splits
+def _cover_k257():
+    """On the line y = 0 over F_257 the cover is w^p - w = x^2 / x^p =
+    x^-255: ramified at x = 0, split at infinity, and x^-255 = x on
+    F_257^*, so no other rational place splits."""
     p = 257
     line = curve.CurveModel.create(FieldParams(p), {(0, 1): 1}, genus=0, name="L")
     a = {(1, 0): 1, (0, 1): 1}  # x + y: the y terms are zero on the curve only
     b = {(2, 0): 1, (1, 1): 2, (0, 3): 1}
-    cov = cover.CoverSpec(
+    return cover.CoverSpec(
         base=line,
         components=(cover.ASComponent.create(a, b, p),),
         profile=cft.CharacterConductorProfile(((p - 1, p - 1),), p),
@@ -357,16 +360,39 @@ def test_cover_over_a_prime_above_255():
         infinities=(cover.DeclaredInfinity(0, ((1, p),)),),
         name="k257",
     )
+
+
+def test_cover_over_a_prime_above_255():
+    # traces over F_257 do not fit in a byte
+    cov, p = _cover_k257(), 257
     for n, step in ((1, 1), (2, 97)):
         F = make_ext_field(cov.params, n)
-        for x in range(0, F.order, step):
-            for y in range(0, F.order, 31 * step):
-                want = traces_by_field_arithmetic(cov, F, x, y)
-                assert cover._component_traces(cov, F, x, y) == want, (n, x, y)
+        points = [(x, y) for x in range(0, F.order, step) for y in range(0, F.order, 31 * step)]
+        for (x, y), taus in zip(points, cover._component_traces(cov, F, points), strict=True):
+            assert taus == traces_by_field_arithmetic(cov, F, x, y), (n, x, y)
     spec = cover.assemble_spectrum(cov, 2)
     assert spec.a_map[1] == 1 + p
     for n in (1, 2):
         assert cover.oracle_report(cov, spec, n).residual == 0
+
+
+def test_oracle_independent_of_chunk_size(cover_C, cover_k1, cover_k2, cover_k3, monkeypatch):
+    # the oracle's root lists come a chunk of x at a time: one x per chunk
+    # and the whole field in one chunk give the same accounting
+    cov257 = _cover_k257()
+    cases = [(cover_C, 4), (cover_k1, 4), (cover_k2, 4), (cover_k3, 4), (cov257, 2)]
+    for cov, n_max in cases:
+        spec = cover.assemble_spectrum(cov, n_max)
+        by_chunk = {}
+        for chunk in (1, cov.params.q**n_max + 1):
+            monkeypatch.setattr(curve, "CHUNK", chunk)
+            by_chunk[chunk] = [
+                (rep.brute_count, rep.singular_solutions, rep.residual)
+                for rep in (cover.oracle_report(cov, spec, n) for n in range(1, n_max + 1))
+            ]
+        first, second = by_chunk.values()
+        assert first == second, cov.name
+        assert all(residual == 0 for _, _, residual in first), cov.name
 
 
 def test_assembly_makes_no_per_place_trace_calls(cover_k1, monkeypatch):

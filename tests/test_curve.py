@@ -115,13 +115,13 @@ def test_one_y_polynomial_per_frobenius_orbit(curve_E, monkeypatch):
     # F_2^12 has 352 orbits of x -> x^2 against 4,096 elements: a fallback to
     # the whole-field scan fails here, not just runs slower
     calls = []
-    y_polynomial = curve._y_polynomial
+    chunk_roots = curve._chunk_roots
 
-    def counted(F, coeffs, x):
-        calls.append(x)
-        return y_polynomial(F, coeffs, x)
+    def counted(F, coeffs, xs):
+        calls.extend(xs)
+        return chunk_roots(F, coeffs, xs)
 
-    monkeypatch.setattr(curve, "_y_polynomial", counted)
+    monkeypatch.setattr(curve, "_chunk_roots", counted)
     curve.count_affine(curve_E, 12)
     assert len(calls) == len(set(calls)) == 352
     calls.clear()
@@ -149,9 +149,20 @@ def test_compiled_terms_match_plain_arithmetic(p, n):
     for x in range(F.order):
         for y in range(F.order):
             want = [plain_eval_poly2(F, poly, x, y) for poly in polys]
-            assert curve.eval_compiled(F, compiled[not x, not y], log[x], log[y]) == want
+            got = curve.eval_compiled(F, compiled[not x, not y], log[x], log[y])
+            assert got == [_log_or_minus_one(F, v) for v in want]
             if p < 257 or x * y == 0:
                 assert curve.eval_poly2(F, MIXED_POLY, x, y) == want[0]
+
+
+def _log_or_minus_one(F, a):
+    """The log of a packed element, -1 for zero: how the kernels hold values."""
+    return F._log[a] if a else -1
+
+
+def _quadratic_roots(F, a0, a1, a2):
+    """curve._quadratic_roots on the logs of packed coefficients."""
+    return curve._quadratic_roots(F, *(_log_or_minus_one(F, a) for a in (a0, a1, a2)))
 
 
 def _brute_quadratic_roots(F, a0, a1, a2):
@@ -172,7 +183,7 @@ def test_quadratic_roots_against_brute_scan(p, n):
     # constants of the quadratic formula are only checked over F_5 and F_7
     F = make_ext_field(FieldParams(p), n)
     for a0, a1, a2 in product(range(F.order), range(F.order), range(1, F.order)):
-        assert curve._quadratic_roots(F, a0, a1, a2) == _brute_quadratic_roots(F, a0, a1, a2), (
+        assert _quadratic_roots(F, a0, a1, a2) == _brute_quadratic_roots(F, a0, a1, a2), (
             a0, a1, a2,
         )
 
@@ -183,13 +194,14 @@ def test_quadratic_roots_over_f257():
     triples = [(0, 0, 1), (0, 5, 3), (7, 0, 1), (1, 2, 1)]  # zero terms and a double root
     triples += [(rng.randrange(257), rng.randrange(257), rng.randrange(1, 257)) for _ in range(300)]
     for a0, a1, a2 in triples:
-        assert curve._quadratic_roots(F, a0, a1, a2) == _brute_quadratic_roots(F, a0, a1, a2), (
+        assert _quadratic_roots(F, a0, a1, a2) == _brute_quadratic_roots(F, a0, a1, a2), (
             a0, a1, a2,
         )
 
 
 def test_point_kernels_call_no_element_methods(curve_E, curve_E3, monkeypatch):
-    # eval_compiled and _quadratic_roots read the field's tables themselves;
+    # the columns of y-coefficients, eval_compiled and _quadratic_roots read
+    # the field's tables themselves;
     # over F_2 only solve_additive, which adds its two table entries, may
     # call ExtField.add
     for model in (curve_E, curve_E3):
@@ -217,23 +229,85 @@ def test_y_polynomial_matches_plain_coefficients(curve_E, curve_H, curve_E3):
         coeffs = curve._y_coefficients(model)
         for n in range(1, n_max + 1):
             F = make_ext_field(model.params, n)
-            for x in range(F.order):
+            rows = list(zip(*curve._y_columns(F, coeffs, range(F.order))))
+            assert len(rows) == F.order
+            for x, row in enumerate(rows):
                 want = [
                     plain_eval_poly2(F, {(i, 0): c for (i, j), c in model.poly if j == k}, x, 0)
                     for k in range(deg_y + 1)
                 ]
-                while want and want[-1] == 0:
-                    want.pop()
-                assert curve._y_polynomial(F, coeffs, x) == want, (model.name, n, x)
+                assert list(row) == [_log_or_minus_one(F, v) for v in want], (model.name, n, x)
+
+
+def _y_degree_models():
+    """Models for the chunk root routine over F_p: y-degree 1, 2 and 3,
+    MIXED_POLY, a leading y-coefficient that vanishes at x = 0 and x = -1,
+    and a polynomial that vanishes identically at x = 0."""
+    return [
+        {(1, 1): 1, (2, 0): 1, (0, 0): 1},  # x y + x^2 + 1: degree 1, then 0 at x = 0
+        {(0, 2): 1, (1, 1): 1, (3, 0): 1, (0, 0): 2},  # y^2 + x y + x^3 + 2
+        {(0, 3): 1, (0, 1): 1, (4, 0): 1, (1, 0): 1, (0, 0): 1},  # y^3 + y + x^4 + x + 1
+        MIXED_POLY,
+        {(2, 2): 1, (1, 2): 1, (0, 1): 1, (1, 0): 1},  # (x^2 + x) y^2 + y + x
+        {(1, 2): 1, (1, 1): -1, (2, 0): 1, (1, 0): -1},  # x (y^2 - y + x - 1)
+    ]
+
+
+def _reference_roots(F, poly, x):
+    """The roots over x by plain field arithmetic and a scan of every y, in
+    the order the chunk routine promises: range(F.order) for the zero
+    polynomial, the quadratic order of _brute_quadratic_roots, ascending
+    otherwise."""
+    deg_y = max(j for _, j in poly)
+    cs = [
+        plain_eval_poly2(F, {(i, 0): c for (i, j), c in poly.items() if j == k}, x, 0)
+        for k in range(deg_y + 1)
+    ]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        return range(F.order)
+    if len(cs) == 3:
+        return _brute_quadratic_roots(F, *cs)
+    roots = []
+    for y in range(F.order):
+        value = 0
+        for c in reversed(cs):  # Horner's rule with F.mul and F.add
+            value = F.add(F.mul(value, y), c)
+        if value == 0:
+            roots.append(y)
+    return roots
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 2), (5, 2), (7, 2), (257, 1)])
+def test_chunk_roots_match_reference_scan(p, n, monkeypatch):
+    # through both callers of the chunk routine: the whole-field scan in
+    # ascending x and the walk over Frobenius orbit representatives, with one
+    # x per chunk and with the whole field in one chunk
+    F = make_ext_field(FieldParams(p), n)
+    vanished = 0
+    for poly in _y_degree_models():
+        model = curve.CurveModel.create(FieldParams(p), poly, name=str(poly))
+        want = {x: _reference_roots(F, model.poly_dict, x) for x in range(F.order)}
+        vanished += sum(isinstance(r, range) for r in want.values())
+        for chunk in (1, F.order + 1):
+            monkeypatch.setattr(curve, "CHUNK", chunk)
+            flat = [(x, y) for x in range(F.order) for y in want[x]]
+            assert list(curve.affine_solutions(model, n)) == flat, (poly, chunk)
+            orbits = list(curve._orbit_roots(model, n))
+            assert [x for _, x, _, _ in orbits] == [x for x, _ in F.frobenius_orbits()]
+            for _, x, _, roots in orbits:
+                assert type(roots) is type(want[x]) and list(roots) == list(want[x]), (poly, chunk, x)
+    assert vanished  # the zero polynomial is compared too
 
 
 def test_root_scan_refused_before_counting(monkeypatch):
     model = _genus3_y_cubic()
 
-    def no_counting(F, coeffs, x):
+    def no_counting(F, coeffs, xs):
         raise AssertionError("counted before the refusal")
 
-    monkeypatch.setattr(curve, "_y_polynomial", no_counting)
+    monkeypatch.setattr(curve, "_chunk_roots", no_counting)
     curve.require_root_scan(model, 12)  # 2^12 is the largest scanned field
     for n in (13, 10**9):
         with pytest.raises(UnsupportedSize, match="degree-3 root finding"):

@@ -277,8 +277,10 @@ def _chunk_roots(F: ExtField, coeffs: dict, xs: Sequence[int]) -> Iterator[Seque
     """
     exp, q1 = F._exp, F._q1
     neg = F._half if F.p != 2 else 0  # log(-1)
-    for row in zip(*_y_columns(F, coeffs, xs)):
-        deg = len(row) - 1
+    cols = _y_columns(F, coeffs, xs)
+    top = len(cols) - 1
+    for row in zip(*cols):
+        deg = top
         while deg >= 0 and row[deg] < 0:
             deg -= 1
         if deg == 2:
@@ -307,9 +309,14 @@ def _quadratic_roots(F: ExtField, l0: int, l1: int, l2: int) -> list[int]:
     if F.p == 2:
         if l1 < 0:  # y^2 = a0/a2; the square root halves the log mod the odd q1
             return [exp[(l0 - l2) * ((q1 + 1) // 2) % q1] if l0 >= 0 else 0]
-        # substitute y = (a1/a2) w: w^2 + w = a0*a2/a1^2
+        # substitute y = (a1/a2) w: w^2 + w = a0*a2/a1^2, whose solutions
+        # are t and t + 1 when the trace digit of t vanishes (solve_additive's
+        # two table reads inlined; over F_2 their field sum is an xor)
         u = exp[(l0 + l2 - 2 * l1) % q1] if l0 >= 0 else 0
-        return [exp[(log[w] + l1 - l2) % q1] if w else 0 for w in F.solve_additive(u)]
+        t = F._lin_lo[u % F._split] ^ F._lin_hi[u // F._split]
+        if t & 1:
+            return []
+        return [exp[(log[t] + l1 - l2) % q1] if t else 0, exp[(log[t + 1] + l1 - l2) % q1]]
     zech, half, p = F._zech, F._half, F.p  # g^half = -1
     d = log[4 % p] + half + l0 + l2 if l0 >= 0 else -1  # -4 a0 a2, then plus a1^2
     if l1 >= 0:

@@ -15,7 +15,8 @@ coefficient columns of `_y_columns` and `_quadratic_roots`) inline it,
 reading the exp, log and Zech tables themselves and keeping their sums as
 logs from the first term to the last.  The absolute trace and
 the solutions of w^p - w = u are two lookups in one pair of tables of
-about sqrt(q) entries.
+about sqrt(q) entries; over F_2, `_quadratic_roots` makes those two
+lookups itself.
 
 The tables are built a block of about sqrt(q) powers at a time: each block
 is h times the one before, and multiplication by a fixed h is F_p-linear,

@@ -10,12 +10,9 @@ Moebius inversion, and for genus <= 2 the counts are validated against the
 L-polynomial reconstructed through Newton's identities.  Places of degree d
 group the same roots into orbits.
 
-Root lists are found a chunk of at most CHUNK x values at a time, for the
-orbit walk and for the whole-field scan that cover's oracle reads alike
-(`_chunk_roots`): each y-coefficient of F is evaluated over the chunk as a
-column of logs, and each row of logs is solved on logs (the linear root,
-the quadratic formula), so no value is turned into an element and read
-back.  Chunks bound the memory: no list holds the whole field.
+Root lists come a chunk of at most CHUNK x values at a time, for the orbit
+walk and for the whole-field scan of cover's oracle alike (`_chunk_roots`),
+and are solved on the logs of the y-coefficients; no list holds the field.
 
 Every bivariate polynomial, here and in `cover`, is evaluated one way: it is
 compiled once into terms (c, i, j) for each zero pattern of a point
@@ -266,14 +263,12 @@ def _chunk_roots(F: ExtField, coeffs: dict, xs: Sequence[int]) -> Iterator[Seque
     """The distinct roots in F of F(x, y) as a polynomial in y, for each x of
     xs (at most CHUNK packed elements), in the order of xs.
 
-    Each row of _y_columns, the coefficient logs at one x, has the degree of
-    its last nonzero entry:
-      - no nonzero entry: the zero polynomial, whose roots are
-        range(F.order), not a list: counting over a vertical component takes
-        its len() without holding q^n roots per x;
-      - degree 0: no root; degree 1: -a0/a1; degree 2: _quadratic_roots;
-      - degree >= 3 (user-supplied models only; require_root_scan bounds
-        the field): a brute scan of F.
+    A row of _y_columns, the coefficient logs at one x, is solved by the
+    degree of its last nonzero entry: the zero polynomial has the roots
+    range(F.order), not a list (counting over a vertical component takes its
+    len() without holding q^n roots per x); degree 0 none; degree 1 -a0/a1;
+    degree 2 _quadratic_roots; degree >= 3 (user-supplied models only;
+    require_root_scan bounds the field) a brute scan of F.
     """
     exp, q1 = F._exp, F._q1
     neg = F._half if F.p != 2 else 0  # log(-1)

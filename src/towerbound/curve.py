@@ -36,7 +36,7 @@ from .ff import ExtField, FieldParams, make_ext_field, require_supported_degree
 Poly2 = Mapping[tuple[int, int], int]  # (x exponent, y exponent) -> coefficient mod p
 
 ROOT_SCAN_LIMIT = 1 << 12  # brute root scan allowed only on tiny fields
-CHUNK = 64  # x values whose root lists are found together
+CHUNK = 32  # x values whose root lists are found together
 
 
 def normalize_poly2(poly: Mapping[tuple[int, int], int], p: int) -> dict[tuple[int, int], int]:

@@ -28,10 +28,7 @@ from . import FieldParams, cft, config, cover as cover_mod, curve as curve_mod, 
 from .errors import (
     ConfigError,
     EmptySpace,
-    FunctionalEquationViolation,
     InconsistentModel,
-    PoleAtPlace,
-    RamifiedPlace,
     TowerboundError,
 )
 
@@ -527,7 +524,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return cmd_certify(doc, args.name, args.json)
         return cmd_optimize(doc, args.json, args.top)
-    except (InconsistentModel, FunctionalEquationViolation, PoleAtPlace, RamifiedPlace) as exc:
+    except InconsistentModel as exc:
         print(f"model inconsistency: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except EmptySpace as exc:

@@ -434,9 +434,6 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
         )
         if not h_basis:
             raise ConfigError(f"{where}: empty h_basis")
-        components = tuple(
-            cover_mod.ASComponent.create(a_poly, _mul(b_factor, h), params.p) for h in h_basis
-        )
         support = []
         for rec in _parse_records(keys.get("support", "")):
             unknown = set(rec) - {"deg", "nu", "above", "count", "rep"}
@@ -472,7 +469,8 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
             )
         doc.covers[name] = cover_mod.CoverSpec(
             base=base,
-            components=components,
+            a=a_poly,
+            components=[_mul(b_factor, h) for h in h_basis],
             profile=profile,
             support=tuple(support),
             infinities=tuple(infinities),

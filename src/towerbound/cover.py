@@ -1,7 +1,7 @@
 """Elementary abelian p-covers built from Artin-Schreier components.
 
 A cover of rank r over a base curve is the compositum of r degree-p
-extensions of the shape
+extensions with one A shared by all and one B = B_i for each:
 
     v^p - A^(p-1) v = B        (v^2 + A v = B in characteristic 2),
 
@@ -12,7 +12,7 @@ normalized right-hand sides at the place.  Zero vector: the place splits
 completely into p^r places of degree m.  Nonzero: p^(r-1) places of degree
 p*m.
 
-Places where some A vanishes (and the places at infinity) cannot be decided
+Places where A vanishes (and the places at infinity) cannot be decided
 by traces; their behavior is declared cover data, kept in one auditable
 list and cross-checked by the brute-force compositum oracle.
 
@@ -34,6 +34,7 @@ from .curve import (
     CurveModel,
     Place,
     PlaceSpectrum,
+    Poly2,
     enumerate_places,
     affine_solutions,
     compile_poly2,
@@ -45,21 +46,6 @@ from .curve import (
 )
 from .errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
 from .ff import make_ext_field, require_supported_degree
-
-
-@dataclass(frozen=True)
-class ASComponent:
-    """One degree-p component v^p - a^(p-1) v = b, polynomials in (x, y)."""
-
-    a: tuple  # canonical tuple form, as in CurveModel.poly
-    b: tuple
-
-    @staticmethod
-    def create(a, b, p: int) -> "ASComponent":
-        return ASComponent(
-            a=tuple(sorted(normalize_poly2(a, p).items())),
-            b=tuple(sorted(normalize_poly2(b, p).items())),
-        )
 
 
 def _check_above(above: tuple[tuple[int, int], ...]) -> None:
@@ -74,8 +60,8 @@ class DeclaredPlace:
     nu is the conductor exponent (0 for places that are unramified but
     carry a pole of the raw component form, so trace evaluation is
     impossible); `above` lists (degree, count) of the places of the cover
-    over it.  Located among the zeros of the component coefficients by
-    degree unless an explicit representative is given.
+    over it.  Located among the zeros of A on the base curve by degree
+    unless an explicit representative is given.
     """
 
     degree: int
@@ -108,7 +94,8 @@ class CoverSpec:
     def __init__(
         self,
         base: CurveModel,
-        components: tuple[ASComponent, ...],
+        a: Poly2,
+        components: Iterable[Poly2],
         profile: cft.CharacterConductorProfile,
         support: tuple[DeclaredPlace, ...] = (),
         infinities: tuple[DeclaredInfinity, ...] = (),
@@ -120,7 +107,12 @@ class CoverSpec:
                 "trace-based decomposition is only valid over prime constant fields (e = 1)"
             )
         self.base = base
-        self.components = tuple(components)
+
+        def canonical(poly):  # the ((i, j), c) tuple form of CurveModel.poly
+            return tuple(sorted(normalize_poly2(dict(poly), params.p).items()))
+
+        self.a = canonical(a)
+        self.components = tuple(map(canonical, components))
         self.profile = profile
         self.support = tuple(support)
         self.infinities = tuple(infinities)
@@ -138,12 +130,9 @@ class CoverSpec:
                 f"cover must declare behavior for all {len(inf_degrees)} infinite "
                 f"places (indices {declared_idx} given)"
             )
-        # each distinct A (the shipped covers share one) and each B, compiled
-        # once into curve's terms per zero pattern
-        distinct_a = list(dict.fromkeys(c.a for c in self.components))
-        self._a_slot = tuple(distinct_a.index(c.a) for c in self.components)
-        self._a_terms = compile_poly2(distinct_a)
-        self._b_terms = compile_poly2([c.b for c in self.components])
+        # A and the B, compiled once into curve's terms per zero pattern
+        self._a_terms = compile_poly2([self.a])
+        self._b_terms = compile_poly2(self.components)
         self._support_map = None
 
     @property
@@ -171,7 +160,7 @@ class CoverSpec:
     def _a_vanishes(self, place: Place) -> bool:
         F = make_ext_field(self.params, place.degree)
         x, y = place.rep
-        return -1 in eval_compiled(F, self._a_terms[not x, not y], F._log[x], F._log[y])
+        return eval_compiled(F, self._a_terms[not x, not y], F._log[x], F._log[y])[0] < 0
 
     def support_map(self) -> dict:
         """Canonical place key -> (DeclaredPlace | DeclaredInfinity)."""
@@ -184,11 +173,10 @@ class CoverSpec:
         for dp in located:
             require_supported_degree(self.params, dp.degree)
             require_root_scan(self.base, dp.degree)
-        # located places are zeros on the curve of some A: affine Bezout bounds
-        # their points by the sum of deg A * deg F over the distinct A
+        # located places are zeros of A on the curve: affine Bezout bounds
+        # their points by deg A * deg F
         declared = sum(dp.count * dp.degree for dp in located)
-        bound = sum(total_degree(dict(a)) for a in {c.a for c in self.components})
-        bound *= total_degree(self.base.poly_dict)
+        bound = total_degree(dict(self.a)) * total_degree(self.base.poly_dict)
         if declared > bound:
             raise InconsistentModel(
                 f"declared support places of total degree {declared} exceed the Bezout "
@@ -232,9 +220,11 @@ class DecompositionRecord:
     places_above: tuple[tuple[int, int], ...]  # (degree, count)
 
 
-def _component_traces(cover: CoverSpec, F, points: Iterable[tuple[int, int]]) -> Iterator[list]:
+def _component_traces(
+    cover: CoverSpec, F, points: Iterable[tuple[int, int]]
+) -> Iterator[list | None]:
     """For each point (x, y) of points in turn, Tr(B/A^p) over F of each
-    component; None for a component whose A vanishes there.
+    component; None for the whole vector where A vanishes.
 
     The trace is F_p-linear: Tr(B/A^p) = sum c * Tr(x^i y^j A^-p) over the
     terms c x^i y^j of B, and each Tr(x^i y^j A^-p) is one read of
@@ -242,17 +232,16 @@ def _component_traces(cover: CoverSpec, F, points: Iterable[tuple[int, int]]) ->
     eval_compiled gives it.
     """
     p, q1, log, tr = F.p, F.order - 1, F._log, F.trace_of_power
-    a_terms, b_terms, slots = cover._a_terms, cover._b_terms, cover._a_slot
+    a_terms, b_terms = cover._a_terms, cover._b_terms
     for x, y in points:
         lx, ly, pattern = log[x], log[y], (not x, not y)
-        a_logs = eval_compiled(F, a_terms[pattern], lx, ly)
+        (la,) = eval_compiled(F, a_terms[pattern], lx, ly)
+        if la < 0:
+            yield None
+            continue
+        s = p * la
         taus = []
-        for slot, terms in zip(slots, b_terms[pattern]):
-            la = a_logs[slot]
-            if la < 0:
-                taus.append(None)
-                continue
-            s = p * la
+        for terms in b_terms[pattern]:
             t = 0
             for c, i, j in terms:
                 t += c * tr[(i * lx + j * ly - s) % q1]
@@ -278,7 +267,7 @@ def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
     p = cover.params.p
     m = place.degree
     taus = next(_component_traces(cover, make_ext_field(cover.params, m), [place.rep]))
-    if None in taus:
+    if taus is None:
         raise PoleAtPlace(
             f"component coefficient vanishes at undeclared place {place.key}: "
             "inconsistent cover data"
@@ -318,10 +307,12 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
     increasing degree; declared support and infinite places contribute their
     declared lists; the genus comes from the conductor-discriminant formula
     applied to the cover's character profile.  Raises UnsupportedSize before
-    any work when degree d_max is out of reach.
+    any work when degree d_max is out of reach, and ParityViolation before
+    any work when the profile gives no integral genus.
     """
     require_supported_degree(cover.params, d_max)
     require_root_scan(cover.base, d_max)
+    genus = cft.genus_from_conductors(cover.base.genus, cover.profile)
     check = _degree_check.get()
     declared = cover.support_map()
     a = {d: 0 for d in range(1, d_max + 1)}
@@ -339,7 +330,6 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
                     a[deg] += cnt
         if check is not None:
             check(d, a)
-    genus = cft.genus_from_conductors(cover.base.genus, cover.profile)
     return PlaceSpectrum.from_spectrum(cover.params, a, genus)
 
 
@@ -356,7 +346,7 @@ class OracleReport:
                - (points of the cover over F_{q^n}
                   - points above declared infinite places
                   - points above declared support places)
-               - solutions sitting over base points where some A vanishes.
+               - solutions sitting over base points where A vanishes.
 
     A correct cover description makes the residual exactly zero.
     """
@@ -373,20 +363,19 @@ class OracleReport:
 def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleReport:
     if n > spectrum.d_max:
         raise OutOfRange(f"spectrum stops at degree {spectrum.d_max} < {n}")
-    p = cover.params.p
+    full_fiber = cover.group_order
     F = make_ext_field(cover.params, n)
     total = 0
     singular_solutions = 0
     for taus in _component_traces(cover, F, affine_solutions(cover.base, n)):
-        # the solutions (v_1..v_r) over F at the point: a component whose A
-        # vanishes (None) degenerates to v^p = B, one root; the others have
+        # the solutions (v_1..v_r) over F at the point: where A vanishes every
+        # component degenerates to v^p = B, one root each; elsewhere each has
         # p roots or none, by the trace criterion over F itself
-        if any(taus):  # some nonzero trace (None and 0 are falsy): no solution
-            continue
-        fiber = p ** taus.count(0)
-        total += fiber
-        if None in taus:
-            singular_solutions += fiber
+        if taus is None:
+            total += 1
+            singular_solutions += 1
+        elif not any(taus):
+            total += full_fiber
     spectrum_points = spectrum.n_map[n]
     inf_pts = 0
     decl_pts = 0

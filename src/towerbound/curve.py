@@ -600,21 +600,18 @@ class ZetaReport:
 
 
 def zeta_check(spectrum: PlaceSpectrum) -> ZetaReport:
-    """Rebuild the L-polynomial from N_1..N_g and re-predict N_n for n <= 2g.
+    """Rebuild the L-polynomial from N_1..N_g and re-predict every stored
+    N_n with n > g.
 
     Newton's identities convert the power sums q^k + 1 - N_k of the
     reciprocal roots into the low-order coefficients; the functional
-    equation c_{2g-i} = q^{g-i} c_i supplies the rest.  Any non-integral
-    coefficient raises; mismatched predictions are reported as failures.
+    equation c_{2g-i} = q^{g-i} c_i supplies the rest, and c_k = 0 past 2g.
+    Any non-integral coefficient raises; mismatched predictions are reported
+    as failures.  `predicted` lists g < n <= 2g.
     """
     g = spectrum.genus
     q = spectrum.params.q
     nmap = spectrum.n_map
-    if g == 0:
-        bad = tuple(
-            (n, q**n + 1, Nn) for n, Nn in sorted(nmap.items()) if Nn != q**n + 1
-        )
-        return ZetaReport(passed=not bad, l_coeffs=(1,), predicted=(), discrepancies=bad)
     need = range(1, 2 * g + 1)
     missing = [n for n in need if n not in nmap]
     if missing:
@@ -634,11 +631,12 @@ def zeta_check(spectrum: PlaceSpectrum) -> ZetaReport:
     Phat = dict(P)
     predicted = []
     discrepancies = []
-    for k in range(g + 1, 2 * g + 1):
-        s = k * c[k] + sum(c[i] * Phat[k - i] for i in range(1, k))
-        Phat[k] = -s
+    for k in range(g + 1, spectrum.d_max + 1):
+        ck = c[k] if k <= 2 * g else 0
+        Phat[k] = -(k * ck + sum(c[i] * Phat[k - i] for i in range(1, min(k, 2 * g + 1))))
         Nhat = q**k + 1 - Phat[k]
-        predicted.append((k, Nhat))
+        if k <= 2 * g:
+            predicted.append((k, Nhat))
         if Nhat != nmap[k]:
             discrepancies.append((k, Nhat, nmap[k]))
     return ZetaReport(

@@ -26,15 +26,15 @@ class InconsistentModel(TowerboundError):
     """Point counts, place spectra or declared cover data contradict each other."""
 
 
-class FunctionalEquationViolation(TowerboundError):
+class FunctionalEquationViolation(InconsistentModel):
     """Zeta consistency check could not reconstruct a valid L-polynomial."""
 
 
-class RamifiedPlace(TowerboundError):
+class RamifiedPlace(InconsistentModel):
     """Trace-based decomposition was asked for a declared (ramified) place."""
 
 
-class PoleAtPlace(TowerboundError):
+class PoleAtPlace(InconsistentModel):
     """A normalized cover component has a pole at an undeclared place."""
 
 
@@ -42,7 +42,7 @@ class DegenerateGenus(TowerboundError):
     """Asymptotic ratio needs genus >= 2."""
 
 
-class ParityViolation(TowerboundError):
+class ParityViolation(InconsistentModel):
     """Conductor degree sum has the wrong parity for an integral genus."""
 
 

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from towerbound import cli
+from towerbound import cli, cover
 
 
 def run(capsys, *argv):
@@ -130,6 +130,27 @@ def test_support_rep_outside_the_field_refused(capsys, tmp_path, rep):
     assert got == 2
     assert out == ""
     assert "outside [0, 16)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--name", "k1"), ("certify", "--name", "tower1")])
+def test_odd_conductor_sum_exits_3_before_enumerating(capsys, tmp_path, monkeypatch, argv):
+    # 2g - 2 = 32 (2 - 2) + 11 + 18 * 30 = 551 has no integral genus: the
+    # declared profile contradicts the cover, found before any place is listed
+    text = _bundled_text("f2_tower1").replace(
+        "conductors = 10:1 ; 18:30", "conductors = 11:1 ; 18:30"
+    )
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text(text)
+
+    def refuse(model, d):
+        raise AssertionError("places enumerated before the genus was checked")
+
+    monkeypatch.setattr(cover, "enumerate_places", refuse)
+    code, out, err = run(capsys, argv[0], "--config", str(cfg), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("model inconsistency:")
+    assert "2g - 2 = 551 is odd" in err
 
 
 def test_certify_golden_and_roundtrip(capsys):

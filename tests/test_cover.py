@@ -29,10 +29,9 @@ def test_normalization_identity(cover_k1, cover_k3):
     for cov, n in ((cover_k1, 3), (cover_k3, 2)):
         p = cov.params.p
         F = make_ext_field(cov.params, n)
-        comp = cov.components[0]
         for x, y in curve.affine_solutions(cov.base, n):
-            aval = plain_eval_poly2(F, comp.a, x, y)
-            bval = plain_eval_poly2(F, comp.b, x, y)
+            aval = plain_eval_poly2(F, cov.a, x, y)
+            bval = plain_eval_poly2(F, cov.components[0], x, y)
             if aval == 0:
                 continue
             u = F.div(bval, F.pow(aval, p))
@@ -136,8 +135,8 @@ def test_subcover_functoriality(cover_C, cover_k1):
         assert rec.places_above == ((8, 1),)
         inert += 1
     assert inert == 5
-    # C is the h = x component of k1
-    assert cover_C.components[0] in cover_k1.components
+    # C is the h = x component of k1, over the same A
+    assert cover_C.a == cover_k1.a and cover_C.components[0] in cover_k1.components
 
 
 def declared_place(cov, degree):
@@ -160,6 +159,7 @@ def test_pole_at_undeclared_place(doc1):
     k1 = doc1.covers["k1"]
     broken = cover.CoverSpec(
         base=k1.base,
+        a=k1.a,
         components=k1.components,
         profile=k1.profile,
         support=tuple(d for d in k1.support if d.degree != 4),
@@ -180,6 +180,7 @@ def test_undeclared_infinity_refused(doc1):
         cover.decompose_place(k1, inf_place)  # declared: refuse with RamifiedPlace
     naked = cover.CoverSpec(
         base=k1.base,
+        a=k1.a,
         components=k1.components,
         profile=k1.profile,
         support=k1.support,
@@ -195,6 +196,7 @@ def test_support_count_mismatch_rejected(doc2):
     k2 = doc2.covers["k2"]
     wrong = cover.CoverSpec(
         base=k2.base,
+        a=k2.a,
         components=k2.components,
         profile=k2.profile,
         support=(cover.DeclaredPlace(5, 2, ((5, 1),), count=3),),  # only 2 exist
@@ -210,6 +212,7 @@ def test_profile_order_mismatch_rejected(doc1):
     with pytest.raises(InconsistentModel):
         cover.CoverSpec(
             base=k1.base,
+            a=k1.a,
             components=k1.components[:3],  # rank 3 but order-32 profile
             profile=k1.profile,
             support=k1.support,
@@ -259,6 +262,7 @@ def test_oracle_sees_singular_points(cover_k2, spectrum_k2):
 def test_rank_zero_cover_is_identity(curve_E):
     k0 = cover.CoverSpec(
         base=curve_E,
+        a={(0, 0): 1},
         components=(),
         profile=cft.CharacterConductorProfile((), 1),
         infinities=(cover.DeclaredInfinity(0, ((1, 1),)),),
@@ -298,15 +302,11 @@ def test_weil_bound_on_assembled_spectra(spectrum_k1, spectrum_k2, spectrum_k3):
 def traces_by_field_arithmetic(cov, F, x, y):
     """Tr(B/A^p) of each component by evaluating A and B and inverting A^p;
     None where A vanishes.  The reference for the table-read kernel."""
-    out = []
-    for comp in cov.components:
-        a = plain_eval_poly2(F, comp.a, x, y)
-        if a == 0:
-            out.append(None)
-            continue
-        b = plain_eval_poly2(F, comp.b, x, y)
-        out.append(F.trace(F.mul(b, F.inv(F.pow(a, cov.params.p)))))
-    return out
+    a = plain_eval_poly2(F, cov.a, x, y)
+    if a == 0:
+        return None
+    inv_ap = F.inv(F.pow(a, cov.params.p))
+    return [F.trace(F.mul(plain_eval_poly2(F, b, x, y), inv_ap)) for b in cov.components]
 
 
 def _mixed_terms_cover(curve_E3):
@@ -318,7 +318,8 @@ def _mixed_terms_cover(curve_E3):
     b2 = {(0, 1): 1, (3, 0): 1, (1, 2): 2}
     return cover.CoverSpec(
         base=curve_E3,
-        components=tuple(cover.ASComponent.create(a, b, 3) for b in (b1, b2)),
+        a=a,
+        components=(b1, b2),
         profile=cft.CharacterConductorProfile(((4, 8),), 9),
         infinities=(cover.DeclaredInfinity(0, ((1, 9),)),),
         name="mixed",
@@ -340,7 +341,7 @@ def test_trace_kernel_matches_field_arithmetic(cover_C, cover_k1, cover_k2, cove
             for (x, y), taus in zip(points, got):
                 want = traces_by_field_arithmetic(cov, F, x, y)
                 assert taus == want, (cov.name, n, x, y)
-                vanishing += None in want
+                vanishing += want is None
     assert vanishing  # the None branch is compared too
 
 
@@ -354,7 +355,8 @@ def _cover_k257():
     b = {(2, 0): 1, (1, 1): 2, (0, 3): 1}
     return cover.CoverSpec(
         base=line,
-        components=(cover.ASComponent.create(a, b, p),),
+        a=a,
+        components=(b,),
         profile=cft.CharacterConductorProfile(((p - 1, p - 1),), p),
         support=(cover.DeclaredPlace(degree=1, nu=p - 1, above=((1, 1),)),),
         infinities=(cover.DeclaredInfinity(0, ((1, p),)),),
@@ -374,6 +376,34 @@ def test_cover_over_a_prime_above_255():
     assert spec.a_map[1] == 1 + p
     for n in (1, 2):
         assert cover.oracle_report(cov, spec, n).residual == 0
+
+
+def test_direct_cover_reduces_coefficients_mod_p(cover_k3, spectrum_k3):
+    # k3 written out by hand with coefficients outside 0..2 (and one term
+    # that is 0 mod 3): the constructor reduces them to the config's terms
+    a = {(1, 1): 4, (2, 0): 7, (0, 0): -1, (0, 5): 3}
+    bs = (
+        {(3, 0): 4, (1, 0): 5},  # (x^3 - x) * 1
+        {(4, 0): -2, (2, 0): 2},  # (x^3 - x) * x
+        {(3, 1): 10, (1, 1): -4},  # (x^3 - x) * y
+        {(4, 1): 1, (2, 1): 8},  # (x^3 - x) * x*y
+    )
+    direct = cover.CoverSpec(
+        base=cover_k3.base,
+        a=a,
+        components=bs,
+        profile=cft.CharacterConductorProfile(((15, 80),), 81),
+        support=(cover.DeclaredPlace(degree=5, nu=3, above=((5, 1),)),),
+        infinities=(cover.DeclaredInfinity(0, ((1, 81),)),),
+        name="k3-direct",
+    )
+    assert (direct.a, direct.components) == (cover_k3.a, cover_k3.components)
+    assert (direct._a_terms, direct._b_terms) == (cover_k3._a_terms, cover_k3._b_terms)
+    spec = cover.assemble_spectrum(direct, spectrum_k3.d_max)
+    assert spec == spectrum_k3
+    for n in (1, 2):
+        assert cover.oracle_report(direct, spec, n) == cover.oracle_report(cover_k3, spectrum_k3, n)
+        assert cover.oracle_report(direct, spec, n).residual == 0
 
 
 def test_oracle_independent_of_chunk_size(cover_C, cover_k1, cover_k2, cover_k3, monkeypatch):

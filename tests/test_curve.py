@@ -463,6 +463,18 @@ def test_zeta_genus_zero():
     assert z.passed and z.l_coeffs == (1,)
 
 
+def test_zeta_checks_counts_past_twice_the_genus(curve_E):
+    # N_5 lies past 2g = 2: a_5 raised by 1 gives N_5 = 30, inside the Weil
+    # bound, but L(T) = 1 + 2T + 2T^2 predicts 25
+    a = curve.spectrum_from_counts(curve_E, 6).a_map
+    assert curve.zeta_check(curve.PlaceSpectrum.from_spectrum(P2, a, 1)).passed
+    a[5] += 1
+    z = curve.zeta_check(curve.PlaceSpectrum.from_spectrum(P2, a, 1))
+    assert not z.passed
+    assert z.discrepancies == ((5, 25, 30),)
+    assert z.predicted == ((2, 5),)
+
+
 def test_zeta_detects_wrong_genus(curve_E):
     spec = curve.spectrum_from_counts(curve_E, 4)
     wrong = dataclasses.replace(spec, genus=2)

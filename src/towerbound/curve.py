@@ -467,11 +467,17 @@ def _check_weil_bound(q: int, genus: int, n: int, Nn: int) -> None:
 
 @dataclass(frozen=True)
 class PlaceSpectrum:
-    """Counts a_d of places by degree and the genus; N_n derives from a_d."""
+    """Counts a_d of places by degree and the genus; N_n derives from a_d.
+
+    Validated when built: a negative a_d or an N_n past the Weil bound
+    raises InconsistentModel."""
 
     params: FieldParams
     a: tuple  # ((d, a_d), ...), d = 1..d_max
     genus: int
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def a_map(self) -> dict[int, int]:
@@ -493,9 +499,7 @@ class PlaceSpectrum:
     @staticmethod
     def from_spectrum(params: FieldParams, a: Mapping[int, int], genus: int) -> "PlaceSpectrum":
         full = {d: a.get(d, 0) for d in range(1, max(a) + 1)}
-        spec = PlaceSpectrum(params=params, a=tuple(sorted(full.items())), genus=genus)
-        spec.validate()
-        return spec
+        return PlaceSpectrum(params=params, a=tuple(sorted(full.items())), genus=genus)
 
     def validate(self):
         for d, v in self.a:

@@ -7,7 +7,9 @@ packed value, element encodings are reproducible bit for bit across runs.
 
 Every supported field has order at most MAX_ORDER = 2^20 (F_2^20, F_3^12,
 F_p for p <= 2^20, ...), and every field gets compact exp/log tables at
-construction: multiplication, inversion and powering are table lookups,
+construction, arrays of C ints at 4 bytes an entry (every entry is below
+2^20 or is -1), so a cached F_2^20 holds 8 MB of exp and log, not 16:
+multiplication, inversion and powering are table lookups,
 and in odd characteristic a table of Zech logarithms log(1 + g^k) makes
 addition, subtraction and negation lookups too.  `add` is the reference
 form of that rule; the kernels of `curve` (`eval_compiled`, the
@@ -44,6 +46,9 @@ from .errors import NotPrime, OutOfRange, UnsupportedSize
 
 MAX_ORDER = 2**20  # the largest supported field order; the CLI checks each command's
 # largest field against it before counting anything (the bundled workloads reach 2^17)
+
+_TABLE_TYPECODE = "i"  # 4 bytes an entry: a packed element or a log below MAX_ORDER, a
+# trace below p, or the Zech sentinel -1; one that did not fit would raise OverflowError
 
 
 def _is_prime(n: int) -> bool:
@@ -411,7 +416,8 @@ class ExtField:
 
     def _build_tables(self) -> tuple[array, array, array | None]:
         """exp (g^k for k < q - 1), log (log_g(a) for a != 0; entry 0 is 0)
-        and, in odd characteristic, zech (log_g(1 + g^k), -1 where g^k = -1).
+        and, in odd characteristic, zech (log_g(1 + g^k), -1 where g^k = -1),
+        each an array of _TABLE_TYPECODE.
 
         The generator g is the least packed element of full order, tested
         by powering polynomials mod the modulus.  zech is filled in place, a
@@ -429,15 +435,15 @@ class ExtField:
                 if all(_poly_powmod(self.coeffs(cand), q1 // r, mod, p) != [1] for r in factors)
             )
         exp = self._powers_of(g)
-        log = array("l", [0]) * self.order
+        log = array(_TABLE_TYPECODE, [0]) * self.order
         for k, v in enumerate(exp):
             log[v] = k
         if p == 2:
             return exp, log, None
-        zech = array("l", [0]) * q1
+        zech = array(_TABLE_TYPECODE, [0]) * q1
         for k, s in _slices(exp):  # 1 + v only changes the constant digit of v
             zech[k:k + len(s)] = array(
-                "l", [log[v + 1 if v % p != p - 1 else v - p + 1] for v in s]
+                _TABLE_TYPECODE, [log[v + 1 if v % p != p - 1 else v - p + 1] for v in s]
             )
         zech[self._half] = -1  # 1 + g^half = 1 + (-1) = 0 has no log
         return exp, log, zech
@@ -491,9 +497,9 @@ class ExtField:
         while len(block) < step:
             block += times_g(block[-1:])
         times_h = times(times_g(block[-1:])[0])
-        out = array("l", [0]) * q1
+        out = array(_TABLE_TYPECODE, [0]) * q1
         for k in range(0, q1, step):
-            out[k:k + step] = array("l", block[:q1 - k])
+            out[k:k + step] = array(_TABLE_TYPECODE, block[:q1 - k])
             block = times_h(block)
         if times_g([out[-1]])[0] != 1:
             raise RuntimeError("generator does not have full order")
@@ -570,13 +576,13 @@ class ExtField:
         here.  Built on first use, a slice of exp at a time, by the two reads
         of `trace`.  `bytes` while every trace fits in a byte (p < 256;
         indexing it is about 15% faster than an array("B") on CPython 3.11),
-        an array("l") above.
+        an array of _TABLE_TYPECODE above.
         """
         lo, hi, split, p = self._lin_lo, self._lin_hi, self._split, self.p
         traces = chain.from_iterable(
             [(lo[v % split] + hi[v // split]) % p for v in s] for _, s in _slices(self._exp)
         )
-        return bytes(traces) if p < 256 else array("l", traces)
+        return bytes(traces) if p < 256 else array(_TABLE_TYPECODE, traces)
 
     def solve_additive(self, u: int) -> list[int]:
         """All w with w^p - w = u, ascending (empty when the trace of u is nonzero).

@@ -483,6 +483,16 @@ def test_zeta_detects_wrong_genus(curve_E):
     assert z.discrepancies
 
 
+def test_spectrum_built_directly_is_validated():
+    """The constructor validates: a_d = 1 for d <= 21 puts N_14 = 24 far
+    below the Weil interval for genus 50 over F_2."""
+    a = tuple((d, 1) for d in range(1, 22))
+    with pytest.raises(InconsistentModel, match="N_14 = 24 violates the Weil bound"):
+        curve.PlaceSpectrum(params=P2, a=a, genus=50)
+    with pytest.raises(InconsistentModel, match="negative place count"):
+        curve.PlaceSpectrum(params=P2, a=((1, 3), (2, -1)), genus=1)
+
+
 def test_random_synthetic_spectra_round_trip_and_weil():
     rnd = random.Random(7)
     for _ in range(200):

@@ -240,6 +240,16 @@ def _assert_matches_brute_force(space):
         ]
 
 
+def _least_weil_genus(q, a):
+    """The least genus whose Weil bound holds at every N_n of the spectrum a."""
+    need = 0
+    for n, Nn in curve.spectrum_to_counts(a, max(a)).items():
+        dev = abs(Nn - q**n - 1)
+        while 4 * need * need * q**n < dev * dev:
+            need += 1
+    return need
+
+
 @st.composite
 def _small_spaces(draw, most_candidates=600):
     """Spaces over F_2, F_3 or F_5 with up to three degrees, two nu and three
@@ -248,9 +258,8 @@ def _small_spaces(draw, most_candidates=600):
     counts = st.sampled_from((0, 2, 5, 9, 12, 16))  # enough places for some plans to certify
     a = {d: draw(counts) for d in range(1, draw(st.integers(1, 4)) + 1)}
     a[1] = draw(counts.filter(bool))
-    spectrum = curve.PlaceSpectrum(
-        params=FieldParams(p), a=tuple(sorted(a.items())), genus=draw(st.integers(1, 30))
-    )
+    genus = max(draw(st.integers(1, 30)), _least_weil_genus(p, a))
+    spectrum = curve.PlaceSpectrum(params=FieldParams(p), a=tuple(sorted(a.items())), genus=genus)
 
     def distinct(values, least, most):  # a few distinct values in a drawn order
         values = draw(st.permutations(values))

@@ -327,20 +327,20 @@ def test_tables_take_four_bytes_an_entry(params, n):
 
 # sha256 of array("q", table).tobytes(), taken when the tables held 8 bytes an entry
 TABLE_DIGESTS = {
-    "f2_16": {
+    (2, 16): {
         "exp": "a9c0b9735a82fc72c5287527e2930d5f0603c0dae1bd9c70ade1fc1578a1d84d",
         "log": "94240c0c538545000a38fdd748bfeb7d43508793c0a927f0d801873e4c582cd1",
     },
-    "f2_17": {
+    (2, 17): {
         "exp": "088c29bcac52a3fdc02f1433e23b95bdc8fa67d6b64a9f6369a8ff1f3814d715",
         "log": "316a060a3c1b8fe081275b18b61294b2d93f400cf4ed9a253a6210935964a68b",
     },
-    "f3_10": {
+    (3, 10): {
         "exp": "05e6eecc9abe2e8fc95256f41a756ad049ea391b26cc74fa08e316ceeca86baa",
         "log": "58c4d1e8abea512f9cbdb859a3c0b2cf2863e5147d4838ba9b09dec3e6ca872f",
         "zech": "0b362223e83a185845ffe4000a1e6d1aface5614e6ebd3be6f325082e9ed8b06",
     },
-    "f257_2": {
+    (257, 2): {
         "exp": "cc46faf006585ba43454fd1f4b59d10302569da97dc991a330de2d9018630796",
         "log": "9090944e8398c6cb1ca261d79173fc68f2ea10ae797d27ac79c3373b5b6585ae",
         "zech": "18be15fd270ae48228deff459b08946fd4e6931647584e096ac1e7cb74bdef67",
@@ -349,19 +349,14 @@ TABLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "params,n,name",
-    [(P2, 16, "f2_16"), (P2, 17, "f2_17"), (P3, 10, "f3_10"), (FieldParams(257), 2, "f257_2")],
-    ids=["f2_16", "f2_17", "f3_10", "f257_2"],
-)
-def test_tables_match_pinned_digests(params, n, name):
+@pytest.mark.parametrize("p,n", list(TABLE_DIGESTS), ids=[f"f{p}_{n}" for p, n in TABLE_DIGESTS])
+def test_tables_match_pinned_digests(p, n):
     """Each table, widened to 8-byte ints, hashes to its pinned digest: the
     4-byte tables hold the same values entry for entry."""
-    F = make_ext_field(params, n)
+    F = make_ext_field(FieldParams(p), n)
     tables = {"exp": F._exp, "log": F._log, "zech": F._zech, "trace_of_power": F.trace_of_power}
-    digests = {k: hashlib.sha256(array("q", tables[k]).tobytes()).hexdigest()
-               for k in TABLE_DIGESTS[name]}
-    assert digests == TABLE_DIGESTS[name]
+    want = TABLE_DIGESTS[p, n]
+    assert {k: hashlib.sha256(array("q", tables[k]).tobytes()).hexdigest() for k in want} == want
 
 
 def _monic(m: int, p: int):

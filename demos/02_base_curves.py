@@ -8,7 +8,8 @@ Three explicit affine models carry the whole construction:
 
 N_n counts points over F_{q^n} (affine solutions plus declared infinite
 places); Moebius inversion turns the N_n into the place spectrum a_d; and
-for genus <= 2 the counts are re-derived from the L-polynomial as a check.
+the counts are re-derived from the L-polynomial as a check, which needs
+N_n up to n = 2g.
 """
 
 from towerbound import config, curve

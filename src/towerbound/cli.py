@@ -21,6 +21,7 @@ truncated (not rounded) at 12 digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -81,8 +82,8 @@ class Report:
             for note in notes:
                 self.line(f"  - {note}")
 
-    def render(self, json_mode: bool) -> str:
-        if json_mode:
+    def render(self, as_json: bool) -> str:
+        if as_json:
             return "\n".join(f"{k} = {v}" for k, v in self.machine)
         return "\n".join(self.human)
 
@@ -137,40 +138,32 @@ def _spectrum_tables(report: Report, spec: curve_mod.PlaceSpectrum, d_max: int):
             report.kv(f"N.{n}", nmap[n])
 
 
-def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_mode: bool) -> int:
+def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None) -> tuple[int, Report]:
     report = Report()
     report.kv("record", "spectrum")
     report.kv("config", doc.source)
     report.kv("name", name)
+    d_max = _default_dmax(doc.params) if d_max is None else d_max
+    report.kv("dmax", d_max)
     if name in doc.curves:
         model = doc.curves[name]
-        d_max = _default_dmax(model.params) if d_max is None else d_max
-        zeta_reach = max(d_max, 2 * model.genus) if model.genus <= 2 else d_max
-        report.kv("dmax", d_max)
-        spec = curve_mod.spectrum_from_counts(model, zeta_reach)
+        # the zeta check reads N_n up to n = 2g
+        spec = curve_mod.spectrum_from_counts(model, max(d_max, 2 * model.genus))
         report.line(f"place spectrum of curve {name} over F_{model.params.q}, genus {model.genus}")
         _spectrum_tables(report, spec, d_max)
-        if model.genus <= 2:
-            zres = curve_mod.zeta_check(spec)
-            report.line("  " + zres.describe())
-            report.kv("zeta.pass", zres.passed)
-            report.kv("zeta.l_coeffs", ",".join(str(c) for c in zres.l_coeffs))
-            for n, pred in zres.predicted:
-                report.kv(f"zeta.predicted.{n}", pred)
-            if not zres.passed:
-                report.line("  discrepancies: " + str(zres.discrepancies))
-                print(report.render(json_mode))
-                return EXIT_MODEL
-        else:
-            report.line(f"  zeta check skipped (genus {model.genus} > 2)")
-            report.kv("zeta.pass", "skipped")
+        zres = curve_mod.zeta_check(spec)
+        report.line("  " + zres.describe())
+        report.kv("zeta.pass", zres.passed)
+        report.kv("zeta.l_coeffs", ",".join(str(c) for c in zres.l_coeffs))
+        for n, pred in zres.predicted:
+            report.kv(f"zeta.predicted.{n}", pred)
+        if not zres.passed:
+            report.line("  discrepancies: " + str(zres.discrepancies))
+            return EXIT_MODEL, report
         report.warnings(model.assumptions())
-        print(report.render(json_mode))
-        return EXIT_OK
+        return EXIT_OK, report
     if name in doc.covers:
         cov = doc.covers[name]
-        d_max = _default_dmax(cov.params) if d_max is None else d_max
-        report.kv("dmax", d_max)
         spec = cover_mod.assemble_spectrum(cov, max(d_max, 2))  # the oracle runs at n = 1, 2
         report.line(
             f"place spectrum of cover {name} (rank {cov.rank} over {cov.base.name}), "
@@ -190,11 +183,9 @@ def cmd_spectrum(doc: config.ConfigDocument, name: str, d_max: int | None, json_
             report.kv(f"oracle.{n}.count", orep.brute_count)
             report.kv(f"oracle.{n}.residual", orep.residual)
             if orep.residual != 0:
-                print(report.render(json_mode))
-                return EXIT_MODEL
+                return EXIT_MODEL, report
         report.warnings(cov.assumptions())
-        print(report.render(json_mode))
-        return EXIT_OK
+        return EXIT_OK, report
     raise ConfigError(f"no curve or cover named {name!r} in {doc.source}")
 
 
@@ -248,22 +239,20 @@ def _emit_certificate(report: Report, cert: cft.TowerCertificate):
     report.warnings(list(cert.warnings))
 
 
-def cmd_certify(doc: config.ConfigDocument, plan_name: str, json_mode: bool) -> int:
+def cmd_certify(doc: config.ConfigDocument, plan_name: str) -> tuple[int, Report]:
     if plan_name not in doc.plans:
         raise ConfigError(f"no plan named {plan_name!r} in {doc.source} (have {list(doc.plans)})")
     plan_cfg = doc.plans[plan_name]
     cov = doc.covers[plan_cfg.on]
-    d_max = max([_default_dmax(cov.params)] + [f for f, _, _ in plan_cfg.entries])
-    spectrum = cover_mod.assemble_spectrum(cov, d_max)
+    # built first, so a bad entry is refused before any assembly
+    plan = cft.RamificationPlan(cov.params, plan_cfg.entries, plan_cfg.t)
+    spectrum = cover_mod.assemble_spectrum(cov, max(f for f, _, _ in plan.entries))
     infeasible = None
     try:
-        plan = cft.RamificationPlan(
-            cov.params, plan_cfg.entries, plan_cfg.t, available_spectrum=spectrum
-        )
+        dataclasses.replace(plan, available_spectrum=spectrum)
     except InconsistentModel as exc:
         # evaluate the criterion anyway so the report can spell the failure out
         infeasible = str(exc)
-        plan = cft.RamificationPlan(cov.params, plan_cfg.entries, plan_cfg.t)
     cert = cft.certify_tower(spectrum.genus, plan)
     report = Report()
     report.kv("record", "certificate")
@@ -274,14 +263,13 @@ def cmd_certify(doc: config.ConfigDocument, plan_name: str, json_mode: bool) -> 
         report.kv("feasible", False)
         report.line(f"plan is not realizable on this spectrum: {infeasible}")
     _emit_certificate(report, cert)
-    print(report.render(json_mode))
     if infeasible and cert.infinite:
         # a certificate for an unrealizable plan proves nothing
-        return EXIT_MODEL
-    return EXIT_OK if cert.infinite else EXIT_NOT_CERTIFIED
+        return EXIT_MODEL, report
+    return (EXIT_OK if cert.infinite else EXIT_NOT_CERTIFIED), report
 
 
-def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -> int:
+def cmd_optimize(doc: config.ConfigDocument, top: int | None) -> tuple[int, Report]:
     if not doc.searches:
         raise ConfigError(f"{doc.source} has no [search] section")
     report = Report()
@@ -289,9 +277,8 @@ def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -
     report.kv("config", doc.source)
     for sname, sc in sorted(doc.searches.items()):
         cov = doc.covers[sc.on]
-        d_max = max([_default_dmax(cov.params)] + list(sc.degrees))
         with cover_mod.after_each_degree(search_mod.size_check(sc.degrees, sc.nus, sc.cap)):
-            spectrum = cover_mod.assemble_spectrum(cov, d_max)
+            spectrum = cover_mod.assemble_spectrum(cov, max(sc.degrees, default=1))
         t_values = () if sc.t == "a1" else (int(sc.t),)
         space = search_mod.SearchSpace(
             spectrum=spectrum,
@@ -322,16 +309,14 @@ def cmd_optimize(doc: config.ConfigDocument, json_mode: bool, top: int | None) -
             "  (optimality holds within this search space only; "
             "no claim beyond the listed degrees and caps)"
         )
-    print(report.render(json_mode))
-    return EXIT_OK
+    return EXIT_OK, report
 
 
 def cmd_compare(
     doc: config.ConfigDocument | None,
     name: str | None,
     inline: search_mod.MethodComparisonInput | None,
-    json_mode: bool,
-) -> int:
+) -> tuple[int, Report]:
     report = Report()
     report.kv("record", "comparison")
     items: list[tuple[str, search_mod.MethodComparisonInput]] = []
@@ -346,7 +331,7 @@ def cmd_compare(
             items.extend(sorted(doc.compares.items()))
         report.kv("config", doc.source)
     if not items:
-        raise ConfigError("compare needs --config with [compare] sections or the six inline flags")
+        raise ConfigError("compare needs --config with [compare] sections or the five inline flags")
     for cname, inp in items:
         res = search_mod.compare_methods(inp)
         report.line(
@@ -360,8 +345,7 @@ def cmd_compare(
             report.kv(f"{cname}.{label}.d_lower", pair.d_lower)
             report.kv(f"{cname}.{label}.rd_upper", pair.rd_upper)
             report.kv(f"{cname}.{label}.certifies", pair.certifies)
-    print(report.render(json_mode))
-    return EXIT_OK
+    return EXIT_OK, report
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +433,7 @@ def cmd_selftest() -> int:
 
     failed = [label for label, ok, _ in checks if not ok]
     print(f"selftest: {len(checks) - len(failed)}/{len(checks)} checks passed")
-    return EXIT_OK if not failed else 1
+    return EXIT_OK if not failed else EXIT_MODEL
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("--config", required=False, help="config file path or bundled name")
+    def common(sp):
+        sp.add_argument("--config", required=False, help="config file path or bundled name")
         sp.add_argument("--json", action="store_true", help="emit the flat machine-readable block")
 
     sp = sub.add_parser("spectrum", help="place spectrum of a curve or cover")
@@ -491,8 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-prime", dest="s_prime", type=int, default=None)
     sp.add_argument("--T", dest="t_size", type=int, default=None)
 
-    sp = sub.add_parser("selftest", help="reproduce every shipped golden value")
-    common(sp, needs_config=False)
+    sub.add_parser("selftest", help="reproduce every shipped golden value")
     return parser
 
 
@@ -505,25 +487,29 @@ def main(argv=None) -> int:
             inline_fields = (args.s, args.l, args.t, args.s_prime, args.t_size)
             inline = None
             if all(v is not None for v in inline_fields):
+                if args.config or args.name is not None:
+                    raise ConfigError("inline compare flags exclude --config and --name")
                 inline = search_mod.MethodComparisonInput(
                     s=args.s, l=args.l, t=args.t, s_prime=args.s_prime, t_size=args.t_size
                 )
             elif any(v is not None for v in inline_fields):
                 raise ConfigError("inline compare needs all of --s --l --t --s-prime --T")
             doc = config.load_config(args.config) if args.config else None
-            return cmd_compare(doc, args.name, inline, args.json)
-        if not args.config:
-            raise ConfigError(f"{args.command} requires --config")
-        for flag in ("dmax", "top"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ConfigError(f"--{flag} must be >= 1, got {value}")
-        doc = config.load_config(args.config)
-        if args.command == "spectrum":
-            return cmd_spectrum(doc, args.name, args.dmax, args.json)
-        if args.command == "certify":
-            return cmd_certify(doc, args.name, args.json)
-        return cmd_optimize(doc, args.json, args.top)
+            code, report = cmd_compare(doc, args.name, inline)
+        else:
+            if not args.config:
+                raise ConfigError(f"{args.command} requires --config")
+            for flag in ("dmax", "top"):
+                value = getattr(args, flag, None)
+                if value is not None and value < 1:
+                    raise ConfigError(f"--{flag} must be >= 1, got {value}")
+            doc = config.load_config(args.config)
+            if args.command == "spectrum":
+                code, report = cmd_spectrum(doc, args.name, args.dmax)
+            elif args.command == "certify":
+                code, report = cmd_certify(doc, args.name)
+            else:
+                code, report = cmd_optimize(doc, args.top)
     except InconsistentModel as exc:
         print(f"model inconsistency: {exc}", file=sys.stderr)
         return EXIT_MODEL
@@ -533,6 +519,8 @@ def main(argv=None) -> int:
     except TowerboundError as exc:  # anything else of ours is an input problem
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    print(report.render(args.json))
+    return code
 
 
 if __name__ == "__main__":

@@ -306,10 +306,12 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
     Unramified base places of degree <= d_max are decomposed by trace, in
     increasing degree; declared support and infinite places contribute their
     declared lists; the genus comes from the conductor-discriminant formula
-    applied to the cover's character profile.  Raises UnsupportedSize before
-    any work when degree d_max is out of reach, and ParityViolation before
-    any work when the profile gives no integral genus.
+    applied to the cover's character profile.  Raises, before any work,
+    OutOfRange when d_max < 1, UnsupportedSize when degree d_max is out of
+    reach, and ParityViolation when the profile gives no integral genus.
     """
+    if d_max < 1:
+        raise OutOfRange(f"d_max must be >= 1, got {d_max}")
     require_supported_degree(cover.params, d_max)
     require_root_scan(cover.base, d_max)
     genus = cft.genus_from_conductors(cover.base.genus, cover.profile)

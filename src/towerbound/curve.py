@@ -6,9 +6,9 @@ infinity (the shipped base models each have a single rational one) and a
 declared genus.  Point counts and places read one walk over F_{q^n}: one x
 per Frobenius orbit and its list of roots in y.  N_n sums the lengths of the
 root lists weighted by the orbit sizes; the place spectrum a_d follows by
-Moebius inversion, and for genus <= 2 the counts are validated against the
-L-polynomial reconstructed through Newton's identities.  Places of degree d
-group the same roots into orbits.
+Moebius inversion, and the counts are validated against the L-polynomial
+that Newton's identities rebuild from N_1..N_g, for every genus.  Places of
+degree d group the same roots into orbits.
 
 Root lists come a chunk of at most CHUNK x values at a time, for the orbit
 walk and for the whole-field scan of cover's oracle alike (`_chunk_roots`),
@@ -498,6 +498,8 @@ class PlaceSpectrum:
 
     @staticmethod
     def from_spectrum(params: FieldParams, a: Mapping[int, int], genus: int) -> "PlaceSpectrum":
+        if not a or min(a) < 1:
+            raise OutOfRange(f"place degrees must be >= 1 and present, got {sorted(a)}")
         full = {d: a.get(d, 0) for d in range(1, max(a) + 1)}
         return PlaceSpectrum(params=params, a=tuple(sorted(full.items())), genus=genus)
 
@@ -512,9 +514,12 @@ class PlaceSpectrum:
 def spectrum_from_counts(model: CurveModel, d_max: int) -> PlaceSpectrum:
     """Place spectrum of the model up to degree d_max, from exact point counts.
 
-    Raises UnsupportedSize before counting when F_{q^d_max} is out of reach,
-    and InconsistentModel as soon as a count breaks the Weil bound.
+    Raises OutOfRange before counting when d_max < 1, UnsupportedSize when
+    F_{q^d_max} is out of reach, and InconsistentModel as soon as a count
+    breaks the Weil bound.
     """
+    if d_max < 1:
+        raise OutOfRange(f"d_max must be >= 1, got {d_max}")
     require_supported_degree(model.params, d_max)
     require_root_scan(model, d_max)
     N = {}
@@ -583,7 +588,7 @@ def enumerate_places(model: CurveModel, d: int) -> list[Place]:
 
 
 # ---------------------------------------------------------------------------
-# zeta consistency (genus <= 2 models)
+# zeta consistency
 # ---------------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from towerbound import cli, cover
+from towerbound import cft, cli, cover
 
 
 def run(capsys, *argv):
@@ -54,6 +54,25 @@ def test_spectrum_cover_dmax_1(capsys, cfg_name, name, a1):
     block = cli.parse_machine_block(out)
     assert block["a.1"] == a1 and "a.2" not in block
     assert block["oracle.1.residual"] == block["oracle.2.residual"] == "0"
+
+
+Y_CUBIC = "[field]\np = 2\n\n[curve Y]\nequation = y^3 + y = x^4 + x + 1\ninfinity = 1:1\ngenus = {}\n"
+
+
+def test_zeta_check_runs_above_genus_two(capsys, tmp_path):
+    cfg = tmp_path / "ycubic.cfg"
+    argv = ("spectrum", "--config", str(cfg), "--name", "Y", "--dmax", "7", "--json")
+    cfg.write_text(Y_CUBIC.format(3))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    block = cli.parse_machine_block(out)
+    assert block["zeta.pass"] == "true"
+    assert block["zeta.l_coeffs"] == "1,-2,0,4,0,-8,8"
+    assert [block[f"zeta.predicted.{n}"] for n in (4, 5, 6)] == ["33", "41", "97"]
+    cfg.write_text(Y_CUBIC.format(4))  # the true genus is 3
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert cli.parse_machine_block(out)["zeta.pass"] == "false"
 
 
 def test_spectrum_unknown_name_exit_2(capsys):
@@ -198,6 +217,38 @@ def test_certify_infeasible_t_reports_and_exits_4(capsys, tmp_path):
     assert block["infinite"] == "false"
 
 
+@pytest.mark.parametrize(
+    "cfg_name, plan, reach",
+    [("f2_tower1", "tower1", 10), ("f3_tower", "deg8_only", 8), ("f3_tower", "mixed", 9)],
+)
+def test_certify_assembles_to_the_plan_degrees(capsys, monkeypatch, cfg_name, plan, reach):
+    reached = []
+    assemble = cover.assemble_spectrum
+
+    def recording(cov, d_max):
+        reached.append(d_max)
+        return assemble(cov, d_max)
+
+    monkeypatch.setattr(cover, "assemble_spectrum", recording)
+    code, _, _ = run(capsys, "certify", "--config", cfg_name, "--name", plan)
+    assert code == 0
+    assert reached == [reach]
+
+
+@pytest.mark.parametrize("entries", ["0:1:2", "8:46:3 ; 0:1:2"])
+def test_certify_bad_plan_entry_refused_before_assembly(capsys, tmp_path, monkeypatch, entries):
+    def no_assembly(cov, d_max):
+        raise AssertionError("assembled before the refusal")
+
+    monkeypatch.setattr(cover, "assemble_spectrum", no_assembly)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_bundled_text("f3_tower") + f"\n[plan bad]\non = k3\nentries = {entries}\nt = 5\n")
+    code, out, err = run(capsys, "certify", "--config", str(cfg), "--name", "bad")
+    assert code == 2
+    assert out == ""
+    assert "bad plan entry (f=0, count=1, nu=2)" in err
+
+
 def test_certify_unknown_plan_exit_2(capsys):
     code, _, _ = run(capsys, "certify", "--config", "f2_tower1", "--name", "ghost")
     assert code == 2
@@ -257,6 +308,24 @@ def test_compare_config_and_inline(capsys):
 def test_compare_partial_inline_exit_2(capsys):
     code, _, _ = run(capsys, "compare", "--s", "21", "--l", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "named", [("--config", "remark_comparisons"), ("--name", "nx98_usual")], ids=["config", "name"]
+)
+def test_compare_inline_with_a_named_form_exit_2(capsys, named):
+    inline = ("--s", "21", "--l", "2", "--t", "20", "--s-prime", "1", "--T", "81")
+    code, out, err = run(capsys, "compare", *named, *inline)
+    assert code == 2
+    assert out == ""
+    assert err == "error: inline compare flags exclude --config and --name\n"
+
+
+def test_compare_without_input_names_five_flags(capsys):
+    code, out, err = run(capsys, "compare")
+    assert code == 2
+    assert out == ""
+    assert "the five inline flags" in err
 
 
 def test_truncate_decimal_truncates_not_rounds():
@@ -535,6 +604,15 @@ def test_search_over_rational_places(capsys, tmp_path, search):
     assert "overlap" not in err
 
 
+def test_search_with_no_degrees_is_empty(capsys, tmp_path):
+    cfg = tmp_path / "nodegrees.cfg"
+    cfg.write_text(_bundled_text("f2_tower1").replace("degrees = 5..10", "degrees = 10..5"))
+    code, out, err = run(capsys, "optimize", "--config", str(cfg))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("empty search space: ")
+
+
 @pytest.mark.parametrize(
     "degrees, message",
     [
@@ -567,3 +645,18 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "selftest: 43/43 checks passed" in out
+
+
+def test_selftest_takes_no_json_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--json"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
+
+def test_selftest_failure_exits_3(capsys, monkeypatch):
+    margin = cft.gs_margin
+    monkeypatch.setattr(cft, "gs_margin", lambda d, rd: margin(d, rd) - 1)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 3
+    assert "  FAIL  tower1: margin: got 91, want 92" in out

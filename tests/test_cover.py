@@ -250,6 +250,17 @@ def test_oracle_refuses_out_of_reach_n_before_scanning(cover_k1, spectrum_k1, mo
         cover.oracle_report(cover_k1, spectrum_k1, 11)
 
 
+@pytest.mark.parametrize("d_max", [0, -1])
+def test_degree_below_one_refused_before_assembly(cover_k1, monkeypatch, d_max):
+    def no_work(*args):
+        raise AssertionError("assembled before the refusal")
+
+    monkeypatch.setattr(cover, "enumerate_places", no_work)
+    monkeypatch.setattr(cover.CoverSpec, "support_map", no_work)
+    with pytest.raises(OutOfRange, match="d_max must be >= 1"):
+        cover.assemble_spectrum(cover_k1, d_max)
+
+
 def test_oracle_sees_singular_points(cover_k2, spectrum_k2):
     # over F_{2^5} the two conductor places contribute 5 points each, every
     # one carrying exactly one solution of the degenerate system v^p = B

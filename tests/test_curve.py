@@ -483,6 +483,22 @@ def test_zeta_detects_wrong_genus(curve_E):
     assert z.discrepancies
 
 
+@pytest.mark.parametrize("d_max", [0, -1])
+def test_degree_below_one_refused_before_counting(curve_E, monkeypatch, d_max):
+    def no_counting(model, n):
+        raise AssertionError("counted before the refusal")
+
+    monkeypatch.setattr(curve, "count_points", no_counting)
+    with pytest.raises(OutOfRange, match="d_max must be >= 1"):
+        curve.spectrum_from_counts(curve_E, d_max)
+
+
+@pytest.mark.parametrize("a", [{}, {0: 3}, {-2: 1}, {0: 3, 1: 1}])
+def test_spectrum_degrees_below_one_refused(a):
+    with pytest.raises(OutOfRange, match="place degrees must be >= 1"):
+        curve.PlaceSpectrum.from_spectrum(P2, a, 1)
+
+
 def test_spectrum_built_directly_is_validated():
     """The constructor validates: a_d = 1 for d <= 21 puts N_14 = 24 far
     below the Weil interval for genus 50 over F_2."""

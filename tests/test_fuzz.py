@@ -2,8 +2,8 @@
 
 Each example takes a bundled config, replaces the values of one or two of
 its `key = value` lines with entries from a small alphabet of hostile and
-ordinary values, and runs `spectrum --dmax <= 3`, `compare` or `optimize`
-in-process.
+ordinary values, and runs `spectrum --dmax <= 3`, `certify`, `compare` or
+`optimize` in-process.
 Whatever the edit, the run must end with an exit code in {0, 2, 3, 4, 5},
 let no exception escape, and finish within a time bound.  The bound is an
 interval timer armed around each example, so a run that never ends fails
@@ -32,7 +32,8 @@ VALUES = (
     "", "0", "1", "2", "3", "-1", "5", "99999999", "a1", "x", "y", "x^64", "(x+1)^65",
     "x^2 + x", "0 = 0", "x^2 + x = 0",
     "y^2 + y = x^3 + x", "y^3 + y = x^4 + x + 1", f"{DEEP} = y", DEEP,
-    "1:1", "0:0", "0:1", "1:32", "10:1 ; 18:30", "1..10", "5..13", "1, 5, 8, 10", "8 ; 8", "2, 2",
+    "1:1", "0:0", "0:1", "1:32", "10:1 ; 18:30", "0:1:2", "21:1:2",
+    "1..10", "5..13", "1, 5, 8, 10", "8 ; 8", "2, 2",
     "deg=0 nu=0 above=1:1", "idx=0 above=0:0", "deg=4 nu=0 above=8:1", "deg=5 nu=-1 above=5:1",
     "deg=5 nu=2 above=5:1 count=2", "deg=4 nu=2 above=8:1 rep=1:1",
     "deg=4 nu=2 above=8:1 rep=99999:3", "deg=4 nu=2 above=8:1 rep=-1:12",
@@ -54,15 +55,15 @@ def _edit(text: str, edits) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _names(text: str) -> list[str]:
-    return re.findall(r"^\[(?:curve|cover) (\w+)\]$", text, flags=re.M) or ["none"]
+def _names(text: str, sections: str) -> list[str]:
+    return re.findall(rf"^\[(?:{sections}) (\w+)\]$", text, flags=re.M) or ["none"]
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(
     cfg_name=st.sampled_from(CONFIGS),
     edits=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(VALUES)), max_size=2),
-    command=st.sampled_from(("spectrum", "compare", "optimize")),
+    command=st.sampled_from(("spectrum", "certify", "compare", "optimize")),
     name_index=st.integers(0, 7),
     dmax=st.integers(1, 3),
 )
@@ -77,6 +78,8 @@ def _names(text: str) -> list[str]:
 @example("f2_tower1", [(33, "0")], "optimize", 0, 1)  # cap = 0: every degree has one option
 @example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=99999:3")], "spectrum", 3, 1)  # past F_16
 @example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=-1:12")], "spectrum", 3, 1)  # below 0
+@example("f2_tower1", [(27, "0:1:2")], "certify", 0, 1)  # a plan entry of degree 0
+@example("f2_tower1", [(27, "21:1:2")], "certify", 0, 1)  # a plan degree past F_2^20
 def test_hostile_config_keeps_exit_contract(
     tmp_path_factory, cfg_name, edits, command, name_index, dmax
 ):
@@ -84,9 +87,11 @@ def test_hostile_config_keeps_exit_contract(
     path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
     path.write_text(text)
     argv = [command, "--config", str(path)]
+    if command in ("spectrum", "certify"):
+        names = _names(text, "curve|cover" if command == "spectrum" else "plan")
+        argv += ["--name", names[name_index % len(names)]]
     if command == "spectrum":
-        names = _names(text)
-        argv += ["--name", names[name_index % len(names)], "--dmax", str(dmax)]
+        argv += ["--dmax", str(dmax)]
     handler = signal.signal(signal.SIGALRM, _time_out)
     timer = signal.setitimer(signal.ITIMER_REAL, SECONDS_PER_RUN)
     try:

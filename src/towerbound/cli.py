@@ -503,6 +503,9 @@ def main(argv=None) -> int:
                 value = getattr(args, flag, None)
                 if value is not None and value < 1:
                     raise ConfigError(f"--{flag} must be >= 1, got {value}")
+            top = getattr(args, "top", None)
+            if top is not None and top > search_mod.MAX_TOP:
+                raise ConfigError(f"--top must be <= {search_mod.MAX_TOP}, got {top}")
             doc = config.load_config(args.config)
             if args.command == "spectrum":
                 code, report = cmd_spectrum(doc, args.name, args.dmax)

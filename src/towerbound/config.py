@@ -401,8 +401,11 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
             _require(keys, ("on", "degrees"), where)
             cap = _parse_int(keys.get("cap", "200"), "cap")
             top = _parse_int(keys.get("top", "10"), "top")
-            if cap < 0 or top < 1:
-                raise ConfigError(f"{where}: need cap >= 0 and top >= 1, got {cap} and {top}")
+            if cap < 0 or not 1 <= top <= search_mod.MAX_TOP:
+                raise ConfigError(
+                    f"{where}: need cap >= 0 and top >= 1 and <= {search_mod.MAX_TOP}, "
+                    f"got {cap} and {top}"
+                )
             doc.searches[name or "default"] = SearchConfig(
                 on=keys["on"],
                 degrees=_parse_degrees(keys["degrees"], params, where),

@@ -7,9 +7,10 @@ packed value, element encodings are reproducible bit for bit across runs.
 
 Every supported field has order at most MAX_ORDER = 2^20 (F_2^20, F_3^12,
 F_p for p <= 2^20, ...), and every field gets compact exp/log tables at
-construction, arrays of C ints at 4 bytes an entry (every entry is below
-2^20 or is -1), so a cached F_2^20 holds 8 MB of exp and log, not 16:
-multiplication, inversion and powering are table lookups,
+construction, each an array of the narrowest C type that holds its
+entries: 2 bytes an entry up to order 2^16 (2^15 for the Zech table, whose
+-1 needs a sign), 4 above, so a cached F_2^16 holds 256 kB of exp and log
+and F_2^20 8 MB: multiplication, inversion and powering are table lookups,
 and in odd characteristic a table of Zech logarithms log(1 + g^k) makes
 addition, subtraction and negation lookups too.  `add` is the reference
 form of that rule; the kernels of `curve` (`eval_compiled`, the
@@ -46,9 +47,6 @@ from .errors import NotPrime, OutOfRange, UnsupportedSize
 
 MAX_ORDER = 2**20  # the largest supported field order; the CLI checks each command's
 # largest field against it before counting anything (the bundled workloads reach 2^17)
-
-_TABLE_TYPECODE = "i"  # 4 bytes an entry: a packed element or a log below MAX_ORDER, a
-# trace below p, or the Zech sentinel -1; one that did not fit would raise OverflowError
 
 
 def _is_prime(n: int) -> bool:
@@ -197,6 +195,33 @@ def _smallest_irreducible(m: int, p: int) -> list[int]:
         if _is_irreducible(coeffs, p):
             return coeffs
     raise RuntimeError(f"no irreducible of degree {m} over F_{p}")  # unreachable
+
+
+def _typecode(largest: int, signed: bool = False) -> str:
+    """The narrowest array typecode, 2 bytes or else 4, for entries from 0
+    (from -1 when signed) up to largest; every table entry is a packed
+    element, a log or a trace below MAX_ORDER, or the Zech sentinel -1."""
+    if largest.bit_length() + signed <= 16:
+        return "h" if signed else "H"
+    return "i"
+
+
+def _norm(c: list[int], f: list[int], p: int) -> int:
+    """The norm of c(x) from F_p[x]/(f) down to F_p, for monic f: the
+    resultant Res(f, c), the product of c over the roots of f, by a Euclid
+    over F_p.  With a monic and b = lc * b', the product of b over the
+    roots of a is lc^deg(a) * (-1)^(deg a * deg b') times the product of
+    a mod b' over the roots of b'."""
+    a, b, out = f, _poly_trim(list(c)), 1
+    while b:
+        m, n, lc = len(a) - 1, len(b) - 1, b[-1]
+        out = out * pow(lc, m, p) * (-1) ** (m * n) % p
+        if n == 0:
+            return out
+        inv = pow(lc, p - 2, p)
+        monic = [v * inv % p for v in b]
+        a, b = monic, _poly_mod(a, monic, p)
+    return 0
 
 
 def _add_digits(a: int, b: int, p: int) -> int:
@@ -417,10 +442,13 @@ class ExtField:
     def _build_tables(self) -> tuple[array, array, array | None]:
         """exp (g^k for k < q - 1), log (log_g(a) for a != 0; entry 0 is 0)
         and, in odd characteristic, zech (log_g(1 + g^k), -1 where g^k = -1),
-        each an array of _TABLE_TYPECODE.
+        each an array of the narrowest typecode that holds its entries.
 
-        The generator g is the least packed element of full order, tested
-        by powering polynomials mod the modulus.  zech is filled in place, a
+        The generator g is the least packed element of full order: for each
+        prime r of q - 1, g^((q-1)/r) != 1, tested by powering polynomials
+        mod the modulus.  For r = 2 (odd p) that is Euler's criterion on the
+        norm of g in F_p: g is a square in F_q iff its norm is one in F_p,
+        and the norm is a Euclid over F_p, not a power.  zech is filled in place, a
         slice of exp at a time: no list of q entries, and no array grown
         (and over-allocated) entry by entry.
         """
@@ -429,21 +457,27 @@ class ExtField:
             g = 1
         else:
             factors = _prime_factors(q1)
-            g = next(
-                cand
-                for cand in range(2, self.order)  # every field has a multiplicative generator
-                if all(_poly_powmod(self.coeffs(cand), q1 // r, mod, p) != [1] for r in factors)
-            )
+
+            def full_order(c: tuple[int, ...]) -> bool:
+                return all(
+                    pow(_norm(c, mod, p), (p - 1) // 2, p) != 1 if r == 2
+                    else _poly_powmod(c, q1 // r, mod, p) != [1]
+                    for r in factors
+                )
+
+            # every field has a multiplicative generator
+            g = next(cand for cand in range(2, self.order) if full_order(self.coeffs(cand)))
         exp = self._powers_of(g)
-        log = array(_TABLE_TYPECODE, [0]) * self.order
+        log = array(_typecode(q1 - 1), [0]) * self.order
         for k, v in enumerate(exp):
             log[v] = k
         if p == 2:
             return exp, log, None
-        zech = array(_TABLE_TYPECODE, [0]) * q1
+        code = _typecode(q1 - 1, signed=True)
+        zech = array(code, [0]) * q1
         for k, s in _slices(exp):  # 1 + v only changes the constant digit of v
             zech[k:k + len(s)] = array(
-                _TABLE_TYPECODE, [log[v + 1 if v % p != p - 1 else v - p + 1] for v in s]
+                code, [log[v + 1 if v % p != p - 1 else v - p + 1] for v in s]
             )
         zech[self._half] = -1  # 1 + g^half = 1 + (-1) = 0 has no log
         return exp, log, zech
@@ -497,9 +531,10 @@ class ExtField:
         while len(block) < step:
             block += times_g(block[-1:])
         times_h = times(times_g(block[-1:])[0])
-        out = array(_TABLE_TYPECODE, [0]) * q1
+        code = _typecode(q1)
+        out = array(code, [0]) * q1
         for k in range(0, q1, step):
-            out[k:k + step] = array(_TABLE_TYPECODE, block[:q1 - k])
+            out[k:k + step] = array(code, block[:q1 - k])
             block = times_h(block)
         if times_g([out[-1]])[0] != 1:
             raise RuntimeError("generator does not have full order")
@@ -576,13 +611,13 @@ class ExtField:
         here.  Built on first use, a slice of exp at a time, by the two reads
         of `trace`.  `bytes` while every trace fits in a byte (p < 256;
         indexing it is about 15% faster than an array("B") on CPython 3.11),
-        an array of _TABLE_TYPECODE above.
+        an array of the narrowest typecode that holds p - 1 above.
         """
         lo, hi, split, p = self._lin_lo, self._lin_hi, self._split, self.p
         traces = chain.from_iterable(
             [(lo[v % split] + hi[v // split]) % p for v in s] for _, s in _slices(self._exp)
         )
-        return bytes(traces) if p < 256 else array(_TABLE_TYPECODE, traces)
+        return bytes(traces) if p < 256 else array(_typecode(p - 1), traces)
 
     def solve_additive(self, u: int) -> list[int]:
         """All w with w^p - w = u, ascending (empty when the trace of u is nonzero).

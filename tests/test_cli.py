@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from towerbound import cft, cli, cover
+from towerbound import cft, cli, cover, search
 
 
 def run(capsys, *argv):
@@ -473,6 +473,27 @@ def test_search_section_out_of_range_exit_2(capsys, tmp_path, key, value):
     code, _, err = run(capsys, "optimize", "--config", str(cfg))
     assert code == 2
     assert f"{key} >= " in err
+
+
+@pytest.mark.parametrize("where", ["flag", "section"])
+def test_top_above_bound_exit_2_before_assembly(capsys, tmp_path, monkeypatch, where):
+    """top has an upper bound: 99,999,999 on f2_tower2 would rank, re-certify and
+    print all 42,602 certified plans.  It is refused before any spectrum is assembled."""
+    def assemble(*args, **kwargs):
+        raise AssertionError("assembled before the top check")
+
+    monkeypatch.setattr(cover, "assemble_spectrum", assemble)
+    if where == "flag":
+        argv = ("optimize", "--config", "f2_tower2", "--top", str(search.MAX_TOP + 1))
+    else:
+        cfg = tmp_path / "big_top.cfg"
+        text = re.sub(r"^top = .*$", "top = 99999999", _bundled_text("f2_tower2"), flags=re.M)
+        cfg.write_text(text)
+        argv = ("optimize", "--config", str(cfg))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"<= {search.MAX_TOP}" in err
 
 
 _BIG_P = "[field]\np = {p}\n\n[curve X]\nequation = y^2 = x^3 + x + 1\ninfinity = 1:1\ngenus = 1\n"

@@ -309,20 +309,41 @@ def test_tables_entry_by_entry(params, n):
 
 
 @pytest.mark.parametrize(
-    "params,n",
-    [(P2, 16), (P2, 17), (P2, 20), (P3, 10), (P3, 12), (FieldParams(257), 2)],
-    ids=["f2_16", "f2_17", "f2_20", "f3_10", "f3_12", "f257_2"],
+    "params,n,codes",
+    [
+        (P2, 16, "HH"), (P2, 17, "ii"), (P2, 20, "ii"),
+        (P3, 9, "HHh"), (P3, 10, "HHi"), (P3, 12, "iii"),
+        (FieldParams(257), 1, "HHhH"), (FieldParams(257), 2, "iiiH"),
+    ],
+    ids=["f2_16", "f2_17", "f2_20", "f3_9", "f3_10", "f3_12", "f257_1", "f257_2"],
 )
-def test_tables_take_four_bytes_an_entry(params, n):
-    """exp, log, zech and trace_of_power for p >= 256 are arrays at 4 bytes
-    an entry; trace_of_power stays bytes for p < 256."""
+def test_tables_take_the_narrowest_width(params, n, codes):
+    """exp, log, zech and trace_of_power for p >= 256 each take the
+    narrowest of "H"/"h" (2 bytes) and "i" (4 bytes) that holds its range:
+    exp 1..q-1, log 0..q-2, zech -1..q-2 and traces 0..p-1.  The cases sit
+    on both sides of 2^16 (exp, log) and 2^15 (zech).  trace_of_power stays
+    bytes for p < 256."""
     F = make_ext_field(params, n)
-    tables = [F._exp, F._log] + ([] if F.p == 2 else [F._zech])
-    if F.p < 256:
+    q1, p = F.order - 1, F.p
+    tables = [(F._exp, 1, q1), (F._log, 0, q1 - 1)]
+    if p != 2:
+        tables.append((F._zech, -1, q1 - 1))
+    if p < 256:
         assert type(F.trace_of_power) is bytes
     else:
-        tables.append(F.trace_of_power)
-    assert all(isinstance(t, array) and t.itemsize == 4 for t in tables)
+        tables.append((F.trace_of_power, 0, p - 1))
+    assert "".join(t.typecode for t, _, _ in tables) == codes
+    for t, low, high in tables:
+        assert isinstance(t, array) and low <= min(t) and max(t) <= high
+        assert _holds(t.typecode, low, high)
+        assert t.itemsize == min(array(c).itemsize for c in "hHi" if _holds(c, low, high))
+
+
+def _holds(code: str, low: int, high: int) -> bool:
+    bits = 8 * array(code).itemsize
+    if code.islower():
+        return -(2 ** (bits - 1)) <= low and high < 2 ** (bits - 1)
+    return 0 <= low and high < 2**bits
 
 
 # sha256 of array("q", table).tobytes(), taken when the tables held 8 bytes an entry
@@ -413,3 +434,38 @@ def test_tables_take_few_polynomial_products(monkeypatch):
         calls[0] = 0
         ff.ExtField(P2, n)
         assert calls[0] <= 300, (n, calls[0])
+
+
+def _least_generator_by_powering(F):
+    """The least packed element c with c^((q-1)/r) != 1 for every prime r of
+    q - 1, each power by polynomial powering mod the modulus."""
+    q1, mod, p = F.order - 1, list(F.modulus), F.p
+    return next(
+        c for c in range(2, F.order)
+        if all(ff._poly_powmod(list(F.coeffs(c)), q1 // r, mod, p) != [1]
+               for r in ff._prime_factors(q1))
+    )
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    [(3, n) for n in range(2, 11)] + [(5, n) for n in range(1, 7)] + [(7, n) for n in range(1, 6)]
+    + [(11, 3), (13, 2), (257, 2), (1021, 2), (65521, 1)],
+)
+def test_generator_equals_the_powering_rule(p, n):
+    """The r = 2 test by Euler's criterion on the norm picks the same least
+    generator as powering by (q - 1)/2."""
+    F = ff.ExtField(FieldParams(p), n)
+    assert F._exp[1] == _least_generator_by_powering(F)
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 3), (7, 2), (257, 2)])
+def test_norm_is_the_product_of_conjugates(p, n):
+    """_norm(c) is c * c^p * ... * c^(p^(m-1)), an element of F_p."""
+    F = make_ext_field(FieldParams(p), n)
+    mod = list(F.modulus)
+    for c in random.Random(f"norm:{p}:{n}").sample(range(1, F.order), 40):
+        prod, conj = 1, c
+        for _ in range(F.degree):
+            prod, conj = F.mul(prod, conj), F.pow(conj, p)
+        assert ff._norm(F.coeffs(c), mod, p) == prod

@@ -80,6 +80,7 @@ def _names(text: str, sections: str) -> list[str]:
 @example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=-1:12")], "spectrum", 3, 1)  # below 0
 @example("f2_tower1", [(27, "0:1:2")], "certify", 0, 1)  # a plan entry of degree 0
 @example("f2_tower1", [(27, "21:1:2")], "certify", 0, 1)  # a plan degree past F_2^20
+@example("f2_tower2", [(22, "99999999")], "optimize", 0, 1)  # top = 99999999: every plan ranked
 def test_hostile_config_keeps_exit_contract(
     tmp_path_factory, cfg_name, edits, command, name_index, dmax
 ):

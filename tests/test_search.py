@@ -117,6 +117,8 @@ def test_space_rejects_bad_sizes(spectrum_k1):
     with pytest.raises(ValueError):
         search.SearchSpace(spectrum=spectrum_k1, top_n=0)
     with pytest.raises(ValueError):
+        search.SearchSpace(spectrum=spectrum_k1, top_n=search.MAX_TOP + 1)
+    with pytest.raises(ValueError):
         search.SearchSpace(spectrum=spectrum_k1, max_multiplicity=-1)
     genus_0 = curve.PlaceSpectrum.from_spectrum(P2, {1: 3, 2: 1, 3: 2}, 0)  # the projective line
     with pytest.raises(DegenerateGenus):

@@ -439,23 +439,16 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
             raise ConfigError(f"{where}: empty h_basis")
         support = []
         for rec in _parse_records(keys.get("support", "")):
-            unknown = set(rec) - {"deg", "nu", "above", "count", "rep"}
+            unknown = set(rec) - {"deg", "nu", "above", "count"}
             if unknown:
                 raise ConfigError(f"{where}: unknown support field(s) {sorted(unknown)}")
             _require(rec, ("deg", "nu", "above"), where)
-            rep = None
-            if "rep" in rec:
-                bits = rec["rep"].split(":")
-                if len(bits) != 2:
-                    raise ConfigError(f"{where}: rep must be xenc:yenc")
-                rep = (_parse_int(bits[0], "rep"), _parse_int(bits[1], "rep"))
             support.append(
                 cover_mod.DeclaredPlace(
                     degree=_parse_int(rec["deg"], "deg"),
                     nu=_parse_int(rec["nu"], "nu"),
                     above=_parse_pairs(rec["above"], "above"),
                     count=_parse_int(rec.get("count", "1"), "count"),
-                    rep=rep,
                 )
             )
         infinities = []

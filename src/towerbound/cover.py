@@ -39,7 +39,6 @@ from .curve import (
     affine_solutions,
     compile_poly2,
     eval_compiled,
-    make_affine_place,
     normalize_poly2,
     require_root_scan,
     total_degree,
@@ -60,15 +59,14 @@ class DeclaredPlace:
     nu is the conductor exponent (0 for places that are unramified but
     carry a pole of the raw component form, so trace evaluation is
     impossible); `above` lists (degree, count) of the places of the cover
-    over it.  Located among the zeros of A on the base curve by degree
-    unless an explicit representative is given.
+    over it.  Located among the zeros of A on the base curve by degree;
+    `count` such places share one declaration.
     """
 
     degree: int
     nu: int
     above: tuple[tuple[int, int], ...]
     count: int = 1
-    rep: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.degree < 1 or self.count < 1 or self.nu < 0:
@@ -169,13 +167,12 @@ class CoverSpec:
         out = {}
         for inf in self.infinities:
             out[("inf", inf.index)] = inf
-        located = [dp for dp in self.support if dp.rep is None]
-        for dp in located:
+        for dp in self.support:
             require_supported_degree(self.params, dp.degree)
             require_root_scan(self.base, dp.degree)
-        # located places are zeros of A on the curve: affine Bezout bounds
+        # support places are zeros of A on the curve: affine Bezout bounds
         # their points by deg A * deg F
-        declared = sum(dp.count * dp.degree for dp in located)
+        declared = sum(dp.count * dp.degree for dp in self.support)
         bound = total_degree(dict(self.a)) * total_degree(self.base.poly_dict)
         if declared > bound:
             raise InconsistentModel(
@@ -184,29 +181,19 @@ class CoverSpec:
             )
         by_degree: dict[int, list[DeclaredPlace]] = {}
         for dp in self.support:
-            by_degree.setdefault(dp.degree, []).append(dp)
+            by_degree.setdefault(dp.degree, []).extend([dp] * dp.count)
         for degree, decls in by_degree.items():
-            explicit = [d for d in decls if d.rep is not None]
-            located_need = sum(d.count for d in decls if d.rep is None)
-            for dp in explicit:
-                pl = make_affine_place(self.base, degree, *dp.rep)
-                out[pl.key] = dp
-            if located_need:
-                zeros = [
-                    pl
-                    for pl in enumerate_places(self.base, degree)
-                    if not pl.is_infinite and self._a_vanishes(pl) and pl.key not in out
-                ]
-                if len(zeros) != located_need:
-                    raise InconsistentModel(
-                        f"declared {located_need} support place(s) of degree {degree}, "
-                        f"found {len(zeros)} zero(s) of the component coefficients"
-                    )
-                it = iter(zeros)
-                for dp in decls:
-                    if dp.rep is None:
-                        for _ in range(dp.count):
-                            out[next(it).key] = dp
+            zeros = [
+                pl.key
+                for pl in enumerate_places(self.base, degree)
+                if not pl.is_infinite and self._a_vanishes(pl)
+            ]
+            if len(zeros) != len(decls):
+                raise InconsistentModel(
+                    f"declared {len(decls)} support place(s) of degree {degree}, "
+                    f"found {len(zeros)} zero(s) of the component coefficients"
+                )
+            out.update(zip(zeros, decls))
         self._support_map = out
         return out
 

@@ -128,10 +128,11 @@ class CurveModel:
 class Place:
     """A closed point: Galois orbit of size `degree` of curve points.
 
-    `rep` is the representative actually supplied (any point of the orbit,
-    packed coordinates over F_{q^degree}); `key` is the canonical orbit
-    identifier, the coordinate pair with smallest packed value, or
-    ('inf', index) for a declared infinite place.
+    `key` is the canonical orbit identifier, the coordinate pair with
+    smallest packed value, or ('inf', index) for a declared infinite place.
+    `rep` is the point that trace evaluation reads, packed coordinates over
+    F_{q^degree}: `enumerate_places` sets it to the key, and any other point
+    of the orbit gives the same place.  It is None at infinity.
     """
 
     degree: int
@@ -194,24 +195,6 @@ def eval_compiled(F: ExtField, polys: tuple, lx: int, ly: int) -> list[int]:
                 acc = -1 if z < 0 else acc + z
         out.append(acc % q1 if acc >= 0 else -1)
     return out
-
-
-def _require_packed(F: ExtField, x: int, y: int) -> None:
-    """Raise OutOfRange unless x and y are packed elements of F, in [0, F.order)."""
-    if not (0 <= x < F.order and 0 <= y < F.order):
-        raise OutOfRange(
-            f"({x}, {y}) has a coordinate outside [0, {F.order}), the packed "
-            f"elements of F_{F.order}"
-        )
-
-
-def eval_poly2(F: ExtField, poly: Poly2, x: int, y: int) -> int:
-    """Evaluate sum c * x^i * y^j at a point with packed coordinates in
-    [0, F.order); raises OutOfRange for any other coordinate."""
-    _require_packed(F, x, y)
-    compiled = compile_poly2((tuple(normalize_poly2(poly, F.p).items()),))
-    value = eval_compiled(F, compiled[not x, not y], F._log[x], F._log[y])[0]
-    return F._exp[value] if value >= 0 else 0
 
 
 def _y_coefficients(model: CurveModel) -> dict[tuple[bool, bool], tuple]:
@@ -534,31 +517,6 @@ def spectrum_from_counts(model: CurveModel, d_max: int) -> PlaceSpectrum:
 # ---------------------------------------------------------------------------
 
 
-def _frobenius_orbit(F: ExtField, x: int, y: int) -> list[tuple[int, int]]:
-    orbit = [(x, y)]
-    cx, cy = F.frobenius_base(x), F.frobenius_base(y)
-    while (cx, cy) != (x, y):
-        orbit.append((cx, cy))
-        cx, cy = F.frobenius_base(cx), F.frobenius_base(cy)
-    return orbit
-
-
-def make_affine_place(model: CurveModel, d: int, x: int, y: int) -> Place:
-    """Build the degree-d place through (x, y) over F_{q^d}; validates the
-    coordinates, then membership."""
-    F = make_ext_field(model.params, d)
-    _require_packed(F, x, y)
-    if eval_poly2(F, model.poly_dict, x, y) != 0:
-        raise OutOfRange(f"({x}, {y}) does not lie on the curve over F_{F.order}")
-    orbit = _frobenius_orbit(F, x, y)
-    if len(orbit) != d:
-        raise OutOfRange(
-            f"point ({x}, {y}) generates an orbit of size {len(orbit)}, not {d}; "
-            "it belongs to a place of smaller degree"
-        )
-    return Place(degree=d, key=min(orbit), rep=(x, y))
-
-
 def enumerate_places(model: CurveModel, d: int) -> list[Place]:
     """One canonical representative per place of degree exactly d, ascending by key.
 
@@ -578,12 +536,9 @@ def enumerate_places(model: CurveModel, d: int) -> list[Place]:
                 orbit.append(cy)
             if e * len(orbit) == d and y == min(orbit):
                 places.append(Place(degree=d, key=(x, y), rep=(x, y)))
-    idx = 0
-    for m, cnt in model.infinite_places:
-        for _ in range(cnt):
-            if m == d:
-                places.append(Place(degree=d, key=("inf", idx), rep=None))
-            idx += 1
+    for idx, m in enumerate(model.infinite_index_degrees()):
+        if m == d:
+            places.append(Place(degree=d, key=("inf", idx), rep=None))
     return places
 
 

@@ -317,12 +317,12 @@ class ExtField:
     All element-level methods take and return packed integers in
     [0, order).  They do not check the range, since they sit in every inner
     loop: a negative value reads the log table from its end and aliases a
-    real element, and one at or above the order raises IndexError.  Code
-    that takes elements from outside the package checks them first
-    (`curve.eval_poly2`, `curve.make_affine_place`).  Instances
-    are immutable after construction, apart from the `trace_of_power` table
-    built on first use (always to the same bytes), and safe to share
-    between workers.
+    real element, and one at or above the order raises IndexError.  No
+    element from outside the package reaches a field: configs give
+    polynomial coefficients, which are reduced mod p, and every point is
+    enumerated by the package itself.  Instances are immutable after
+    construction, apart from the `trace_of_power` table built on first use
+    (always to the same bytes), and safe to share between workers.
     """
 
     def __init__(self, params: FieldParams, n: int):

@@ -180,7 +180,7 @@ def test_criterion_6b_decomposition_exhaustive_deg_le_6(cover_k1, cover_k2, cove
                 records = []
                 x, y = pl.rep
                 for _ in range(d):
-                    conj = curve.make_affine_place(cov.base, d, x, y)
+                    conj = curve.Place(d, key=pl.key, rep=(x, y))
                     records.append(cover.decompose_place(cov, conj))
                     x, y = F.frobenius_base(x), F.frobenius_base(y)
                 assert len({rec.places_above for rec in records}) == 1

@@ -3,6 +3,7 @@
 import re
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -132,23 +133,22 @@ def test_declared_support_checked_before_enumerating(capsys, tmp_path, degree, c
     assert message in err
 
 
-@pytest.mark.parametrize("rep", ["99999:3", "-1:12"])
-def test_support_rep_outside_the_field_refused(capsys, tmp_path, rep):
-    # the packed elements of F_16 are 0..15: unchecked, -1 would read as 15
-    # and its orbit walk would never return to -1, and 99999 is past the
-    # log table
-    text = _bundled_text("f2_tower1").replace(
-        "deg=4 nu=2 above=8:1 ;", f"deg=4 nu=2 above=8:1 rep={rep} ;"
-    )
-    assert text.count(f"rep={rep}") == 1  # k1's support line only
-    cfg = tmp_path / "far_rep.cfg"
-    cfg.write_text(text)
-    start = time.perf_counter()
-    got, out, err = run(capsys, "spectrum", "--config", str(cfg), "--name", "k1")
-    assert time.perf_counter() - start < 1.0
-    assert got == 2
+MUTANTS = Path(__file__).parent / "data" / "mutants"
+
+
+@pytest.mark.parametrize(
+    "argv", [("spectrum", "--name", "k1"), ("certify", "--name", "tower1"), ("optimize",)]
+)
+@pytest.mark.parametrize("mutant, code", [("rep_override", 2), ("extra_degree4", 3)])
+def test_mutant_cover_data_prints_no_bound(capsys, mutant, code, argv):
+    # each mutant is f2_tower1.cfg with one wrong edit to k1's cover data
+    # (see the comment at its top); none may reach a spectrum or a bound
+    cfg = str(MUTANTS / f"{mutant}.cfg")
+    got, out, err = run(capsys, argv[0], "--config", cfg, *argv[1:], "--json")
+    assert got == code
     assert out == ""
-    assert "outside [0, 16)" in err and "Traceback" not in err
+    assert not [k for k in cli.parse_machine_block(out) if k.startswith(("a.", "bound"))]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "--name", "k1"), ("certify", "--name", "tower1")])
@@ -371,7 +371,7 @@ _WEAK_PLAN = "\n[plan weak]\non = k1\nentries = {entries}\nt = {t}\n"
         "genus-negative", "infinity-degree-zero", "field-e-zero", "cover-over-e-2",
         "profile-count", "plan-nu-1", "plan-t-0", "search-nu-1", "search-t-above-a1",
         "search-degree-repeated", "search-nu-repeated",
-        "support-rep-off-degree", "support-degree-zero", "infinity-above-zero", "compare-s-negative",
+        "support-rep-unknown-field", "support-degree-zero", "infinity-above-zero", "compare-s-negative",
     ],
 )
 def test_out_of_range_model_values_exit_2(capsys, tmp_path, pattern, replacement, argv):
@@ -386,6 +386,9 @@ def test_out_of_range_model_values_exit_2(capsys, tmp_path, pattern, replacement
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    if replacement is not None and "rep=" in replacement:
+        # support places come only from the zeros of A: no pinned representative
+        assert "unknown support field" in err
 
 
 @pytest.mark.parametrize("depth", [400, 5000])

@@ -18,7 +18,7 @@ def conjugate_places(model, place):
     out = []
     x, y = place.rep
     for _ in range(place.degree):
-        out.append(curve.make_affine_place(model, place.degree, x, y))
+        out.append(curve.Place(place.degree, key=place.key, rep=(x, y)))
         x, y = F.frobenius_base(x), F.frobenius_base(y)
     return out
 

@@ -139,8 +139,7 @@ MIXED_POLY = {(0, 0): 5, (4, 0): 7, (0, 3): 11, (2, 1): 13, (1, 2): 2}
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2), (7, 2), (257, 1)])
 def test_compiled_terms_match_plain_arithmetic(p, n):
     # every point of the plane, x = 0 and y = 0 included; several polynomials
-    # in one call, each compiled for the point's zero pattern.  eval_poly2
-    # compiles per call, so over F_257 it is checked on the axes only
+    # in one call, each compiled for the point's zero pattern
     F = make_ext_field(FieldParams(p), n)
     polys = [MIXED_POLY, {(0, 0): 3}, {(1, 0): 2, (0, 1): 1}, {}]
     canonical = [tuple(curve.normalize_poly2(poly, p).items()) for poly in polys]
@@ -151,8 +150,6 @@ def test_compiled_terms_match_plain_arithmetic(p, n):
             want = [plain_eval_poly2(F, poly, x, y) for poly in polys]
             got = curve.eval_compiled(F, compiled[not x, not y], log[x], log[y])
             assert got == [_log_or_minus_one(F, v) for v in want]
-            if p < 257 or x * y == 0:
-                assert curve.eval_poly2(F, MIXED_POLY, x, y) == want[0]
 
 
 def _log_or_minus_one(F, a):
@@ -398,52 +395,18 @@ def test_galois_orbit_partition(curve_E, curve_E3):
 
 
 def test_place_keys_canonical(curve_E):
+    # the key is the least point of the place's orbit under the base Frobenius,
+    # an orbit of exactly `degree` points
     places = curve.enumerate_places(curve_E, 4)
     F = make_ext_field(P2, 4)
+    assert places
     for pl in places:
-        x, y = pl.rep
-        conj = curve.make_affine_place(curve_E, 4, F.frobenius_base(x), F.frobenius_base(y))
-        assert conj.key == pl.key
-        assert conj == pl  # rep does not participate in equality
-
-
-def test_make_affine_place_rejects_off_curve(curve_E):
-    # over F_4, x = g has no y on E at all, and x = 0 only allows y in {0, 1}
-    with pytest.raises(ValueError):
-        curve.make_affine_place(curve_E, 2, 2, 0)
-    with pytest.raises(ValueError):
-        curve.make_affine_place(curve_E, 2, 0, 2)
-
-
-def test_make_affine_place_rejects_coordinates_outside_the_field(curve_E, monkeypatch):
-    # packed elements of F_16 are 0..15: 99999 is past the log table, and -1
-    # would read its last entry, as x = 15, and (15, 12) lies on E, so the
-    # orbit walk from x = -1 would never close
-    F = make_ext_field(P2, 4)
-    assert plain_eval_poly2(F, curve_E.poly, 15, 12) == 0
-
-    def no_evaluation(F, poly, x, y):
-        raise AssertionError("evaluated before the refusal")
-
-    monkeypatch.setattr(curve, "eval_poly2", no_evaluation)
-    for x, y in ((99999, 3), (-1, 12), (16, 0), (0, -1), (3, 16)):
-        with pytest.raises(OutOfRange, match=r"outside \[0, 16\)"):
-            curve.make_affine_place(curve_E, 4, x, y)
-
-
-def test_eval_poly2_rejects_coordinates_outside_the_field(curve_E):
-    # -1 would alias 15, the last entry of F_16's log table, and (15, 12) is
-    # on E; 16 would be past the table
-    F = make_ext_field(P2, 4)
-    for x, y in ((-1, 12), (15, -1), (F.order, 0), (0, F.order)):
-        with pytest.raises(OutOfRange, match=r"outside \[0, 16\)"):
-            curve.eval_poly2(F, curve_E.poly_dict, x, y)
-    assert curve.eval_poly2(F, curve_E.poly_dict, 15, 12) == 0
-
-
-def test_make_affine_place_rejects_wrong_degree(curve_E):
-    with pytest.raises(ValueError):
-        curve.make_affine_place(curve_E, 2, 0, 0)  # rational point, not a degree-2 place
+        orbit = [pl.rep]
+        while (conj := tuple(map(F.frobenius_base, orbit[-1]))) != pl.rep:
+            orbit.append(conj)
+        assert len(orbit) == 4
+        assert pl.key == min(orbit)
+        assert curve.Place(4, key=pl.key, rep=orbit[1]) == pl  # rep is not compared
 
 
 def test_zeta_goldens(curve_E, curve_H, curve_E3):

@@ -76,8 +76,8 @@ def _names(text: str, sections: str) -> list[str]:
 @example("f2_tower1", [(30, "8 ; 8")], "optimize", 0, 1)  # a searched degree twice
 @example("f2_tower1", [(31, "2, 2")], "optimize", 0, 1)  # a conductor exponent twice
 @example("f2_tower1", [(33, "0")], "optimize", 0, 1)  # cap = 0: every degree has one option
-@example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=99999:3")], "spectrum", 3, 1)  # past F_16
-@example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=-1:12")], "spectrum", 3, 1)  # below 0
+@example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=99999:3")], "spectrum", 3, 1)  # unknown field
+@example("f2_tower1", [(24, "deg=4 nu=2 above=8:1 rep=-1:12")], "spectrum", 3, 1)  # unknown, negative
 @example("f2_tower1", [(27, "0:1:2")], "certify", 0, 1)  # a plan entry of degree 0
 @example("f2_tower1", [(27, "21:1:2")], "certify", 0, 1)  # a plan degree past F_2^20
 @example("f2_tower2", [(22, "99999999")], "optimize", 0, 1)  # top = 99999999: every plan ranked

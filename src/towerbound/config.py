@@ -243,10 +243,11 @@ def _parse_degrees(value: str, params: FieldParams, where: str) -> tuple[int, ..
         degrees, ends = range(lo, hi + 1), (lo, hi)
     else:
         degrees = ends = [_parse_int(v, "degree") for v in re.split(r"[;,]", value) if v.strip()]
-    if ends:
-        if min(ends) < 1:
-            raise ConfigError(f"{where}: degrees must be >= 1, got {min(ends)}")
-        require_supported_degree(params, max(ends))
+    if not degrees:
+        raise ConfigError(f"{where}: no degrees in {value!r}")
+    if min(ends) < 1:
+        raise ConfigError(f"{where}: degrees must be >= 1, got {min(ends)}")
+    require_supported_degree(params, max(ends))
     return _distinct(degrees, "degrees", where)
 
 

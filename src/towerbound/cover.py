@@ -40,7 +40,6 @@ from .curve import (
     compile_poly2,
     eval_compiled,
     normalize_poly2,
-    require_root_scan,
     total_degree,
 )
 from .errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
@@ -157,7 +156,7 @@ class CoverSpec:
 
     def _a_vanishes(self, place: Place) -> bool:
         F = make_ext_field(self.params, place.degree)
-        x, y = place.rep
+        x, y = place.key
         return eval_compiled(F, self._a_terms[not x, not y], F._log[x], F._log[y])[0] < 0
 
     def support_map(self) -> dict:
@@ -169,7 +168,6 @@ class CoverSpec:
             out[("inf", inf.index)] = inf
         for dp in self.support:
             require_supported_degree(self.params, dp.degree)
-            require_root_scan(self.base, dp.degree)
         # support places are zeros of A on the curve: affine Bezout bounds
         # their points by deg A * deg F
         declared = sum(dp.count * dp.degree for dp in self.support)
@@ -239,9 +237,9 @@ def _component_traces(
 def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
     """Splitting of an unramified place from its Frobenius trace vector.
 
-    Conjugate representatives give the same record (traces are invariant
-    under the residue Frobenius).  Declared places are refused: their
-    behavior must come from the declaration, not a trace.
+    The vector is read at the key; every point of the place gives the same
+    one (traces are invariant under the residue Frobenius).  Declared places
+    are refused: their behavior must come from the declaration, not a trace.
     """
     if place.key in cover.support_map():
         raise RamifiedPlace(
@@ -253,7 +251,7 @@ def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
         )
     p = cover.params.p
     m = place.degree
-    taus = next(_component_traces(cover, make_ext_field(cover.params, m), [place.rep]))
+    taus = next(_component_traces(cover, make_ext_field(cover.params, m), [place.key]))
     if taus is None:
         raise PoleAtPlace(
             f"component coefficient vanishes at undeclared place {place.key}: "
@@ -300,7 +298,6 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
     if d_max < 1:
         raise OutOfRange(f"d_max must be >= 1, got {d_max}")
     require_supported_degree(cover.params, d_max)
-    require_root_scan(cover.base, d_max)
     genus = cft.genus_from_conductors(cover.base.genus, cover.profile)
     check = _degree_check.get()
     declared = cover.support_map()

@@ -26,16 +26,16 @@ read of the Zech table log(1 + g^k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Mapping, Sequence
 
-from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange, UnsupportedSize
+from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange
 from .ff import ExtField, FieldParams, make_ext_field, require_supported_degree
+from .ff import _poly_gcd, _poly_mulmod, _poly_powmod, _poly_sub
 
 Poly2 = Mapping[tuple[int, int], int]  # (x exponent, y exponent) -> coefficient mod p
 
-ROOT_SCAN_LIMIT = 1 << 12  # brute root scan allowed only on tiny fields
 CHUNK = 32  # x values whose root lists are found together
 
 
@@ -129,19 +129,17 @@ class Place:
     """A closed point: Galois orbit of size `degree` of curve points.
 
     `key` is the canonical orbit identifier, the coordinate pair with
-    smallest packed value, or ('inf', index) for a declared infinite place.
-    `rep` is the point that trace evaluation reads, packed coordinates over
-    F_{q^degree}: `enumerate_places` sets it to the key, and any other point
-    of the orbit gives the same place.  It is None at infinity.
+    smallest packed value over F_{q^degree}, or ('inf', index) for a
+    declared infinite place.  Trace evaluation reads the affine key as the
+    place's point.
     """
 
     degree: int
     key: tuple
-    rep: tuple[int, int] | None = field(default=None, compare=False)
 
     @property
     def is_infinite(self) -> bool:
-        return self.rep is None
+        return self.key[0] == "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +248,8 @@ def _chunk_roots(F: ExtField, coeffs: dict, xs: Sequence[int]) -> Iterator[Seque
     degree of its last nonzero entry: the zero polynomial has the roots
     range(F.order), not a list (counting over a vertical component takes its
     len() without holding q^n roots per x); degree 0 none; degree 1 -a0/a1;
-    degree 2 _quadratic_roots; degree >= 3 (user-supplied models only;
-    require_root_scan bounds the field) a brute scan of F.
+    degree 2 _quadratic_roots; degree >= 3 (user-supplied models only)
+    _distinct_roots, by gcds.
     """
     exp, q1 = F._exp, F._q1
     neg = F._half if F.p != 2 else 0  # log(-1)
@@ -270,8 +268,7 @@ def _chunk_roots(F: ExtField, coeffs: dict, xs: Sequence[int]) -> Iterator[Seque
         elif deg < 0:
             yield range(F.order)
         else:
-            cs = [exp[c] if c >= 0 else 0 for c in row[:deg + 1]]
-            yield [y for y in range(F.order) if _eval_univariate(F, cs, y) == 0]
+            yield _distinct_roots(F, [exp[c] if c >= 0 else 0 for c in row[:deg + 1]])
 
 
 def _quadratic_roots(F: ExtField, l0: int, l1: int, l2: int) -> list[int]:
@@ -320,28 +317,37 @@ def _quadratic_roots(F: ExtField, l0: int, l1: int, l2: int) -> list[int]:
     return out
 
 
-def _eval_univariate(F: ExtField, cs: list[int], y: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = F.add(F.mul(acc, y), c)
-    return acc
-
-
-def require_root_scan(model: CurveModel, n: int) -> None:
-    """Raise UnsupportedSize when points over F_{q^n} would need the brute
-    root scan (y-degree >= 3) over a field of order above ROOT_SCAN_LIMIT.
-
-    spectrum_from_counts and cover.assemble_spectrum check their whole
-    reach with it before counting, next to ff.require_supported_degree.
-    q >= 2, so every n beyond the limit's bit length is refused without
-    computing q**n.
+def _distinct_roots(F: ExtField, cs: list[int]) -> list[int]:
+    """The distinct roots in F = F_Q of sum(cs[k] y^k), cs[-1] != 0, ascending:
+    those of g = gcd(f, y^Q - y), f monic, split by gcds for b = 1, 2, ... in
+    turn: against Tr(b y) and Tr(b y) + 1 over F_2, Tr the absolute trace
+    (Berlekamp, Math. Comp. 24, 1970); against y + b and (y + b)^((Q-1)/2)
+    -+ 1, by the quadratic character of r + b at each root r, in odd
+    characteristic.  Some b parts any two roots r != s (a basis element with
+    Tr(b (r - s)) = 1, or b = -r or -s).  A b that does not split g splits no
+    factor of it, so the factors go on from b + 1.  Each split costs
+    O(deg^2 log Q) field operations.
     """
-    deg_y = max((j for (_, j), _ in model.poly), default=0)
-    if deg_y >= 3 and model.params.q ** min(n, ROOT_SCAN_LIMIT.bit_length()) > ROOT_SCAN_LIMIT:
-        raise UnsupportedSize(
-            f"degree-{deg_y} root finding over F_{model.params.q}^{n} is outside the "
-            f"supported range (a brute scan, field order at most {ROOT_SCAN_LIMIT})"
-        )
+    f = [F.div(c, cs[-1]) for c in cs]
+    todo = [(_poly_gcd(f, _poly_sub(_poly_powmod([0, 1], F.order, f, F), [0, 1], F), F), 1)]
+    roots = []
+    while todo:
+        g, b = todo.pop()
+        if len(g) <= 2:  # one root or none
+            roots += [F.neg(g[0])] if len(g) == 2 else []
+            continue
+        if F.p == 2:
+            t = tr = [0, b]
+            for _ in range(F.degree - 1):
+                t = _poly_mulmod(t, t, g, F)
+                tr = _poly_sub(tr, t, F)  # a sum, in characteristic 2
+            parts = [tr, _poly_sub(tr, [1], F)]
+        else:
+            s = _poly_powmod([b, 1], (F.order - 1) // 2, g, F)
+            parts = [[b, 1], _poly_sub(s, [1], F), _poly_sub(s, [F.neg(1)], F)]
+        factors = [_poly_gcd(g, h, F) for h in parts]
+        todo += [(h, b + 1) for h in factors] if max(map(len, factors)) < len(g) else [(g, b + 1)]
+    return sorted(roots)
 
 
 def _orbit_roots(model: CurveModel, n: int) -> Iterator[tuple[ExtField, int, int, Sequence[int]]]:
@@ -350,7 +356,6 @@ def _orbit_roots(model: CurveModel, n: int) -> Iterator[tuple[ExtField, int, int
 
     count_affine and enumerate_places both read these roots.
     """
-    require_root_scan(model, n)
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
     orbits = F.frobenius_orbits()
@@ -376,7 +381,6 @@ def affine_solutions(model: CurveModel, n: int) -> Iterator[tuple[int, int]]:
     A scan of every x with no orbit grouping: cover.oracle_report uses it
     as the derivation that is independent of the orbit-based spectrum.
     """
-    require_root_scan(model, n)
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
     for start in range(0, F.order, CHUNK):
@@ -504,7 +508,6 @@ def spectrum_from_counts(model: CurveModel, d_max: int) -> PlaceSpectrum:
     if d_max < 1:
         raise OutOfRange(f"d_max must be >= 1, got {d_max}")
     require_supported_degree(model.params, d_max)
-    require_root_scan(model, d_max)
     N = {}
     for n in range(1, d_max + 1):
         N[n] = count_points(model, n)
@@ -535,10 +538,10 @@ def enumerate_places(model: CurveModel, d: int) -> list[Place]:
             while (cy := F.pow(orbit[-1], step)) != y:
                 orbit.append(cy)
             if e * len(orbit) == d and y == min(orbit):
-                places.append(Place(degree=d, key=(x, y), rep=(x, y)))
+                places.append(Place(degree=d, key=(x, y)))
     for idx, m in enumerate(model.infinite_index_degrees()):
         if m == d:
-            places.append(Place(degree=d, key=("inf", idx), rep=None))
+            places.append(Place(degree=d, key=("inf", idx)))
     return places
 
 

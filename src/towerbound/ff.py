@@ -23,9 +23,11 @@ lookups itself.
 
 The tables are built a block of about sqrt(q) powers at a time: each block
 is h times the one before, and multiplication by a fixed h is F_p-linear,
-so it too is two lookups in tables of about sqrt(q) entries.  Polynomial
-arithmetic mod the modulus is used only to find the modulus (Ben-Or's
-irreducibility test), the generator and the columns of those linear maps.
+so it too is two lookups in tables of about sqrt(q) entries.  One set of
+polynomial routines (`_poly_*`) takes its coefficient field: the integers
+mod p, with no table, to find the modulus (Ben-Or's irreducibility test),
+the generator and the columns of those linear maps; an ExtField in
+`curve`, to find roots in y by gcds.
 
 One table is built lazily, on first use: `trace_of_power`, the trace of
 each power of the generator.  Fields used only for point counts never
@@ -98,8 +100,19 @@ class FieldParams:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_p, coefficient lists low degree -> high degree
+# dense polynomials, coefficient lists low degree -> high degree, over a
+# coefficient field K: any object with add, sub, mul and inv.  Field
+# construction passes _IntsMod(p); root finding in `curve` an ExtField.
 # ---------------------------------------------------------------------------
+
+
+class _IntsMod:
+    """F_p as the integers mod p: the coefficient field of field
+    construction, which reads no tables."""
+
+    def __init__(self, p: int):
+        self.add, self.sub = lambda a, b: (a + b) % p, lambda a, b: (a - b) % p
+        self.mul, self.inv = lambda a, b: a * b % p, lambda a: pow(a, -1, p)
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -108,51 +121,56 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    # f monic
-    a = list(a)
-    m = len(f) - 1
+def _poly_sub(a: list[int], b: list[int], K) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _poly_trim([K.sub(u, v) for u, v in zip(a, b)])
+
+
+def _poly_mod(a: list[int], f: list[int], K) -> list[int]:
+    # f monic; only its nonzero lower terms are subtracted
+    a, m = list(a), len(f) - 1
+    sub, mul = K.sub, K.mul
+    terms = [(j, c) for j, c in enumerate(f[:m]) if c]
     for k in range(len(a) - 1, m - 1, -1):
-        c = a[k] % p
+        c = a[k]
         if c:
-            a[k] = 0
-            for j in range(m):
-                if f[j]:
-                    a[k - m + j] = (a[k - m + j] - c * f[j]) % p
-        else:
-            a[k] = 0
-    return _poly_trim([v % p for v in a[:m]])
+            for j, fj in terms:
+                a[k - m + j] = sub(a[k - m + j], mul(c, fj))
+    return _poly_trim(a[:m])
 
 
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+def _poly_mulmod(a: list[int], b: list[int], f: list[int], K) -> list[int]:
     if not a or not b:
         return []
+    add, mul = K.add, K.mul
     prod = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                prod[i + j] += ca * cb
-    return _poly_mod(prod, f, p)
+                prod[i + j] = add(prod[i + j], mul(ca, cb))
+    return _poly_mod(prod, f, K)
 
 
-def _poly_powmod(a: list[int], k: int, f: list[int], p: int) -> list[int]:
+def _poly_powmod(a: list[int], k: int, f: list[int], K) -> list[int]:
     result = [1]
-    base = _poly_mod(a, f, p)
+    base = _poly_mod(a, f, K)
     while k:
         if k & 1:
-            result = _poly_mulmod(result, base, f, p)
+            result = _poly_mulmod(result, base, f, K)
         k >>= 1
         if k:  # no square past the top bit
-            base = _poly_mulmod(base, base, f, p)
+            base = _poly_mulmod(base, base, f, K)
     return result
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+def _poly_gcd(a: list[int], b: list[int], K) -> list[int]:
+    """The monic gcd of a and b; a itself when b is zero."""
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        monic = [(c * inv_lead) % p for c in b]
-        a, b = b, _poly_mod(a, monic, p)
+        inv_lead = K.inv(b[-1])
+        monic = [K.mul(c, inv_lead) for c in b]
+        a, b = monic, _poly_mod(a, monic, K)
     return a
 
 
@@ -165,14 +183,12 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     m = len(f) - 1
     if m < 1:
         return False
-    x = _poly_mod([0, 1], f, p)
+    K = _IntsMod(p)
+    x = _poly_mod([0, 1], f, K)
     cur = x
     for _ in range(m // 2):
-        cur = _poly_powmod(cur, p, f, p)
-        diff = cur + [0] * (len(x) - len(cur))
-        for i, c in enumerate(x):
-            diff[i] = (diff[i] - c) % p
-        if len(_poly_gcd(diff, f, p)) > 1:
+        cur = _poly_powmod(cur, p, f, K)
+        if len(_poly_gcd(f, _poly_sub(cur, x, K), K)) > 1:
             return False
     return True
 
@@ -212,7 +228,7 @@ def _norm(c: list[int], f: list[int], p: int) -> int:
     over F_p.  With a monic and b = lc * b', the product of b over the
     roots of a is lc^deg(a) * (-1)^(deg a * deg b') times the product of
     a mod b' over the roots of b'."""
-    a, b, out = f, _poly_trim(list(c)), 1
+    a, b, out, K = f, _poly_trim(list(c)), 1, _IntsMod(p)
     while b:
         m, n, lc = len(a) - 1, len(b) - 1, b[-1]
         out = out * pow(lc, m, p) * (-1) ** (m * n) % p
@@ -220,7 +236,7 @@ def _norm(c: list[int], f: list[int], p: int) -> int:
             return out
         inv = pow(lc, p - 2, p)
         monic = [v * inv % p for v in b]
-        a, b = monic, _poly_mod(a, monic, p)
+        a, b = monic, _poly_mod(a, monic, K)
     return 0
 
 
@@ -456,12 +472,12 @@ class ExtField:
         if q1 == 1:
             g = 1
         else:
-            factors = _prime_factors(q1)
+            factors, K = _prime_factors(q1), _IntsMod(p)
 
             def full_order(c: tuple[int, ...]) -> bool:
                 return all(
                     pow(_norm(c, mod, p), (p - 1) // 2, p) != 1 if r == 2
-                    else _poly_powmod(c, q1 // r, mod, p) != [1]
+                    else _poly_powmod(c, q1 // r, mod, K) != [1]
                     for r in factors
                 )
 
@@ -542,11 +558,11 @@ class ExtField:
 
     def _images(self, c: int) -> list[int]:
         """c * x^i for i < degree: the columns of the F_p-linear map v -> c*v."""
-        p, mod = self.p, list(self.modulus)
+        K, mod = _IntsMod(self.p), list(self.modulus)
         out, img = [], _poly_trim(list(self.coeffs(c)))
         for _ in range(self.degree):
             out.append(self.from_coeffs(img))
-            img = _poly_mod([0] + img, mod, p)
+            img = _poly_mod([0] + img, mod, K)
         return out
 
     def _halves(self, images: list[int]) -> tuple[list[int], list[int]]:

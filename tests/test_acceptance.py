@@ -177,14 +177,16 @@ def test_criterion_6b_decomposition_exhaustive_deg_le_6(cover_k1, cover_k2, cove
             for pl in curve.enumerate_places(cov.base, d):
                 if pl.key in declared or pl.is_infinite:
                     continue
-                records = []
-                x, y = pl.rep
+                # one trace vector at every conjugate point of the place
+                x, y = pl.key
+                points = []
                 for _ in range(d):
-                    conj = curve.Place(d, key=pl.key, rep=(x, y))
-                    records.append(cover.decompose_place(cov, conj))
+                    points.append((x, y))
                     x, y = F.frobenius_base(x), F.frobenius_base(y)
-                assert len({rec.places_above for rec in records}) == 1
-                total = sum(deg * cnt for deg, cnt in records[0].places_above)
+                vectors = {tuple(v) for v in cover._component_traces(cov, F, points)}
+                rec = cover.decompose_place(cov, pl)
+                assert vectors == {rec.frobenius_vector}
+                total = sum(deg * cnt for deg, cnt in rec.places_above)
                 assert total == d * p**r
                 checked += 1
         assert checked > 0

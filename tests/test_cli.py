@@ -360,6 +360,8 @@ _WEAK_PLAN = "\n[plan weak]\non = k1\nentries = {entries}\nt = {t}\n"
         (r"^nu = 2$", "nu = 1", ("optimize",)),
         (r"^t = a1$", "t = 999", ("optimize",)),
         (r"^degrees = 5..10$", "degrees = 8 ; 8", ("optimize",)),
+        (r"^degrees = 5..10$", "degrees = 9..5", ("optimize",)),
+        (r"^degrees = 5..10$", "degrees = ,", ("optimize",)),
         (r"^nu = 2$", "nu = 2, 2", ("optimize",)),
         (r"deg=4 nu=2 above=8:1 ;", "deg=4 nu=2 above=8:1 rep=1:1 ;", ("spectrum", "--name", "k1")),
         (r"^support = deg=4 nu=2 above=8:1 ; deg=5 nu=2 above=5:1$", "support = deg=0 nu=0 above=1:1",
@@ -370,7 +372,8 @@ _WEAK_PLAN = "\n[plan weak]\non = k1\nentries = {entries}\nt = {t}\n"
     ids=[
         "genus-negative", "infinity-degree-zero", "field-e-zero", "cover-over-e-2",
         "profile-count", "plan-nu-1", "plan-t-0", "search-nu-1", "search-t-above-a1",
-        "search-degree-repeated", "search-nu-repeated",
+        "search-degree-repeated", "search-degrees-empty-range", "search-degrees-empty-list",
+        "search-nu-repeated",
         "support-rep-unknown-field", "support-degree-zero", "infinity-above-zero", "compare-s-negative",
     ],
 )
@@ -558,24 +561,34 @@ degrees = 5..13
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, want",
     [
-        ("spectrum", "--name", "G", "--dmax", "13"),
-        ("spectrum", "--name", "kG", "--dmax", "13"),
-        ("certify", "--name", "far"),
-        ("optimize",),
+        (("spectrum", "--name", "G", "--dmax", "13"), 0),
+        (("spectrum", "--name", "kG", "--dmax", "13"), 3),
+        (("certify", "--name", "far"), 3),
+        (("optimize",), 3),
     ],
     ids=["curve-spectrum", "cover-spectrum", "certify", "optimize"],
 )
-def test_root_scan_beyond_limit_rejected_before_counting(capsys, tmp_path, argv):
+def test_y_cubic_runs_past_the_old_scan_limit(capsys, tmp_path, argv, want):
+    # over F_2^13 a brute root scan was refused (exit 2); the gcd path counts
+    # there.  The toy cover kG is inconsistent: A = x + 1 has no zero of
+    # degree 1 on G, so its declared support place is refused (exit 3).
     cfg = tmp_path / "cubic.cfg"
     cfg.write_text(_Y_CUBIC)
     start = time.perf_counter()
-    code, out, err = run(capsys, argv[0], "--config", str(cfg), *argv[1:])
+    code, out, err = run(capsys, argv[0], "--config", str(cfg), "--json", *argv[1:])
     assert time.perf_counter() - start < 3.0
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "degree-3 root finding over F_2^13" in err
+    assert code == want
+    if want:
+        assert out == ""
+        assert "declared 1 support place(s) of degree 1, found 0 zero(s)" in err
+        return
+    block = cli.parse_machine_block(out)
+    assert [int(block[f"a.{d}"]) for d in range(1, 14)] == [
+        1, 0, 4, 8, 8, 14, 16, 28, 52, 92, 192, 320, 640,
+    ]
+    assert block["zeta.pass"] == "true"
 
 
 def test_root_scan_within_limit_runs(capsys, tmp_path):
@@ -629,12 +642,15 @@ def test_search_over_rational_places(capsys, tmp_path, search):
 
 
 def test_search_with_no_degrees_is_empty(capsys, tmp_path):
+    # an empty degree list is an input error (exit 2), not a search in which
+    # nothing certifies (exit 5)
     cfg = tmp_path / "nodegrees.cfg"
-    cfg.write_text(_bundled_text("f2_tower1").replace("degrees = 5..10", "degrees = 10..5"))
-    code, out, err = run(capsys, "optimize", "--config", str(cfg))
-    assert code == 5
-    assert out == ""
-    assert err.startswith("empty search space: ")
+    for degrees in ("10..5", ","):
+        cfg.write_text(_bundled_text("f2_tower1").replace("degrees = 5..10", f"degrees = {degrees}"))
+        code, out, err = run(capsys, "optimize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"no degrees in {degrees!r}" in err
 
 
 @pytest.mark.parametrize(

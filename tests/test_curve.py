@@ -48,7 +48,7 @@ def test_count_points_against_brute_force(name, expected, curve_E, curve_H, curv
 
 
 def _genus3_y_cubic():
-    """y^3 + y = x^4 + x + 1 over F_2: y-degree 3, so roots come from the brute scan."""
+    """y^3 + y = x^4 + x + 1 over F_2: y-degree 3, so roots come from the gcd path."""
     return curve.CurveModel.create(
         P2, {(0, 3): 1, (0, 1): 1, (4, 0): 1, (1, 0): 1, (0, 0): 1}, ((1, 1),), genus=3, name="G"
     )
@@ -72,7 +72,7 @@ def _plane():
 
 def reference_places(model, d):
     """The whole-field scan: every affine solution over F_{q^d}, grouped into
-    Frobenius orbits, one (degree, key, rep) per orbit of size d, by key."""
+    Frobenius orbits, one (degree, key) per orbit of size d, by key."""
     F = make_ext_field(model.params, d)
     seen, out = set(), []
     for pt in curve.affine_solutions(model, d):
@@ -83,7 +83,7 @@ def reference_places(model, d):
             orbit.append(nxt)
         seen.update(orbit)
         if len(orbit) == d:
-            out.append((d, min(orbit), min(orbit)))
+            out.append((d, min(orbit)))
     return sorted(out)
 
 
@@ -97,7 +97,7 @@ def test_orbit_scan_matches_whole_field_scan(curve_E, curve_H, curve_E3):
     for model, d_max in cases:
         for d in range(1, d_max + 1):
             places = curve.enumerate_places(model, d)
-            affine = [(pl.degree, pl.key, pl.rep) for pl in places if not pl.is_infinite]
+            affine = [(pl.degree, pl.key) for pl in places if not pl.is_infinite]
             assert affine == reference_places(model, d), (model.name, d)
             assert curve.count_affine(model, d) == sum(1 for _ in curve.affine_solutions(model, d))
 
@@ -263,6 +263,11 @@ def _reference_roots(F, poly, x):
         return range(F.order)
     if len(cs) == 3:
         return _brute_quadratic_roots(F, *cs)
+    return _plain_roots(F, cs)
+
+
+def _plain_roots(F, cs):
+    """Every y, ascending, at which sum(cs[k] y^k) vanishes."""
     roots = []
     for y in range(F.order):
         value = 0
@@ -271,6 +276,41 @@ def _reference_roots(F, poly, x):
         if value == 0:
             roots.append(y)
     return roots
+
+
+def _times_root(F, cs, r):
+    """The coefficients of sum(cs[k] y^k) * (y - r)."""
+    out = [0] + list(cs)
+    for k, c in enumerate(cs):
+        out[k] = F.sub(out[k], F.mul(c, r))
+    return out
+
+
+_GCD_FIELDS = [(P2, k) for k in range(1, 7)] + [(P3, k) for k in range(1, 5)] + [
+    (FieldParams(5), 1), (FieldParams(2, 2), 1), (FieldParams(257), 1)
+]
+
+
+@pytest.mark.parametrize(
+    "params, n", _GCD_FIELDS, ids=[f"p{pr.p}-e{pr.e}-n{n}" for pr, n in _GCD_FIELDS]
+)
+def test_gcd_roots_match_plain_evaluation(params, n):
+    # the roots of y-degree >= 3: gcd(f, y^q - y), split by gcds, against the
+    # value at every y, for each degree 3..8 a random polynomial, one with a
+    # double root and the root 0, and one with no root; and y^q - y itself
+    F = make_ext_field(params, n)
+    rng = random.Random(f"gcd-roots:{params}:{n}")
+
+    def draw(d):  # degree exactly d
+        return [rng.randrange(F.order) for _ in range(d)] + [rng.randrange(1, F.order)]
+
+    everything = [0, F.neg(1)] + [0] * (F.order - 2) + [1]
+    assert curve._distinct_roots(F, everything) == list(range(F.order))
+    for d in range(3, 9):
+        r = rng.randrange(F.order)
+        rootless = next(cs for cs in iter(lambda: draw(d), None) if not _plain_roots(F, cs))
+        for cs in (draw(d), _times_root(F, _times_root(F, _times_root(F, draw(d - 3), r), r), 0), rootless):
+            assert curve._distinct_roots(F, cs) == _plain_roots(F, cs), (d, cs)
 
 
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 2), (5, 2), (7, 2), (257, 1)])
@@ -295,22 +335,14 @@ def test_chunk_roots_match_reference_scan(p, n, monkeypatch):
     assert vanished  # the zero polynomial is compared too
 
 
-def test_root_scan_refused_before_counting(monkeypatch):
+def test_y_cubic_counts_past_the_old_scan_limit():
+    # over F_2^13 a brute root scan was refused (field order above 2^12); the
+    # gcd path counts there, and a_13 = 640 is the spectrum that zeta passes
     model = _genus3_y_cubic()
-
-    def no_counting(F, coeffs, xs):
-        raise AssertionError("counted before the refusal")
-
-    monkeypatch.setattr(curve, "_chunk_roots", no_counting)
-    curve.require_root_scan(model, 12)  # 2^12 is the largest scanned field
-    for n in (13, 10**9):
-        with pytest.raises(UnsupportedSize, match="degree-3 root finding"):
-            curve.require_root_scan(model, n)
-    with pytest.raises(UnsupportedSize):
-        curve.count_points(model, 13)
-    with pytest.raises(UnsupportedSize):
-        curve.enumerate_places(model, 13)
-    curve.require_root_scan(curve.CurveModel.create(P2, {(0, 2): 1, (3, 0): 1}), 20)  # y-degree 2
+    assert len(curve.enumerate_places(model, 13)) == 640
+    assert curve.count_points(model, 13) == 1 + 13 * 640
+    with pytest.raises(UnsupportedSize):  # ff.MAX_ORDER is the one size limit
+        curve.spectrum_from_counts(model, 21)
 
 
 def test_counts_over_the_largest_tabled_fields(curve_E, curve_E3):
@@ -401,12 +433,11 @@ def test_place_keys_canonical(curve_E):
     F = make_ext_field(P2, 4)
     assert places
     for pl in places:
-        orbit = [pl.rep]
-        while (conj := tuple(map(F.frobenius_base, orbit[-1]))) != pl.rep:
+        orbit = [pl.key]
+        while (conj := tuple(map(F.frobenius_base, orbit[-1]))) != pl.key:
             orbit.append(conj)
         assert len(orbit) == 4
         assert pl.key == min(orbit)
-        assert curve.Place(4, key=pl.key, rep=orbit[1]) == pl  # rep is not compared
 
 
 def test_zeta_goldens(curve_E, curve_H, curve_E3):

@@ -211,11 +211,12 @@ def test_sqrt_consistency_f3():
 def assert_agree(F, pairs, unary):
     """Check the tabled operations against untabled polynomial arithmetic
     mod F.modulus written here: products through ff._poly_mulmod, sums
-    digit by digit, squares by Euler's criterion through ff._poly_powmod."""
-    p, mod = F.p, F.modulus
+    digit by digit, squares by Euler's criterion through ff._poly_powmod,
+    both over the integers mod p."""
+    p, mod, K = F.p, F.modulus, ff._IntsMod(F.p)
 
     def mul(a, b):
-        return F.from_coeffs(ff._poly_mulmod(F.coeffs(a), F.coeffs(b), mod, p))
+        return F.from_coeffs(ff._poly_mulmod(F.coeffs(a), F.coeffs(b), mod, K))
 
     def add(a, b):
         return F.from_coeffs(x + y for x, y in zip(F.coeffs(a), F.coeffs(b)))
@@ -230,7 +231,7 @@ def assert_agree(F, pairs, unary):
         return out
 
     def euler_square(a):
-        return a == 0 or ff._poly_powmod(F.coeffs(a), (F.order - 1) // 2, mod, p) == [1]
+        return a == 0 or ff._poly_powmod(F.coeffs(a), (F.order - 1) // 2, mod, K) == [1]
 
     for a, b in pairs:
         assert F.add(a, b) == add(a, b)
@@ -301,7 +302,7 @@ def test_tables_entry_by_entry(params, n):
     rng = random.Random(f"ff-blocks:{p}:{F.degree}")
     ks = [rng.randrange(q1) for _ in range(200)] + [block - 1, block, block + 1, q1 - 1]
     for k in (k for k in ks if 0 <= k < q1):
-        assert exp[k] == F.from_coeffs(ff._poly_powmod(list(g), k, list(F.modulus), p))
+        assert exp[k] == F.from_coeffs(ff._poly_powmod(list(g), k, list(F.modulus), ff._IntsMod(p)))
         if p != 2:  # 1 + g^k digit by digit: only the constant digit moves
             z, v = F._zech[k], exp[k]
             assert (0 if z < 0 else exp[z]) == v - v % p + (v + 1) % p == F.add(1, v)
@@ -439,10 +440,10 @@ def test_tables_take_few_polynomial_products(monkeypatch):
 def _least_generator_by_powering(F):
     """The least packed element c with c^((q-1)/r) != 1 for every prime r of
     q - 1, each power by polynomial powering mod the modulus."""
-    q1, mod, p = F.order - 1, list(F.modulus), F.p
+    q1, mod, K = F.order - 1, list(F.modulus), ff._IntsMod(F.p)
     return next(
         c for c in range(2, F.order)
-        if all(ff._poly_powmod(list(F.coeffs(c)), q1 // r, mod, p) != [1]
+        if all(ff._poly_powmod(list(F.coeffs(c)), q1 // r, mod, K) != [1]
                for r in ff._prime_factors(q1))
     )
 

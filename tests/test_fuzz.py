@@ -31,7 +31,7 @@ DEEP = "(" * 400 + "x" + ")" * 400
 VALUES = (
     "", "0", "1", "2", "3", "-1", "5", "99999999", "a1", "x", "y", "x^64", "(x+1)^65",
     "x^2 + x", "0 = 0", "x^2 + x = 0",
-    "y^2 + y = x^3 + x", "y^3 + y = x^4 + x + 1", f"{DEEP} = y", DEEP,
+    "y^2 + y = x^3 + x", "y^3 + y = x^4 + x + 1", "y^4 + x*y = x^3", f"{DEEP} = y", DEEP,
     "1:1", "0:0", "0:1", "1:32", "10:1 ; 18:30", "0:1:2", "21:1:2",
     "1..10", "5..13", "1, 5, 8, 10", "8 ; 8", "2, 2",
     "deg=0 nu=0 above=1:1", "idx=0 above=0:0", "deg=4 nu=0 above=8:1", "deg=5 nu=-1 above=5:1",

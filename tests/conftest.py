@@ -12,6 +12,17 @@ def plain_eval_poly2(F, poly, x, y):
     return acc
 
 
+def conjugate_points(F, key):
+    """The points of the place with affine key over F = F_{q^degree}: the
+    orbit of the key under the base Frobenius."""
+    x, y = key
+    out = []
+    for _ in range(F.n):
+        out.append((x, y))
+        x, y = F.frobenius_base(x), F.frobenius_base(y)
+    return out
+
+
 @pytest.fixture(scope="session")
 def doc1():
     return config.load_config("f2_tower1")

@@ -16,7 +16,7 @@ from towerbound import cft, cli, cover, curve, search
 from towerbound.errors import InconsistentModel
 from towerbound.ff import FieldParams, make_ext_field
 
-from conftest import plain_eval_poly2
+from conftest import conjugate_points, plain_eval_poly2
 from test_cft import gs_margin_raw
 
 P2 = FieldParams(2)
@@ -178,11 +178,7 @@ def test_criterion_6b_decomposition_exhaustive_deg_le_6(cover_k1, cover_k2, cove
                 if pl.key in declared or pl.is_infinite:
                     continue
                 # one trace vector at every conjugate point of the place
-                x, y = pl.key
-                points = []
-                for _ in range(d):
-                    points.append((x, y))
-                    x, y = F.frobenius_base(x), F.frobenius_base(y)
+                points = conjugate_points(F, pl.key)
                 vectors = {tuple(v) for v in cover._component_traces(cov, F, points)}
                 rec = cover.decompose_place(cov, pl)
                 assert vectors == {rec.frobenius_vector}

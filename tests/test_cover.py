@@ -6,21 +6,10 @@ from towerbound import cft, cover, curve
 from towerbound.errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
 from towerbound.ff import ExtField, FieldParams, make_ext_field
 
-from conftest import plain_eval_poly2
+from conftest import conjugate_points, plain_eval_poly2
 
 P2 = FieldParams(2)
 P3 = FieldParams(3)
-
-
-def conjugate_points(F, key):
-    """The points of the place with affine key over F = F_{q^degree}: the
-    orbit of the key under the base Frobenius."""
-    x, y = key
-    out = []
-    for _ in range(F.n):
-        out.append((x, y))
-        x, y = F.frobenius_base(x), F.frobenius_base(y)
-    return out
 
 
 def test_normalization_identity(cover_k1, cover_k3):

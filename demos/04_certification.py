@@ -15,6 +15,8 @@ with the conductor measured either worst-case (plain) or damped per place
 (refined).  All arithmetic is exact; decimals are display only.
 """
 
+import dataclasses
+
 from towerbound import cft, cli, config, cover
 
 CASES = [
@@ -26,11 +28,10 @@ CASES = [
 
 for cfg_name, plan_name, label in CASES:
     doc = config.load_config(cfg_name)
-    pc = doc.plans[plan_name]
-    cov = doc.covers[pc.on]
-    spectrum = cover.assemble_spectrum(cov, max(10 if doc.params.p == 2 else 9,
-                                                max(f for f, _, _ in pc.entries)))
-    plan = cft.RamificationPlan(doc.params, pc.entries, pc.t, available_spectrum=spectrum)
+    on, plan = doc.plans[plan_name]
+    spectrum = cover.assemble_spectrum(doc.covers[on], max(10 if doc.params.p == 2 else 9,
+                                                           max(f for f, _, _ in plan.entries)))
+    plan = dataclasses.replace(plan, available_spectrum=spectrum)
     cert = cft.certify_tower(spectrum.genus, plan)
     print(f"== {label} ==")
     print(f"  {plan.describe()}, genus {cert.genus}")
@@ -46,7 +47,7 @@ for cfg_name, plan_name, label in CASES:
 
 print("What fails when t is pushed to the side-condition boundary:")
 doc = config.load_config("f2_tower1")
-plan = cft.RamificationPlan(doc.params, doc.plans["tower1"].entries, 231)
+plan = dataclasses.replace(doc.plans["tower1"][1], t=231)
 cert = cft.certify_tower(276, plan)
 print(f"  t = 231: d >= {cert.d_lower}, r - d <= {cert.rd_upper}, "
       f"margin {cert.gs_margin} -> {'INFINITE' if cert.infinite else 'not certified'}")

@@ -11,22 +11,16 @@ The second half evaluates known rank-2 tower constructions under both
 bound systems; the sharper system certifies towers with more split places.
 """
 
+import dataclasses
+
 from towerbound import cli, config, cover, search
 
 for cfg_name in ("f2_tower1", "f2_tower2", "f3_tower"):
     doc = config.load_config(cfg_name)
-    sc = doc.searches["default"]
-    cov = doc.covers[sc.on]
-    spectrum = cover.assemble_spectrum(cov, max(sc.degrees))
-    space = search.SearchSpace(
-        spectrum=spectrum,
-        degrees=sc.degrees,
-        allowed_nu=sc.nus,
-        max_multiplicity=sc.cap,
-        top_n=3,
-    )
-    result = search.optimize(space)
-    print(f"== search over {sc.on} (degrees {sc.degrees[0]}..{sc.degrees[-1]}) ==")
+    on, space = doc.searches["default"]
+    spectrum = cover.assemble_spectrum(doc.covers[on], max(space.degrees))
+    result = search.optimize(dataclasses.replace(space, spectrum=spectrum, top_n=3))
+    print(f"== search over {on} (degrees {space.degrees[0]}..{space.degrees[-1]}) ==")
     print(f"  {result.candidates_evaluated} candidates, {result.certified_count} certify")
     for i, (plan, cert) in enumerate(result.ranked):
         print(f"  #{i + 1}: {plan.describe()}")

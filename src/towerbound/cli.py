@@ -31,6 +31,7 @@ from .errors import (
     EmptySpace,
     InconsistentModel,
     TowerboundError,
+    located,
 )
 
 EXIT_OK = 0
@@ -242,11 +243,8 @@ def _emit_certificate(report: Report, cert: cft.TowerCertificate):
 def cmd_certify(doc: config.ConfigDocument, plan_name: str) -> tuple[int, Report]:
     if plan_name not in doc.plans:
         raise ConfigError(f"no plan named {plan_name!r} in {doc.source} (have {list(doc.plans)})")
-    plan_cfg = doc.plans[plan_name]
-    cov = doc.covers[plan_cfg.on]
-    # built first, so a bad entry is refused before any assembly
-    plan = cft.RamificationPlan(cov.params, plan_cfg.entries, plan_cfg.t)
-    spectrum = cover_mod.assemble_spectrum(cov, max(f for f, _, _ in plan.entries))
+    on, plan = doc.plans[plan_name]
+    spectrum = cover_mod.assemble_spectrum(doc.covers[on], max(f for f, _, _ in plan.entries))
     infeasible = None
     try:
         dataclasses.replace(plan, available_spectrum=spectrum)
@@ -258,7 +256,7 @@ def cmd_certify(doc: config.ConfigDocument, plan_name: str) -> tuple[int, Report
     report.kv("record", "certificate")
     report.kv("config", doc.source)
     report.kv("name", plan_name)
-    report.line(f"certificate for plan {plan_name} on cover {plan_cfg.on}")
+    report.line(f"certificate for plan {plan_name} on cover {on}")
     if infeasible:
         report.kv("feasible", False)
         report.line(f"plan is not realizable on this spectrum: {infeasible}")
@@ -275,24 +273,17 @@ def cmd_optimize(doc: config.ConfigDocument, top: int | None) -> tuple[int, Repo
     report = Report()
     report.kv("record", "search")
     report.kv("config", doc.source)
-    for sname, sc in sorted(doc.searches.items()):
-        cov = doc.covers[sc.on]
-        with cover_mod.after_each_degree(search_mod.size_check(sc.degrees, sc.nus, sc.cap)):
-            spectrum = cover_mod.assemble_spectrum(cov, max(sc.degrees, default=1))
-        t_values = () if sc.t == "a1" else (int(sc.t),)
-        space = search_mod.SearchSpace(
-            spectrum=spectrum,
-            degrees=sc.degrees,
-            allowed_nu=sc.nus,
-            t_values=t_values,
-            max_multiplicity=sc.cap,
-            top_n=sc.top if top is None else top,
-        )
-        result = search_mod.optimize(space)
+    for sname, (on, space) in sorted(doc.searches.items()):
+        if top is not None:
+            with located("--top"):
+                space = dataclasses.replace(space, top_n=top)
+        with cover_mod.after_each_degree(search_mod.size_check(space)):
+            spectrum = cover_mod.assemble_spectrum(doc.covers[on], max(space.degrees, default=1))
+        result = search_mod.optimize(dataclasses.replace(space, spectrum=spectrum))
         report.kv(f"{sname}.candidates", result.candidates_evaluated)
         report.kv(f"{sname}.certified", result.certified_count)
         report.line(
-            f"search {sname} over {sc.on}: {result.candidates_evaluated} candidates, "
+            f"search {sname} over {on}: {result.candidates_evaluated} candidates, "
             f"{result.certified_count} certify; top {len(result.ranked)}:"
         )
         for i, (plan, cert) in enumerate(result.ranked):
@@ -398,10 +389,9 @@ def cmd_selftest() -> int:
     docs = {"f2_tower1": doc1, "f2_tower2": doc2, "f3_tower": doc3}
     spectra = {"k1": s1, "k2": s2, "k3": s3}
     for (cfg_name, plan_name), (margin, plain, refined) in expected.items():
-        doc = docs[cfg_name]
-        pc = doc.plans[plan_name]
-        spectrum = spectra[pc.on]
-        plan = cft.RamificationPlan(doc.params, pc.entries, pc.t, available_spectrum=spectrum)
+        on, plan = docs[cfg_name].plans[plan_name]
+        spectrum = spectra[on]
+        plan = dataclasses.replace(plan, available_spectrum=spectrum)
         cert = cft.certify_tower(spectrum.genus, plan)
         check(f"{plan_name}: margin", cert.gs_margin, margin)
         check(f"{plan_name}: infinite", cert.infinite, True)
@@ -409,9 +399,9 @@ def cmd_selftest() -> int:
             check(f"{plan_name}: bound", cert.bound, plain)
         if refined is not None:
             check(f"{plan_name}: bound_refined", cert.bound_refined, refined)
-    cert2 = cft.certify_tower(343, cft.RamificationPlan(doc2.params, doc2.plans["tower2"].entries, 192))
+    cert2 = cft.certify_tower(343, doc2.plans["tower2"][1])
     check("tower2 decimal prefix", truncate_decimal(cert2.bound_refined)[:8], "0.316999")
-    cert3 = cft.certify_tower(601, cft.RamificationPlan(doc3.params, doc3.plans["mixed"].entries, 567))
+    cert3 = cft.certify_tower(601, doc3.plans["mixed"][1])
     check("mixed decimal prefix", truncate_decimal(cert3.bound_refined)[:8], "0.492876")
 
     print("oracle residuals:")
@@ -499,13 +489,8 @@ def main(argv=None) -> int:
         else:
             if not args.config:
                 raise ConfigError(f"{args.command} requires --config")
-            for flag in ("dmax", "top"):
-                value = getattr(args, flag, None)
-                if value is not None and value < 1:
-                    raise ConfigError(f"--{flag} must be >= 1, got {value}")
-            top = getattr(args, "top", None)
-            if top is not None and top > search_mod.MAX_TOP:
-                raise ConfigError(f"--top must be <= {search_mod.MAX_TOP}, got {top}")
+            if getattr(args, "dmax", None) is not None and args.dmax < 1:
+                raise ConfigError(f"--dmax must be >= 1, got {args.dmax}")
             doc = config.load_config(args.config)
             if args.command == "spectrum":
                 code, report = cmd_spectrum(doc, args.name, args.dmax)

@@ -17,12 +17,13 @@ fields inside a record, and ','/':' inside small tuples:
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 from . import cft, cover as cover_mod, curve as curve_mod, search as search_mod
-from .errors import ConfigError
+from .errors import ConfigError, located
 from .ff import FieldParams, require_supported_degree
 
 # ---------------------------------------------------------------------------
@@ -185,23 +186,26 @@ def _parse_int(value: str, what: str) -> int:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _parse_pairs(value: str, what: str) -> tuple[tuple[int, int], ...]:
-    """`10:1 ; 18:30` or `10:1, 18:30` -> ((10, 1), (18, 30))."""
+def _parse_tuples(value: str, what: str, shape: str, separators: str = "[;,]") -> tuple:
+    """`10:1 ; 18:30` -> ((10, 1), (18, 30)) for the shape deg:count; one
+    integer per ':'-separated field of the shape."""
     out = []
-    for part in re.split(r"[;,]", value):
+    for part in re.split(separators, value):
         part = part.strip()
         if not part:
             continue
         bits = part.split(":")
-        if len(bits) != 2:
-            raise ConfigError(f"{what} entries must be deg:count, got {part!r}")
-        out.append((_parse_int(bits[0], what), _parse_int(bits[1], what)))
+        if len(bits) != shape.count(":") + 1:
+            raise ConfigError(f"{what} entries must be {shape}, got {part!r}")
+        out.append(tuple(_parse_int(b, what) for b in bits))
     if not out:
-        raise ConfigError(f"{what} must be nonempty")
+        raise ConfigError(f"{what} needs at least one entry")
     return tuple(out)
 
 
-def _parse_records(value: str) -> list[dict[str, str]]:
+def _parse_records(value: str, where: str, what: str, required: tuple, optional=()) -> list:
+    """`k=v k=v ; k=v ...` -> one dict per record, holding every required
+    field, and otherwise only optional ones."""
     records = []
     for part in value.split(";"):
         part = part.strip()
@@ -215,24 +219,12 @@ def _parse_records(value: str) -> list[dict[str, str]]:
             if k in rec:
                 raise ConfigError(f"duplicate field {k!r} in record {part!r}")
             rec[k] = v
+        unknown = set(rec) - set(required) - set(optional)
+        if unknown:
+            raise ConfigError(f"{where}: unknown {what} field(s) {sorted(unknown)}")
+        _require(rec, required, where)
         records.append(rec)
     return records
-
-
-def _parse_entries(value: str) -> tuple[tuple[int, int, int], ...]:
-    """`5:1:2 ; 8:27:2` -> ((5, 1, 2), (8, 27, 2)) as (degree, count, nu)."""
-    out = []
-    for part in value.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        bits = part.split(":")
-        if len(bits) != 3:
-            raise ConfigError(f"plan entries must be deg:count:nu, got {part!r}")
-        out.append(tuple(_parse_int(b, "plan entry") for b in bits))
-    if not out:
-        raise ConfigError("plan needs at least one entry")
-    return tuple(out)
 
 
 def _parse_degrees(value: str, params: FieldParams, where: str) -> tuple[int, ...]:
@@ -248,15 +240,30 @@ def _parse_degrees(value: str, params: FieldParams, where: str) -> tuple[int, ..
     if min(ends) < 1:
         raise ConfigError(f"{where}: degrees must be >= 1, got {min(ends)}")
     require_supported_degree(params, max(ends))
-    return _distinct(degrees, "degrees", where)
+    return tuple(degrees)
 
 
-def _distinct(values, what: str, where: str) -> tuple[int, ...]:
-    """The values as a tuple; a repeat would rank one plan under several spellings."""
-    values = tuple(values)
-    if len(set(values)) < len(values):
-        raise ConfigError(f"{where}: {what} repeat a value: {list(values)}")
-    return values
+def _search_space(keys: dict, params: FieldParams, where: str) -> search_mod.SearchSpace:
+    """The library's default space with each key of the section applied in
+    turn, so a value out of range is refused naming its key."""
+    space = search_mod.SearchSpace()
+    for key, value in keys.items():
+        if key == "degrees":
+            fields = {"degrees": _parse_degrees(value, params, where)}
+        elif key == "nu":
+            nus = (_parse_int(v, "nu") for v in value.split(",") if v.strip())
+            fields = {"allowed_nu": tuple(nus)}
+        elif key == "t":
+            fields = {"t_values": () if value == "a1" else (_parse_int(value, "t"),)}
+        elif key == "cap":
+            fields = {"max_multiplicity": _parse_int(value, "cap")}
+        elif key == "top":
+            fields = {"top_n": _parse_int(value, "top")}
+        else:  # on: resolved once every cover is built
+            continue
+        with located(key):
+            space = dataclasses.replace(space, **fields)
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -265,31 +272,14 @@ def _distinct(values, what: str, where: str) -> tuple[int, ...]:
 
 
 @dataclass
-class PlanConfig:
-    name: str
-    on: str  # cover name
-    entries: tuple[tuple[int, int, int], ...]
-    t: int
-
-
-@dataclass
-class SearchConfig:
-    on: str
-    degrees: tuple[int, ...]
-    nus: tuple[int, ...]
-    t: str  # "a1" or an integer literal
-    cap: int
-    top: int
-
-
-@dataclass
 class ConfigDocument:
     params: FieldParams
     curves: dict[str, curve_mod.CurveModel] = field(default_factory=dict)
     covers: dict[str, cover_mod.CoverSpec] = field(default_factory=dict)
     profiles: dict[str, cft.CharacterConductorProfile] = field(default_factory=dict)
-    plans: dict[str, PlanConfig] = field(default_factory=dict)
-    searches: dict[str, SearchConfig] = field(default_factory=dict)
+    # name -> (cover name, library object); an unnamed [search] is "default"
+    plans: dict[str, tuple[str, cft.RamificationPlan]] = field(default_factory=dict)
+    searches: dict[str, tuple[str, search_mod.SearchSpace]] = field(default_factory=dict)
     compares: dict[str, search_mod.MethodComparisonInput] = field(default_factory=dict)
     source: str = "<string>"
 
@@ -307,6 +297,7 @@ _SECTION_KEYS = {
 
 def _split_sections(text: str, source: str):
     sections = []
+    seen: dict[tuple[str, str], int] = {}  # (kind, name) -> line of its header
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -325,7 +316,15 @@ def _split_sections(text: str, source: str):
             if kind not in ("field", "search") and len(parts) != 2:
                 raise ConfigError(f"{source}:{lineno}: section {kind!r} needs exactly one name")
             name = parts[1] if len(parts) > 1 else ""
-            current = {"kind": kind, "name": name, "keys": {}, "line": lineno}
+            if kind != "field":  # its count is checked once every section is read
+                first = seen.setdefault((kind, name or "default"), lineno)
+                if first != lineno:
+                    raise ConfigError(
+                        f"{source}:{lineno}: section [{kind} {name or 'default'}] "
+                        f"repeats the one at line {first}"
+                    )
+            where = f"{source}: [{' '.join(parts)}]"
+            current = {"kind": kind, "name": name, "keys": {}, "where": where}
             sections.append(current)
             continue
         if current is None:
@@ -361,127 +360,91 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
     params = FieldParams(_parse_int(fkeys["p"], "p"), _parse_int(fkeys.get("e", "1"), "e"))
     doc = ConfigDocument(params=params, source=source)
 
-    for sec in sections:
-        kind, name, keys = sec["kind"], sec["name"], sec["keys"]
-        where = f"{source}: [{kind} {name}]"
+    # covers last: they reference curves and profiles
+    for sec in sorted(sections, key=lambda sec: sec["kind"] == "cover"):
+        kind, name, keys, where = sec["kind"], sec["name"], sec["keys"], sec["where"]
         if kind == "field":
             continue
-        if kind == "curve":
-            _require(keys, ("equation", "infinity", "genus"), where)
-            doc.curves[name] = curve_mod.CurveModel.create(
-                params,
-                parse_equation(keys["equation"], params.p),
-                _parse_pairs(keys["infinity"], "infinity"),
-                genus=_parse_int(keys["genus"], "genus"),
-                name=name,
-            )
-        elif kind == "profile":
-            _require(keys, ("group_order", "conductors"), where)
-            doc.profiles[name] = cft.CharacterConductorProfile(
-                degree_multiset=_parse_pairs(keys["conductors"], "conductors"),
-                group_order=_parse_int(keys["group_order"], "group_order"),
-            )
-        elif kind == "compare":
-            _require(keys, ("s", "l", "t", "s_prime", "T"), where)
-            doc.compares[name] = search_mod.MethodComparisonInput(
-                s=_parse_int(keys["s"], "s"),
-                l=_parse_int(keys["l"], "l"),
-                t=_parse_int(keys["t"], "t"),
-                s_prime=_parse_int(keys["s_prime"], "s_prime"),
-                t_size=_parse_int(keys["T"], "T"),
-            )
-        elif kind == "plan":
-            _require(keys, ("on", "entries", "t"), where)
-            doc.plans[name] = PlanConfig(
-                name=name,
-                on=keys["on"],
-                entries=_parse_entries(keys["entries"]),
-                t=_parse_int(keys["t"], "t"),
-            )
-        elif kind == "search":
-            _require(keys, ("on", "degrees"), where)
-            cap = _parse_int(keys.get("cap", "200"), "cap")
-            top = _parse_int(keys.get("top", "10"), "top")
-            if cap < 0 or not 1 <= top <= search_mod.MAX_TOP:
-                raise ConfigError(
-                    f"{where}: need cap >= 0 and top >= 1 and <= {search_mod.MAX_TOP}, "
-                    f"got {cap} and {top}"
+        with located(where):
+            if kind == "curve":
+                _require(keys, ("equation", "infinity", "genus"), where)
+                doc.curves[name] = curve_mod.CurveModel.create(
+                    params,
+                    parse_equation(keys["equation"], params.p),
+                    _parse_tuples(keys["infinity"], "infinity", "deg:count"),
+                    genus=_parse_int(keys["genus"], "genus"),
+                    name=name,
                 )
-            doc.searches[name or "default"] = SearchConfig(
-                on=keys["on"],
-                degrees=_parse_degrees(keys["degrees"], params, where),
-                nus=_distinct(
-                    (_parse_int(v, "nu") for v in keys.get("nu", "").split(",") if v.strip()),
-                    "nu values", where,
-                ),
-                t=keys.get("t", "a1").strip(),
-                cap=cap,
-                top=top,
-            )
-    # covers last: they reference curves and profiles
-    for sec in sections:
-        if sec["kind"] != "cover":
-            continue
-        name, keys = sec["name"], sec["keys"]
-        where = f"{source}: [cover {name}]"
-        _require(keys, ("base", "a", "b_factor", "h_basis", "profile"), where)
-        base = doc.curves.get(keys["base"])
-        if base is None:
-            raise ConfigError(f"{where}: unknown base curve {keys['base']!r}")
-        profile = doc.profiles.get(keys["profile"])
-        if profile is None:
-            raise ConfigError(f"{where}: unknown profile {keys['profile']!r}")
-        a_poly = parse_poly(keys["a"], params.p)
-        b_factor = parse_poly(keys["b_factor"], params.p)
-        h_basis = tuple(
-            parse_poly(part, params.p) for part in keys["h_basis"].split(";") if part.strip()
-        )
-        if not h_basis:
-            raise ConfigError(f"{where}: empty h_basis")
-        support = []
-        for rec in _parse_records(keys.get("support", "")):
-            unknown = set(rec) - {"deg", "nu", "above", "count"}
-            if unknown:
-                raise ConfigError(f"{where}: unknown support field(s) {sorted(unknown)}")
-            _require(rec, ("deg", "nu", "above"), where)
-            support.append(
-                cover_mod.DeclaredPlace(
-                    degree=_parse_int(rec["deg"], "deg"),
-                    nu=_parse_int(rec["nu"], "nu"),
-                    above=_parse_pairs(rec["above"], "above"),
-                    count=_parse_int(rec.get("count", "1"), "count"),
+            elif kind == "profile":
+                _require(keys, ("group_order", "conductors"), where)
+                doc.profiles[name] = cft.CharacterConductorProfile(
+                    degree_multiset=_parse_tuples(keys["conductors"], "conductors", "deg:count"),
+                    group_order=_parse_int(keys["group_order"], "group_order"),
                 )
-            )
-        infinities = []
-        for rec in _parse_records(keys.get("infinity", "")):
-            unknown = set(rec) - {"idx", "above"}
-            if unknown:
-                raise ConfigError(f"{where}: unknown infinity field(s) {sorted(unknown)}")
-            _require(rec, ("idx", "above"), where)
-            infinities.append(
-                cover_mod.DeclaredInfinity(
-                    index=_parse_int(rec["idx"], "idx"),
-                    above=_parse_pairs(rec["above"], "above"),
+            elif kind == "compare":
+                _require(keys, ("s", "l", "t", "s_prime", "T"), where)
+                doc.compares[name] = search_mod.MethodComparisonInput(
+                    s=_parse_int(keys["s"], "s"),
+                    l=_parse_int(keys["l"], "l"),
+                    t=_parse_int(keys["t"], "t"),
+                    s_prime=_parse_int(keys["s_prime"], "s_prime"),
+                    t_size=_parse_int(keys["T"], "T"),
                 )
-            )
-        doc.covers[name] = cover_mod.CoverSpec(
-            base=base,
-            a=a_poly,
-            components=[_mul(b_factor, h) for h in h_basis],
-            profile=profile,
-            support=tuple(support),
-            infinities=tuple(infinities),
-            name=name,
-        )
+            elif kind == "plan":
+                _require(keys, ("on", "entries", "t"), where)
+                entries = _parse_tuples(keys["entries"], "plan", "deg:count:nu", ";")
+                plan = cft.RamificationPlan(params, entries, _parse_int(keys["t"], "t"))
+                doc.plans[name] = keys["on"], plan
+            elif kind == "search":
+                _require(keys, ("on", "degrees"), where)
+                doc.searches[name or "default"] = keys["on"], _search_space(keys, params, where)
+            else:
+                _require(keys, ("base", "a", "b_factor", "h_basis", "profile"), where)
+                base = doc.curves.get(keys["base"])
+                if base is None:
+                    raise ConfigError(f"{where}: unknown base curve {keys['base']!r}")
+                profile = doc.profiles.get(keys["profile"])
+                if profile is None:
+                    raise ConfigError(f"{where}: unknown profile {keys['profile']!r}")
+                b_factor = parse_poly(keys["b_factor"], params.p)
+                parts = keys["h_basis"].split(";")
+                h_basis = tuple(parse_poly(part, params.p) for part in parts if part.strip())
+                if not h_basis:
+                    raise ConfigError(f"{where}: empty h_basis")
+                support = _parse_records(
+                    keys.get("support", ""), where, "support", ("deg", "nu", "above"), ("count",)
+                )
+                infinities = _parse_records(
+                    keys.get("infinity", ""), where, "infinity", ("idx", "above")
+                )
+                doc.covers[name] = cover_mod.CoverSpec(
+                    base=base,
+                    a=parse_poly(keys["a"], params.p),
+                    components=[_mul(b_factor, h) for h in h_basis],
+                    profile=profile,
+                    support=[
+                        cover_mod.DeclaredPlace(
+                            degree=_parse_int(rec["deg"], "deg"),
+                            nu=_parse_int(rec["nu"], "nu"),
+                            above=_parse_tuples(rec["above"], "above", "deg:count"),
+                            count=_parse_int(rec.get("count", "1"), "count"),
+                        )
+                        for rec in support
+                    ],
+                    infinities=[
+                        cover_mod.DeclaredInfinity(
+                            index=_parse_int(rec["idx"], "idx"),
+                            above=_parse_tuples(rec["above"], "above", "deg:count"),
+                        )
+                        for rec in infinities
+                    ],
+                    name=name,
+                )
     # cross-references from plans and searches
-    for plan in doc.plans.values():
-        if plan.on not in doc.covers:
-            raise ConfigError(f"{source}: plan {plan.name!r} references unknown cover {plan.on!r}")
-    for sname, sc in doc.searches.items():
-        if sc.on not in doc.covers:
-            raise ConfigError(f"{source}: search {sname!r} references unknown cover {sc.on!r}")
-        if sc.t != "a1":
-            _parse_int(sc.t, "t")
+    for kind, named in (("plan", doc.plans), ("search", doc.searches)):
+        for name, (on, _) in named.items():
+            if on not in doc.covers:
+                raise ConfigError(f"{source}: {kind} {name!r} references unknown cover {on!r}")
     return doc
 
 

@@ -59,7 +59,7 @@ class DeclaredPlace:
     carry a pole of the raw component form, so trace evaluation is
     impossible); `above` lists (degree, count) of the places of the cover
     over it.  Located among the zeros of A on the base curve by degree;
-    `count` such places share one declaration.
+    `count` such places share one declaration, the only one of its degree.
     """
 
     degree: int
@@ -115,6 +115,12 @@ class CoverSpec:
         self.infinities = tuple(infinities)
         self.name = name
         self.rank = len(self.components)
+        degrees = [dp.degree for dp in self.support]
+        if len(set(degrees)) < len(degrees):  # which zero of A would each record describe?
+            raise InconsistentModel(
+                f"cover {self.name or '<anon>'}: support declares degrees {degrees}: "
+                "one record per degree, whose count says how many places share it"
+            )
         if profile.group_order != params.p**self.rank:
             raise InconsistentModel(
                 f"conductor profile is for a group of order {profile.group_order}, "
@@ -177,21 +183,18 @@ class CoverSpec:
                 f"declared support places of total degree {declared} exceed the Bezout "
                 f"bound {bound} on the zeros of the component coefficients"
             )
-        by_degree: dict[int, list[DeclaredPlace]] = {}
         for dp in self.support:
-            by_degree.setdefault(dp.degree, []).extend([dp] * dp.count)
-        for degree, decls in by_degree.items():
             zeros = [
                 pl.key
-                for pl in enumerate_places(self.base, degree)
+                for pl in enumerate_places(self.base, dp.degree)
                 if not pl.is_infinite and self._a_vanishes(pl)
             ]
-            if len(zeros) != len(decls):
+            if len(zeros) != dp.count:
                 raise InconsistentModel(
-                    f"declared {len(decls)} support place(s) of degree {degree}, "
+                    f"declared {dp.count} support place(s) of degree {dp.degree}, "
                     f"found {len(zeros)} zero(s) of the component coefficients"
                 )
-            out.update(zip(zeros, decls))
+            out.update(dict.fromkeys(zeros, dp))
         self._support_map = out
         return out
 

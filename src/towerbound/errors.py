@@ -5,6 +5,8 @@ class; the CLI maps them onto stable exit codes (see the EXIT_* constants
 and `main` in cli).
 """
 
+from contextlib import contextmanager
+
 
 class TowerboundError(Exception):
     """Base class for all package-specific errors."""
@@ -12,6 +14,15 @@ class TowerboundError(Exception):
 
 class OutOfRange(TowerboundError, ValueError):
     """A model, plan or comparison value lies outside its valid range."""
+
+
+@contextmanager
+def located(where: str):
+    """Within the block, an OutOfRange gets `where` in front of its message."""
+    try:
+        yield
+    except OutOfRange as exc:
+        raise OutOfRange(f"{where}: {exc}") from None
 
 
 class NotPrime(TowerboundError):

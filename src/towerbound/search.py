@@ -29,9 +29,10 @@ MAX_TOP = 2000
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Candidate plans over a fixed base field; the spectrum carries its genus."""
+    """Candidate plans over a fixed base field; the spectrum carries its genus.
+    Without one the space only describes a search: optimize needs it."""
 
-    spectrum: PlaceSpectrum
+    spectrum: PlaceSpectrum | None = None
     degrees: tuple[int, ...] = (5, 6, 7, 8, 9, 10)
     allowed_nu: tuple[int, ...] = ()  # empty means (p,)
     t_values: tuple[int, ...] = ()  # empty means (a_1,)
@@ -43,11 +44,13 @@ class SearchSpace:
             raise OutOfRange(f"top_n must be in 1..{MAX_TOP}, got {self.top_n}")
         if self.max_multiplicity < 0:
             raise OutOfRange(f"max_multiplicity must be >= 0, got {self.max_multiplicity}")
-        for name in ("degrees", "allowed_nu", "t_values"):
+        for name, least in (("degrees", 1), ("allowed_nu", 2), ("t_values", 1)):
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise OutOfRange(f"{name} repeat a value: {list(values)}")
-        if self.spectrum.genus < 1:
+            if any(v < least for v in values):
+                raise OutOfRange(f"{name} must be >= {least}, got {list(values)}")
+        if self.spectrum is not None and self.spectrum.genus < 1:
             raise DegenerateGenus(
                 f"base genus {self.spectrum.genus} < 1: the refined denominator can be nonpositive"
             )
@@ -78,8 +81,9 @@ def optimize(space: SearchSpace) -> SearchResult:
     Ties break toward the lexicographically smaller multiplicity vector,
     then the smaller t.  Rational places serve S and T alike, so a
     candidate certifies only with m_1 + t <= a_1, as RamificationPlan
-    requires.  Raises EmptySpace when nothing certifies, and
-    UnsupportedSize before enumerating more than MAX_CANDIDATES.
+    requires.  Raises EmptySpace when nothing certifies, UnsupportedSize
+    before enumerating more than MAX_CANDIDATES, and OutOfRange for a space
+    without a spectrum.
 
     The arithmetic is integer only.  With D the largest degree searched,
     the refined denominator (g - 1) + sum m*f*nu/2 * (1 - q^-f) scaled by
@@ -97,6 +101,8 @@ def optimize(space: SearchSpace) -> SearchResult:
     halves plus O(top_n); a Fraction is built only when a candidate can
     enter the heap.
     """
+    if space.spectrum is None:
+        raise OutOfRange("the search space has no spectrum to search")
     params = space.spectrum.params
     q = params.q
     amap = space.spectrum.a_map
@@ -258,16 +264,18 @@ def _refuse_above_cap(size: int, complete: bool = True) -> None:
         )
 
 
-def size_check(degrees, nus, cap: int):
+def size_check(space: SearchSpace):
     """A check(d, a) for cover.after_each_degree: raises UnsupportedSize once
-    the vectors over the searched degrees up to d, whose a_d are final,
+    the vectors over the space's degrees up to d, whose a_d are final,
     exceed MAX_CANDIDATES.  Each other degree multiplies their count by at
     least 1, so a space optimize would refuse is refused before the rest of
-    its spectrum is assembled.  Empty nus stands for (p,), as in SearchSpace."""
+    its spectrum is assembled.  The space needs no spectrum: empty allowed_nu
+    stands for the one nu = p, as in SearchSpace.nus."""
 
     def check(d: int, a) -> None:
-        final = [f for f in degrees if f <= d]
-        _refuse_above_cap(_vector_count(a, final, len(nus) or 1, cap), final == list(degrees))
+        final = [f for f in space.degrees if f <= d]
+        size = _vector_count(a, final, len(space.allowed_nu) or 1, space.max_multiplicity)
+        _refuse_above_cap(size, final == list(space.degrees))
 
     return check
 

@@ -137,13 +137,17 @@ MUTANTS = Path(__file__).parent / "data" / "mutants"
 
 
 @pytest.mark.parametrize(
-    "argv", [("spectrum", "--name", "k1"), ("certify", "--name", "tower1"), ("optimize",)]
+    "argv", [("spectrum", "--name", "{cover}"), ("certify", "--name", "{plan}"), ("optimize",)]
 )
-@pytest.mark.parametrize("mutant, code", [("rep_override", 2), ("extra_degree4", 3)])
+@pytest.mark.parametrize(
+    "mutant, code", [("rep_override", 2), ("extra_degree4", 3), ("repeated_degree5", 3)]
+)
 def test_mutant_cover_data_prints_no_bound(capsys, mutant, code, argv):
-    # each mutant is f2_tower1.cfg with one wrong edit to k1's cover data
+    # each mutant is a bundled config with one wrong edit to its cover's data
     # (see the comment at its top); none may reach a spectrum or a bound
     cfg = str(MUTANTS / f"{mutant}.cfg")
+    cover_name, plan = {"repeated_degree5": ("k2", "tower2")}.get(mutant, ("k1", "tower1"))
+    argv = [a.format(cover=cover_name, plan=plan) for a in argv]
     got, out, err = run(capsys, argv[0], "--config", cfg, *argv[1:], "--json")
     assert got == code
     assert out == ""
@@ -247,6 +251,33 @@ def test_certify_bad_plan_entry_refused_before_assembly(capsys, tmp_path, monkey
     assert code == 2
     assert out == ""
     assert "bad plan entry (f=0, count=1, nu=2)" in err
+
+
+@pytest.mark.parametrize(
+    "cfg_name, header, repeat, argv",
+    [
+        ("f2_tower1", "[curve E]", "[curve E]", ("spectrum", "--name", "E")),
+        ("f2_tower1", "[profile k1]", "[profile k1]", ("spectrum", "--name", "k1")),
+        ("f2_tower1", "[cover k1]", "[cover k1]", ("spectrum", "--name", "k1")),
+        ("f2_tower1", "[plan tower1]", "[plan tower1]", ("certify", "--name", "tower1")),
+        ("f2_tower1", "[search]", "[search default]", ("optimize",)),  # unnamed is default
+        ("remark_comparisons", "[compare nx98_ours]", "[compare nx98_ours]", ("compare",)),
+    ],
+    ids=["curve", "profile", "cover", "plan", "search", "compare"],
+)
+def test_repeated_section_exit_2(capsys, tmp_path, cfg_name, header, repeat, argv):
+    # a second section of one kind and name used to replace the first
+    # silently; it is refused at its header, before any key of it is read
+    text = _bundled_text(cfg_name)
+    first = text.splitlines().index(header) + 1
+    second = len(text.splitlines()) + 2
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(text + "\n" + repeat + "\n")
+    code, out, err = run(capsys, argv[0], "--config", str(cfg), *argv[1:])
+    assert code == 2
+    assert out == ""
+    kind, _, name = repeat[1:-1].partition(" ")
+    assert err == f"error: {cfg}:{second}: section [{kind} {name}] repeats the one at line {first}\n"
 
 
 def test_certify_unknown_plan_exit_2(capsys):
@@ -357,6 +388,8 @@ _WEAK_PLAN = "\n[plan weak]\non = k1\nentries = {entries}\nt = {t}\n"
         (r"^conductors = 10:1 ; 18:30$", "conductors = 10:1 ; 18:29", ("spectrum", "--name", "k1")),
         (r"\Z", _WEAK_PLAN.format(entries="5:1:1", t=5), ("certify", "--name", "weak")),
         (r"\Z", _WEAK_PLAN.format(entries="5:1:2", t=0), ("certify", "--name", "weak")),
+        # every plan is built when its config loads, as curves and covers are
+        (r"\Z", _WEAK_PLAN.format(entries="5:1:1", t=5), ("spectrum", "--name", "E")),
         (r"^nu = 2$", "nu = 1", ("optimize",)),
         (r"^t = a1$", "t = 999", ("optimize",)),
         (r"^degrees = 5..10$", "degrees = 8 ; 8", ("optimize",)),
@@ -371,7 +404,8 @@ _WEAK_PLAN = "\n[plan weak]\non = k1\nentries = {entries}\nt = {t}\n"
     ],
     ids=[
         "genus-negative", "infinity-degree-zero", "field-e-zero", "cover-over-e-2",
-        "profile-count", "plan-nu-1", "plan-t-0", "search-nu-1", "search-t-above-a1",
+        "profile-count", "plan-nu-1", "plan-t-0", "plan-nu-1-spectrum", "search-nu-1",
+        "search-t-above-a1",
         "search-degree-repeated", "search-degrees-empty-range", "search-degrees-empty-list",
         "search-nu-repeated",
         "support-rep-unknown-field", "support-degree-zero", "infinity-above-zero", "compare-s-negative",
@@ -455,20 +489,20 @@ def test_degree_beyond_field_cap_rejected_before_counting(capsys, tmp_path, argv
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("optimize", "--config", "f2_tower1", "--top", "-1"),
-        ("optimize", "--config", "f2_tower1", "--top", "0"),
-        ("spectrum", "--config", "f2_tower1", "--name", "E", "--dmax", "0"),
-        ("spectrum", "--config", "f2_tower1", "--name", "E", "--dmax", "-3"),
+        (("optimize", "--top", "-1"), "--top: top_n must be in 1..2000, got -1"),
+        (("optimize", "--top", "0"), "--top: top_n must be in 1..2000, got 0"),
+        (("spectrum", "--name", "E", "--dmax", "0"), "--dmax must be >= 1, got 0"),
+        (("spectrum", "--name", "E", "--dmax", "-3"), "--dmax must be >= 1, got -3"),
     ],
     ids=["top-negative", "top-zero", "dmax-zero", "dmax-negative"],
 )
-def test_flag_below_one_exit_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_flag_below_one_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--config", "f2_tower1", *argv[1:])
     assert code == 2
     assert out == ""
-    assert "must be >= 1" in err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("key, value", [("top", "0"), ("cap", "-1")])
@@ -476,9 +510,10 @@ def test_search_section_out_of_range_exit_2(capsys, tmp_path, key, value):
     cfg = tmp_path / "bad_search.cfg"
     text = re.sub(rf"^{key} = .*$", f"{key} = {value}", _bundled_text("f2_tower1"), flags=re.M)
     cfg.write_text(text)
-    code, _, err = run(capsys, "optimize", "--config", str(cfg))
+    code, out, err = run(capsys, "optimize", "--config", str(cfg))
     assert code == 2
-    assert f"{key} >= " in err
+    assert out == ""
+    assert f"{cfg}: [search]: {key}: " in err
 
 
 @pytest.mark.parametrize("where", ["flag", "section"])
@@ -499,7 +534,8 @@ def test_top_above_bound_exit_2_before_assembly(capsys, tmp_path, monkeypatch, w
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert f"<= {search.MAX_TOP}" in err
+    named = "--top" if where == "flag" else f"{cfg}: [search]: top"
+    assert err.startswith(f"error: {named}: top_n must be in 1..{search.MAX_TOP}, got ")
 
 
 _BIG_P = "[field]\np = {p}\n\n[curve X]\nequation = y^2 = x^3 + x + 1\ninfinity = 1:1\ngenus = 1\n"

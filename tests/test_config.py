@@ -2,8 +2,8 @@
 
 import pytest
 
-from towerbound import config
-from towerbound.errors import ConfigError
+from towerbound import cft, config, search
+from towerbound.errors import ConfigError, OutOfRange
 
 
 def test_parse_poly_basics():
@@ -48,12 +48,70 @@ def test_bundled_names():
 def test_bundled_configs_resolve(doc1, doc2, doc3, doc4):
     assert set(doc1.curves) == {"P1", "E"}
     assert set(doc1.covers) == {"C", "k1"}
-    assert doc1.plans["tower1"].t == 160
+    assert doc1.plans["tower1"][1].t == 160
     assert set(doc2.covers) == {"k2"}
     assert set(doc3.plans) == {"deg8_only", "mixed"}
     assert len(doc4.compares) == 4
-    assert doc1.searches["default"].degrees == (5, 6, 7, 8, 9, 10)
-    assert doc3.searches["default"].degrees == (5, 6, 7, 8, 9)
+    assert doc1.searches["default"][1].degrees == (5, 6, 7, 8, 9, 10)
+    assert doc3.searches["default"][1].degrees == (5, 6, 7, 8, 9)
+
+
+def test_sections_parse_into_library_objects(doc1):
+    on, plan = doc1.plans["tower1"]
+    assert on == "k1"
+    assert plan == cft.RamificationPlan(doc1.params, ((5, 1, 2), (8, 27, 2), (10, 1, 2)), 160)
+    on, space = doc1.searches["default"]
+    assert on == "k1"
+    assert space == search.SearchSpace(
+        degrees=(5, 6, 7, 8, 9, 10), allowed_nu=(2,), max_multiplicity=200, top_n=5
+    )
+
+
+_COVER_E = """
+[curve E]
+equation = y^2 + y = x^3 + x
+infinity = 1:1
+genus = 1
+
+[profile C]
+group_order = 2
+conductors = 10:1
+
+[cover C]
+base = E
+a = (x^2 + x)*(x*y + x + y) + 1
+b_factor = x^2 + x
+h_basis = x
+profile = C
+support = deg=5 nu=2 above=5:1 ; deg=4 nu=0 above=8:1
+infinity = idx=0 above=1:2
+"""
+
+
+def test_search_keys_left_out_take_the_library_defaults():
+    doc = config.parse_config(MINIMAL + _COVER_E + "\n[search]\non = C\ndegrees = 5, 7\n")
+    assert doc.searches == {"default": ("C", search.SearchSpace(degrees=(5, 7)))}
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("[plan P]\non = C\nentries = 5:1:2\nt = 0", "[plan P]: t must be positive"),
+        ("[plan P]\non = C\nentries = 5:1:1\nt = 3", "[plan P]: conductor exponent nu = 1"),
+        ("[search]\non = C\ndegrees = 5\ntop = 0", "[search]: top: top_n must be in 1..2000"),
+        ("[search S]\non = C\ndegrees = 5\ncap = -1", "[search S]: cap: max_multiplicity must be"),
+        ("[search]\non = C\ndegrees = 5, 5", "[search]: degrees: degrees repeat a value"),
+        ("[search]\non = C\ndegrees = 5\nnu = 3, 3", "[search]: nu: allowed_nu repeat a value"),
+        ("[search]\non = C\ndegrees = 5\nt = 0", "[search]: t: t_values must be >= 1"),
+        ("[compare Q]\ns = -1\nl = 2\nt = 1\ns_prime = 0\nT = 1", "[compare Q]: s must be"),
+    ],
+    ids=["plan-t", "plan-nu", "search-top", "search-cap", "search-degrees", "search-nu", "search-t",
+         "compare"],
+)
+def test_range_errors_name_their_section(section, message):
+    with pytest.raises(OutOfRange) as err:
+        config.parse_config(MINIMAL + _COVER_E + "\n" + section + "\n")
+    assert str(err.value).startswith(f"<string>: {message}")
 
 
 def test_unknown_config_name():
@@ -92,7 +150,7 @@ def test_minimal_document():
 def test_strict_schema_rejections(mutation, needle):
     if mutation.startswith("stray"):
         text = mutation + "\n" + MINIMAL
-    elif "missing required" in needle:
+    elif needle in ("missing required", "unknown key"):  # the only [curve X]
         text = "[field]\np = 2\n\n" + mutation
     else:
         text = MINIMAL + "\n" + mutation

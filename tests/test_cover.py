@@ -194,6 +194,26 @@ def test_support_count_mismatch_rejected(doc2):
         wrong.support_map()
 
 
+def test_repeated_support_degree_rejected(doc2):
+    # two records of one degree: which zero of A each one describes is not
+    # determined, so a count on the one record must say how many share it
+    k2 = doc2.covers["k2"]
+    split = (cover.DeclaredPlace(5, 2, ((5, 1),)), cover.DeclaredPlace(5, 2, ((10, 16),)))
+    with pytest.raises(InconsistentModel, match="one record per degree"):
+        cover.CoverSpec(
+            base=k2.base,
+            a=k2.a,
+            components=k2.components,
+            profile=k2.profile,
+            support=split,
+            infinities=k2.infinities,
+            name="split",
+        )
+    # the bundled record with count=2 stands for both zeros of degree 5
+    declared = [d for d in k2.support_map().values() if isinstance(d, cover.DeclaredPlace)]
+    assert declared == [k2.support[0]] * 2
+
+
 def test_profile_order_mismatch_rejected(doc1):
     k1 = doc1.covers["k1"]
     with pytest.raises(InconsistentModel):

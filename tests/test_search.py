@@ -107,6 +107,18 @@ def test_empty_space():
         search.optimize(search.SearchSpace(spectrum=spec))
 
 
+def test_space_without_spectrum(spectrum_k1):
+    # a config section holds the space before its cover is assembled
+    space = search.SearchSpace(top_n=3)
+    with pytest.raises(OutOfRange, match="no spectrum"):
+        search.optimize(space)
+    result = search.optimize(dataclasses.replace(space, spectrum=spectrum_k1))
+    assert len(result.ranked) == 3
+    genus_0 = curve.PlaceSpectrum.from_spectrum(P2, {1: 3, 2: 1, 3: 2}, 0)
+    with pytest.raises(DegenerateGenus):
+        dataclasses.replace(space, spectrum=genus_0)
+
+
 def test_bad_t_rejected(spectrum_k1):
     space = search.SearchSpace(spectrum=spectrum_k1, t_values=(161,))
     with pytest.raises(ValueError):
@@ -128,6 +140,10 @@ def test_space_rejects_bad_sizes(spectrum_k1):
     for repeated in ({"degrees": (8, 8)}, {"allowed_nu": (2, 2)}, {"t_values": (9, 9)}):
         with pytest.raises(OutOfRange, match="repeat"):
             search.SearchSpace(spectrum=spectrum_k1, **repeated)
+    # and a value below its range would be refused only once the spectrum is assembled
+    for low in ({"degrees": (0, 5)}, {"allowed_nu": (1,)}, {"t_values": (0,)}):
+        with pytest.raises(OutOfRange, match="must be >= "):
+            search.SearchSpace(**low)
 
 
 def _brute_force(space):
@@ -208,13 +224,9 @@ BUNDLED_SEARCHES = {  # config -> (candidates, certified, top-5 bound_refined)
 
 @pytest.mark.parametrize("cfg_name", sorted(BUNDLED_SEARCHES))
 def test_bundled_searches_pinned(cfg_name, request):
-    sc = config.load_config(cfg_name).searches["default"]
-    spectrum = request.getfixturevalue(f"spectrum_{sc.on}")
-    space = search.SearchSpace(
-        spectrum=spectrum, degrees=sc.degrees,
-        allowed_nu=sc.nus, max_multiplicity=sc.cap, top_n=sc.top,
-    )
-    result = search.optimize(space)
+    on, space = config.load_config(cfg_name).searches["default"]
+    spectrum = request.getfixturevalue(f"spectrum_{on}")
+    result = search.optimize(dataclasses.replace(space, spectrum=spectrum))
     candidates, certified, top = BUNDLED_SEARCHES[cfg_name]
     assert (result.candidates_evaluated, result.certified_count) == (candidates, certified)
     assert tuple(
@@ -298,11 +310,10 @@ def test_optimizer_matches_brute_force_on_small_spectra(space):
 def test_optimizer_certifies_few_times_per_prefix(spectrum_k3, monkeypatch):
     """The closed form calls certifies a bounded number of times per
     enumerated prefix, not once per candidate."""
-    sc = config.load_config("f3_tower").searches["default"]
-    space = search.SearchSpace(
-        spectrum=spectrum_k3, degrees=sc.degrees, allowed_nu=sc.nus, max_multiplicity=sc.cap
-    )
-    widths = [1 + min(a, sc.cap) * len(space.nus()) for a in map(spectrum_k3.a_map.get, sc.degrees)]
+    _, space = config.load_config("f3_tower").searches["default"]
+    space = dataclasses.replace(space, spectrum=spectrum_k3)
+    cap = space.max_multiplicity
+    widths = [1 + min(a, cap) * len(space.nus()) for a in map(spectrum_k3.a_map.get, space.degrees)]
     prefixes = math.prod(widths) // max(widths)
     assert prefixes == 326
     calls = []

@@ -279,7 +279,8 @@ def cmd_optimize(doc: config.ConfigDocument, top: int | None) -> tuple[int, Repo
                 space = dataclasses.replace(space, top_n=top)
         with cover_mod.after_each_degree(search_mod.size_check(space)):
             spectrum = cover_mod.assemble_spectrum(doc.covers[on], max(space.degrees, default=1))
-        result = search_mod.optimize(dataclasses.replace(space, spectrum=spectrum))
+        with located(f"{doc.source}: [search {sname}]"):  # t above a_1 shows only now
+            result = search_mod.optimize(dataclasses.replace(space, spectrum=spectrum))
         report.kv(f"{sname}.candidates", result.candidates_evaluated)
         report.kv(f"{sname}.certified", result.certified_count)
         report.line(

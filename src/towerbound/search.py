@@ -82,8 +82,7 @@ def optimize(space: SearchSpace) -> SearchResult:
     then the smaller t.  Rational places serve S and T alike, so a
     candidate certifies only with m_1 + t <= a_1, as RamificationPlan
     requires.  Raises EmptySpace when nothing certifies, UnsupportedSize
-    before enumerating more than MAX_CANDIDATES, and OutOfRange for a space
-    without a spectrum.
+    before enumerating more than MAX_CANDIDATES, and OutOfRange without a spectrum.
 
     The arithmetic is integer only.  With D the largest degree searched,
     the refined denominator (g - 1) + sum m*f*nu/2 * (1 - q^-f) scaled by

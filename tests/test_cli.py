@@ -505,15 +505,25 @@ def test_flag_below_one_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("key, value", [("top", "0"), ("cap", "-1")])
-def test_search_section_out_of_range_exit_2(capsys, tmp_path, key, value):
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        ("top = 5", "top = 0", "[search]: top: top_n must be in 1..2000, got 0"),
+        ("cap = 200", "cap = -1", "[search]: cap: max_multiplicity must be >= 0, got -1"),
+        # a_1 is known only once the spectrum is assembled
+        ("t = a1", "t = 999", "[search default]: split count t = 999 not available (a_1 = 160)"),
+    ],
+    ids=["top-0", "cap--1", "t-999"],
+)
+def test_search_section_out_of_range_exit_2(capsys, tmp_path, line, edit, message):
     cfg = tmp_path / "bad_search.cfg"
-    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", _bundled_text("f2_tower1"), flags=re.M)
-    cfg.write_text(text)
+    text = _bundled_text("f2_tower1")
+    assert text.count(f"\n{line}\n") == 1  # the [search] section's line
+    cfg.write_text(text.replace(f"\n{line}\n", f"\n{edit}\n"))
     code, out, err = run(capsys, "optimize", "--config", str(cfg))
     assert code == 2
     assert out == ""
-    assert f"{cfg}: [search]: {key}: " in err
+    assert err == f"error: {cfg}: {message}\n"
 
 
 @pytest.mark.parametrize("where", ["flag", "section"])

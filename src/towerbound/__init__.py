@@ -11,15 +11,9 @@ finite-field enumeration wherever possible.
 
 from .errors import (
     ConfigError,
-    DegenerateGenus,
     EmptySpace,
-    FunctionalEquationViolation,
     InconsistentModel,
-    NotPrime,
     OutOfRange,
-    ParityViolation,
-    PoleAtPlace,
-    RamifiedPlace,
     TowerboundError,
     UnsupportedSize,
 )
@@ -30,15 +24,9 @@ __all__ = [
     "ExtField",
     "make_ext_field",
     "TowerboundError",
-    "NotPrime",
     "OutOfRange",
     "UnsupportedSize",
     "InconsistentModel",
-    "FunctionalEquationViolation",
-    "RamifiedPlace",
-    "PoleAtPlace",
-    "DegenerateGenus",
-    "ParityViolation",
     "EmptySpace",
     "ConfigError",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import PlaceSpectrum
-from .errors import InconsistentModel, OutOfRange, ParityViolation
+from .errors import InconsistentModel, OutOfRange
 from .ff import FieldParams
 
 
@@ -217,7 +217,7 @@ def genus_from_conductors(base_genus: int, profile: CharacterConductorProfile) -
     2 g(K) - 2 = [K:F] (2 g(F) - 2) + sum over characters of deg(conductor)."""
     total = profile.group_order * (2 * base_genus - 2) + profile.conductor_degree_sum
     if total % 2:
-        raise ParityViolation(
+        raise InconsistentModel(
             f"2g - 2 = {total} is odd: conductor degrees inconsistent with the cover"
         )
     return total // 2 + 1

@@ -203,7 +203,7 @@ def _parse_tuples(value: str, what: str, shape: str, separators: str = "[;,]") -
     return tuple(out)
 
 
-def _parse_records(value: str, where: str, what: str, required: tuple, optional=()) -> list:
+def _parse_records(value: str, what: str, required: tuple, optional=()) -> list:
     """`k=v k=v ; k=v ...` -> one dict per record, holding every required
     field, and otherwise only optional ones."""
     records = []
@@ -221,13 +221,13 @@ def _parse_records(value: str, where: str, what: str, required: tuple, optional=
             rec[k] = v
         unknown = set(rec) - set(required) - set(optional)
         if unknown:
-            raise ConfigError(f"{where}: unknown {what} field(s) {sorted(unknown)}")
-        _require(rec, required, where)
+            raise ConfigError(f"unknown {what} field(s) {sorted(unknown)}")
+        _require(rec, required)
         records.append(rec)
     return records
 
 
-def _parse_degrees(value: str, params: FieldParams, where: str) -> tuple[int, ...]:
+def _parse_degrees(value: str, params: FieldParams) -> tuple[int, ...]:
     """`lo..hi` or a list; the ends are checked before a range is built."""
     value = value.strip()
     if ".." in value:
@@ -236,20 +236,20 @@ def _parse_degrees(value: str, params: FieldParams, where: str) -> tuple[int, ..
     else:
         degrees = ends = [_parse_int(v, "degree") for v in re.split(r"[;,]", value) if v.strip()]
     if not degrees:
-        raise ConfigError(f"{where}: no degrees in {value!r}")
+        raise ConfigError(f"no degrees in {value!r}")
     if min(ends) < 1:
-        raise ConfigError(f"{where}: degrees must be >= 1, got {min(ends)}")
+        raise ConfigError(f"degrees must be >= 1, got {min(ends)}")
     require_supported_degree(params, max(ends))
     return tuple(degrees)
 
 
-def _search_space(keys: dict, params: FieldParams, where: str) -> search_mod.SearchSpace:
+def _search_space(keys: dict, params: FieldParams) -> search_mod.SearchSpace:
     """The library's default space with each key of the section applied in
     turn, so a value out of range is refused naming its key."""
     space = search_mod.SearchSpace()
     for key, value in keys.items():
         if key == "degrees":
-            fields = {"degrees": _parse_degrees(value, params, where)}
+            fields = {"degrees": _parse_degrees(value, params)}
         elif key == "nu":
             nus = (_parse_int(v, "nu") for v in value.split(",") if v.strip())
             fields = {"allowed_nu": tuple(nus)}
@@ -259,7 +259,7 @@ def _search_space(keys: dict, params: FieldParams, where: str) -> search_mod.Sea
             fields = {"max_multiplicity": _parse_int(value, "cap")}
         elif key == "top":
             fields = {"top_n": _parse_int(value, "top")}
-        else:  # on: resolved once every cover is built
+        else:  # on: resolved by the caller
             continue
         with located(key):
             space = dataclasses.replace(space, **fields)
@@ -284,20 +284,23 @@ class ConfigDocument:
     source: str = "<string>"
 
 
+# kind -> (required keys, optional keys)
 _SECTION_KEYS = {
-    "field": {"p", "e"},
-    "curve": {"equation", "infinity", "genus"},
-    "cover": {"base", "a", "b_factor", "h_basis", "profile", "support", "infinity"},
-    "profile": {"group_order", "conductors"},
-    "plan": {"on", "entries", "t"},
-    "search": {"on", "degrees", "nu", "t", "cap", "top"},
-    "compare": {"s", "l", "t", "s_prime", "T"},
+    "field": (("p",), ("e",)),
+    "curve": (("equation", "infinity", "genus"), ()),
+    "cover": (("base", "a", "b_factor", "h_basis", "profile"), ("support", "infinity")),
+    "profile": (("group_order", "conductors"), ()),
+    "plan": (("on", "entries", "t"), ()),
+    "search": (("on", "degrees"), ("nu", "t", "cap", "top")),
+    "compare": (("s", "l", "t", "s_prime", "T"), ()),
 }
+# covers reference curves and profiles; plans and searches reference covers
+_BUILD_ORDER = {"cover": 1, "plan": 2, "search": 2}
 
 
 def _split_sections(text: str, source: str):
     sections = []
-    seen: dict[tuple[str, str], int] = {}  # (kind, name) -> line of its header
+    seen: dict[str, int] = {}  # section label -> line of its header
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -315,16 +318,15 @@ def _split_sections(text: str, source: str):
                 raise ConfigError(f"{source}:{lineno}: too many names in {header!r}")
             if kind not in ("field", "search") and len(parts) != 2:
                 raise ConfigError(f"{source}:{lineno}: section {kind!r} needs exactly one name")
-            name = parts[1] if len(parts) > 1 else ""
+            name = parts[1] if len(parts) > 1 else "default"
+            label = "field" if kind == "field" else f"{kind} {name}"
             if kind != "field":  # its count is checked once every section is read
-                first = seen.setdefault((kind, name or "default"), lineno)
+                first = seen.setdefault(label, lineno)
                 if first != lineno:
                     raise ConfigError(
-                        f"{source}:{lineno}: section [{kind} {name or 'default'}] "
-                        f"repeats the one at line {first}"
+                        f"{source}:{lineno}: section [{label}] repeats the one at line {first}"
                     )
-            where = f"{source}: [{' '.join(parts)}]"
-            current = {"kind": kind, "name": name, "keys": {}, "where": where}
+            current = {"kind": kind, "name": name, "keys": {}, "where": f"{source}: [{label}]"}
             sections.append(current)
             continue
         if current is None:
@@ -334,7 +336,8 @@ def _split_sections(text: str, source: str):
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
-        if key not in _SECTION_KEYS[current["kind"]]:
+        required, optional = _SECTION_KEYS[current["kind"]]
+        if key not in required + optional:
             raise ConfigError(
                 f"{source}:{lineno}: unknown key {key!r} in [{current['kind']}] section"
             )
@@ -344,10 +347,16 @@ def _split_sections(text: str, source: str):
     return sections
 
 
-def _require(keys: dict, names: tuple[str, ...], where: str):
+def _require(keys: dict, names: tuple[str, ...]):
     missing = [n for n in names if n not in keys]
     if missing:
-        raise ConfigError(f"{where}: missing required key(s) {missing}")
+        raise ConfigError(f"missing required key(s) {missing}")
+
+
+def _lookup(named: dict, what: str, name: str):
+    if name not in named:
+        raise ConfigError(f"unknown {what} {name!r}")
+    return named[name]
 
 
 def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
@@ -356,18 +365,20 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
     if len(field_secs) != 1:
         raise ConfigError(f"{source}: exactly one [field] section required")
     fkeys = field_secs[0]["keys"]
-    _require(fkeys, ("p",), f"{source}: [field]")
-    params = FieldParams(_parse_int(fkeys["p"], "p"), _parse_int(fkeys.get("e", "1"), "e"))
+    with located(field_secs[0]["where"]):
+        _require(fkeys, _SECTION_KEYS["field"][0])
+        params = FieldParams(_parse_int(fkeys["p"], "p"), _parse_int(fkeys.get("e", "1"), "e"))
     doc = ConfigDocument(params=params, source=source)
 
-    # covers last: they reference curves and profiles
-    for sec in sorted(sections, key=lambda sec: sec["kind"] == "cover"):
-        kind, name, keys, where = sec["kind"], sec["name"], sec["keys"], sec["where"]
+    for sec in sorted(sections, key=lambda sec: _BUILD_ORDER.get(sec["kind"], 0)):
+        kind, name, keys = sec["kind"], sec["name"], sec["keys"]
         if kind == "field":
             continue
-        with located(where):
+        with located(sec["where"]):
+            _require(keys, _SECTION_KEYS[kind][0])
+            if kind in ("plan", "search"):
+                _lookup(doc.covers, "cover", keys["on"])
             if kind == "curve":
-                _require(keys, ("equation", "infinity", "genus"), where)
                 doc.curves[name] = curve_mod.CurveModel.create(
                     params,
                     parse_equation(keys["equation"], params.p),
@@ -376,13 +387,11 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
                     name=name,
                 )
             elif kind == "profile":
-                _require(keys, ("group_order", "conductors"), where)
                 doc.profiles[name] = cft.CharacterConductorProfile(
                     degree_multiset=_parse_tuples(keys["conductors"], "conductors", "deg:count"),
                     group_order=_parse_int(keys["group_order"], "group_order"),
                 )
             elif kind == "compare":
-                _require(keys, ("s", "l", "t", "s_prime", "T"), where)
                 doc.compares[name] = search_mod.MethodComparisonInput(
                     s=_parse_int(keys["s"], "s"),
                     l=_parse_int(keys["l"], "l"),
@@ -391,32 +400,23 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
                     t_size=_parse_int(keys["T"], "T"),
                 )
             elif kind == "plan":
-                _require(keys, ("on", "entries", "t"), where)
                 entries = _parse_tuples(keys["entries"], "plan", "deg:count:nu", ";")
                 plan = cft.RamificationPlan(params, entries, _parse_int(keys["t"], "t"))
                 doc.plans[name] = keys["on"], plan
             elif kind == "search":
-                _require(keys, ("on", "degrees"), where)
-                doc.searches[name or "default"] = keys["on"], _search_space(keys, params, where)
+                doc.searches[name] = keys["on"], _search_space(keys, params)
             else:
-                _require(keys, ("base", "a", "b_factor", "h_basis", "profile"), where)
-                base = doc.curves.get(keys["base"])
-                if base is None:
-                    raise ConfigError(f"{where}: unknown base curve {keys['base']!r}")
-                profile = doc.profiles.get(keys["profile"])
-                if profile is None:
-                    raise ConfigError(f"{where}: unknown profile {keys['profile']!r}")
+                base = _lookup(doc.curves, "base curve", keys["base"])
+                profile = _lookup(doc.profiles, "profile", keys["profile"])
                 b_factor = parse_poly(keys["b_factor"], params.p)
                 parts = keys["h_basis"].split(";")
                 h_basis = tuple(parse_poly(part, params.p) for part in parts if part.strip())
                 if not h_basis:
-                    raise ConfigError(f"{where}: empty h_basis")
+                    raise ConfigError("empty h_basis")
                 support = _parse_records(
-                    keys.get("support", ""), where, "support", ("deg", "nu", "above"), ("count",)
+                    keys.get("support", ""), "support", ("deg", "nu", "above"), ("count",)
                 )
-                infinities = _parse_records(
-                    keys.get("infinity", ""), where, "infinity", ("idx", "above")
-                )
+                infinities = _parse_records(keys.get("infinity", ""), "infinity", ("idx", "above"))
                 doc.covers[name] = cover_mod.CoverSpec(
                     base=base,
                     a=parse_poly(keys["a"], params.p),
@@ -440,11 +440,6 @@ def parse_config(text: str, source: str = "<string>") -> ConfigDocument:
                     ],
                     name=name,
                 )
-    # cross-references from plans and searches
-    for kind, named in (("plan", doc.plans), ("search", doc.searches)):
-        for name, (on, _) in named.items():
-            if on not in doc.covers:
-                raise ConfigError(f"{source}: {kind} {name!r} references unknown cover {on!r}")
     return doc
 
 

@@ -42,7 +42,7 @@ from .curve import (
     normalize_poly2,
     total_degree,
 )
-from .errors import InconsistentModel, OutOfRange, PoleAtPlace, RamifiedPlace
+from .errors import InconsistentModel, OutOfRange
 from .ff import make_ext_field, require_supported_degree
 
 
@@ -118,7 +118,7 @@ class CoverSpec:
         degrees = [dp.degree for dp in self.support]
         if len(set(degrees)) < len(degrees):  # which zero of A would each record describe?
             raise InconsistentModel(
-                f"cover {self.name or '<anon>'}: support declares degrees {degrees}: "
+                f"support declares degrees {degrees}: "
                 "one record per degree, whose count says how many places share it"
             )
         if profile.group_order != params.p**self.rank:
@@ -245,18 +245,18 @@ def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
     are refused: their behavior must come from the declaration, not a trace.
     """
     if place.key in cover.support_map():
-        raise RamifiedPlace(
+        raise InconsistentModel(
             f"place {place.key} is declared cover data; use the declared behavior"
         )
     if place.is_infinite:
-        raise PoleAtPlace(
+        raise InconsistentModel(
             f"infinite place {place.key} has no affine representative and no declaration"
         )
     p = cover.params.p
     m = place.degree
     taus = next(_component_traces(cover, make_ext_field(cover.params, m), [place.key]))
     if taus is None:
-        raise PoleAtPlace(
+        raise InconsistentModel(
             f"component coefficient vanishes at undeclared place {place.key}: "
             "inconsistent cover data"
         )
@@ -296,7 +296,7 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
     declared lists; the genus comes from the conductor-discriminant formula
     applied to the cover's character profile.  Raises, before any work,
     OutOfRange when d_max < 1, UnsupportedSize when degree d_max is out of
-    reach, and ParityViolation when the profile gives no integral genus.
+    reach, and InconsistentModel when the profile gives no integral genus.
     """
     if d_max < 1:
         raise OutOfRange(f"d_max must be >= 1, got {d_max}")

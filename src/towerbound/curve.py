@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Mapping, Sequence
 
-from .errors import FunctionalEquationViolation, InconsistentModel, OutOfRange
+from .errors import InconsistentModel, OutOfRange
 from .ff import ExtField, FieldParams, make_ext_field, require_supported_degree
 from .ff import _poly_gcd, _poly_mulmod, _poly_powmod, _poly_sub
 
@@ -51,20 +51,6 @@ def normalize_poly2(poly: Mapping[tuple[int, int], int], p: int) -> dict[tuple[i
 def total_degree(poly: Poly2) -> int:
     """max(i + j) over the terms c x^i y^j; 0 for the zero polynomial."""
     return max((i + j for i, j in poly), default=0)
-
-
-def poly2_str(poly: Poly2) -> str:
-    if not poly:
-        return "0"
-    parts = []
-    for (i, j), c in sorted(poly.items(), key=lambda kv: (-kv[0][1], -kv[0][0])):
-        mono = "*".join(
-            ([] if c == 1 and (i or j) else [str(c)])
-            + ([f"x^{i}" if i > 1 else "x"] if i else [])
-            + ([f"y^{j}" if j > 1 else "y"] if j else [])
-        )
-        parts.append(mono or str(c))
-    return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -110,7 +96,7 @@ class CurveModel:
 
     def assumptions(self) -> list[str]:
         return [
-            f"model {self.name or poly2_str(self.poly_dict)}: absolute irreducibility "
+            f"model {self.name or '<anon>'}: absolute irreducibility "
             "of the equation is declared, not machine-verified",
             f"model {self.name or '<anon>'}: infinite places {list(self.infinite_places)} "
             "are declared metadata",
@@ -582,13 +568,13 @@ def zeta_check(spectrum: PlaceSpectrum) -> ZetaReport:
     need = range(1, 2 * g + 1)
     missing = [n for n in need if n not in nmap]
     if missing:
-        raise ValueError(f"zeta check needs N_n for n = 1..{2 * g}; missing {missing}")
+        raise OutOfRange(f"zeta check needs N_n for n = 1..{2 * g}; missing {missing}")
     P = {k: q**k + 1 - nmap[k] for k in need}
     c = [1] + [0] * (2 * g)
     for k in range(1, g + 1):
         s = P[k] + sum(c[i] * P[k - i] for i in range(1, k))
         if s % k:
-            raise FunctionalEquationViolation(
+            raise InconsistentModel(
                 f"Newton identity gives non-integral coefficient c_{k} = -{s}/{k}"
             )
         c[k] = -s // k

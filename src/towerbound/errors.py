@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps them onto stable exit codes (see the EXIT_* constants
-and `main` in cli).
+There is one class per outcome the CLI maps to an exit code (see the
+EXIT_* constants and `main` in cli): OutOfRange, UnsupportedSize and
+ConfigError exit 2, InconsistentModel exits 3 and EmptySpace exits 5.
+`located` is the only code that says where in the input an error arose.
 """
 
 from contextlib import contextmanager
@@ -18,15 +19,12 @@ class OutOfRange(TowerboundError, ValueError):
 
 @contextmanager
 def located(where: str):
-    """Within the block, an OutOfRange gets `where` in front of its message."""
+    """Within the block, an error of the package gets `where` in front of its
+    message; its class, and so its exit code, stays the same."""
     try:
         yield
-    except OutOfRange as exc:
-        raise OutOfRange(f"{where}: {exc}") from None
-
-
-class NotPrime(TowerboundError):
-    """The requested characteristic is composite."""
+    except TowerboundError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 class UnsupportedSize(TowerboundError):
@@ -35,26 +33,6 @@ class UnsupportedSize(TowerboundError):
 
 class InconsistentModel(TowerboundError):
     """Point counts, place spectra or declared cover data contradict each other."""
-
-
-class FunctionalEquationViolation(InconsistentModel):
-    """Zeta consistency check could not reconstruct a valid L-polynomial."""
-
-
-class RamifiedPlace(InconsistentModel):
-    """Trace-based decomposition was asked for a declared (ramified) place."""
-
-
-class PoleAtPlace(InconsistentModel):
-    """A normalized cover component has a pole at an undeclared place."""
-
-
-class DegenerateGenus(TowerboundError):
-    """Asymptotic ratio needs genus >= 2."""
-
-
-class ParityViolation(InconsistentModel):
-    """Conductor degree sum has the wrong parity for an integral genus."""
 
 
 class EmptySpace(TowerboundError):

@@ -45,7 +45,7 @@ from itertools import chain
 from math import isqrt
 from typing import Iterator
 
-from .errors import NotPrime, OutOfRange, UnsupportedSize
+from .errors import OutOfRange, UnsupportedSize
 
 MAX_ORDER = 2**20  # the largest supported field order; the CLI checks each command's
 # largest field against it before counting anything (the bundled workloads reach 2^17)
@@ -89,7 +89,7 @@ class FieldParams:
                 f"characteristic {self.p} exceeds the supported field order {MAX_ORDER}"
             )
         if not _is_prime(self.p):
-            raise NotPrime(f"characteristic {self.p} is not prime")
+            raise OutOfRange(f"characteristic {self.p} is not prime")
         if self.e < 1:
             raise OutOfRange("e must be a positive integer")
         require_supported_degree(self, 1)
@@ -343,7 +343,7 @@ class ExtField:
 
     def __init__(self, params: FieldParams, n: int):
         if n < 1:
-            raise ValueError("extension degree n must be >= 1")
+            raise OutOfRange("extension degree n must be >= 1")
         require_supported_degree(params, n)
         m = params.e * n
         self.params = params

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import cft
 from .curve import PlaceSpectrum
-from .errors import DegenerateGenus, EmptySpace, OutOfRange, UnsupportedSize
+from .errors import EmptySpace, OutOfRange, UnsupportedSize
 
 # 2^20 candidates over twenty degrees of one place each take 1 to 2 s, 10^6 with
 # one large degree about 2 ms; the bundled spaces have at most 65,526
@@ -51,7 +51,7 @@ class SearchSpace:
             if any(v < least for v in values):
                 raise OutOfRange(f"{name} must be >= {least}, got {list(values)}")
         if self.spectrum is not None and self.spectrum.genus < 1:
-            raise DegenerateGenus(
+            raise OutOfRange(
                 f"base genus {self.spectrum.genus} < 1: the refined denominator can be nonpositive"
             )
 

@@ -508,8 +508,8 @@ def test_flag_below_one_exit_2(capsys, argv, message):
 @pytest.mark.parametrize(
     "line, edit, message",
     [
-        ("top = 5", "top = 0", "[search]: top: top_n must be in 1..2000, got 0"),
-        ("cap = 200", "cap = -1", "[search]: cap: max_multiplicity must be >= 0, got -1"),
+        ("top = 5", "top = 0", "[search default]: top: top_n must be in 1..2000, got 0"),
+        ("cap = 200", "cap = -1", "[search default]: cap: max_multiplicity must be >= 0, got -1"),
         # a_1 is known only once the spectrum is assembled
         ("t = a1", "t = 999", "[search default]: split count t = 999 not available (a_1 = 160)"),
     ],
@@ -544,8 +544,41 @@ def test_top_above_bound_exit_2_before_assembly(capsys, tmp_path, monkeypatch, w
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    named = "--top" if where == "flag" else f"{cfg}: [search]: top"
+    named = "--top" if where == "flag" else f"{cfg}: [search default]: top"
     assert err.startswith(f"error: {named}: top_n must be in 1..{search.MAX_TOP}, got ")
+
+
+@pytest.mark.parametrize(
+    "line, edit, argv, code, section",
+    [
+        ("infinity = idx=0 above=1:32", "infinity = idx=1 above=1:32", "compare", 3, "cover k1"),
+        ("cap = 200", "cap = lots", "compare", 2, "search default"),
+        ("p = 2", "p = 4", "compare", 2, "field"),
+        ("degrees = 5..10", "degrees = 5..30", "compare", 2, "search default"),
+        ("entries = 5:1:2 ; 8:27:2 ; 10:1:2", "entries = 5:1", "compare", 2, "plan tower1"),
+        ("on = k1", "on = k9", "compare", 2, "plan tower1"),
+        ("t = a1", "t = 999", "optimize", 2, "search default"),
+        ("degrees = 5..10", "degrees = 2,3", "optimize", 5, "search default"),
+        (None, "repeated_degree5", "optimize", 3, "cover k2"),
+    ],
+    ids=["cover-infinity", "search-cap", "field-p", "search-degrees", "plan-entries", "plan-on",
+         "search-t", "search-empty", "cover-repeated-degree"],
+)
+def test_config_errors_name_file_and_section_once(capsys, tmp_path, line, edit, argv, code, section):
+    if line is None:
+        cfg = MUTANTS / f"{edit}.cfg"
+    else:
+        text = _bundled_text("f2_tower1")
+        assert f"\n{line}\n" in text
+        cfg = tmp_path / "edited.cfg"
+        cfg.write_text(text.replace(f"\n{line}\n", f"\n{edit}\n", 1))
+    got, out, err = run(capsys, argv, "--config", str(cfg))
+    prefix = {2: "error: ", 3: "model inconsistency: ", 5: "empty search space: "}[code]
+    assert got == code
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert err.startswith(f"{prefix}{cfg}: [{section}]: ")
+    assert err.count(str(cfg)) == err.replace(str(cfg), "").count(section) == 1
 
 
 _BIG_P = "[field]\np = {p}\n\n[curve X]\nequation = y^2 = x^3 + x + 1\ninfinity = 1:1\ngenus = 1\n"

@@ -3,7 +3,7 @@
 import pytest
 
 from towerbound import cft, config, search
-from towerbound.errors import ConfigError, OutOfRange
+from towerbound.errors import ConfigError, InconsistentModel, OutOfRange, located
 
 
 def test_parse_poly_basics():
@@ -98,11 +98,11 @@ def test_search_keys_left_out_take_the_library_defaults():
     [
         ("[plan P]\non = C\nentries = 5:1:2\nt = 0", "[plan P]: t must be positive"),
         ("[plan P]\non = C\nentries = 5:1:1\nt = 3", "[plan P]: conductor exponent nu = 1"),
-        ("[search]\non = C\ndegrees = 5\ntop = 0", "[search]: top: top_n must be in 1..2000"),
+        ("[search]\non = C\ndegrees = 5\ntop = 0", "[search default]: top: top_n must be in 1..2000"),
         ("[search S]\non = C\ndegrees = 5\ncap = -1", "[search S]: cap: max_multiplicity must be"),
-        ("[search]\non = C\ndegrees = 5, 5", "[search]: degrees: degrees repeat a value"),
-        ("[search]\non = C\ndegrees = 5\nnu = 3, 3", "[search]: nu: allowed_nu repeat a value"),
-        ("[search]\non = C\ndegrees = 5\nt = 0", "[search]: t: t_values must be >= 1"),
+        ("[search]\non = C\ndegrees = 5, 5", "[search default]: degrees: degrees repeat a value"),
+        ("[search]\non = C\ndegrees = 5\nnu = 3, 3", "[search default]: nu: allowed_nu repeat a value"),
+        ("[search]\non = C\ndegrees = 5\nt = 0", "[search default]: t: t_values must be >= 1"),
         ("[compare Q]\ns = -1\nl = 2\nt = 1\ns_prime = 0\nT = 1", "[compare Q]: s must be"),
     ],
     ids=["plan-t", "plan-nu", "search-top", "search-cap", "search-degrees", "search-nu", "search-t",
@@ -112,6 +112,14 @@ def test_range_errors_name_their_section(section, message):
     with pytest.raises(OutOfRange) as err:
         config.parse_config(MINIMAL + _COVER_E + "\n" + section + "\n")
     assert str(err.value).startswith(f"<string>: {message}")
+
+
+def test_located_keeps_the_class_and_prefixes_the_message():
+    with pytest.raises(InconsistentModel) as err:
+        with located("w"):
+            raise InconsistentModel("counts contradict")
+    assert type(err.value) is InconsistentModel
+    assert str(err.value) == "w: counts contradict"
 
 
 def test_unknown_config_name():

@@ -477,6 +477,16 @@ def test_zeta_detects_wrong_genus(curve_E):
     assert z.discrepancies
 
 
+def test_zeta_check_refuses_a_spectrum_short_of_twice_the_genus(curve_E):
+    with pytest.raises(OutOfRange, match=r"needs N_n for n = 1..2; missing \[2\]"):
+        curve.zeta_check(curve.spectrum_from_counts(curve_E, 1))
+
+
+def test_unnamed_model_assumptions_say_anon():
+    model = curve.CurveModel.create(P2, {(0, 2): 1, (0, 1): 1, (3, 0): 1, (1, 0): 1}, genus=1)
+    assert [line.split(":")[0] for line in model.assumptions()] == ["model <anon>"] * 2
+
+
 @pytest.mark.parametrize("d_max", [0, -1])
 def test_degree_below_one_refused_before_counting(curve_E, monkeypatch, d_max):
     def no_counting(model, n):

@@ -10,7 +10,7 @@ from array import array
 import pytest
 
 from towerbound import ff
-from towerbound.errors import NotPrime, UnsupportedSize
+from towerbound.errors import OutOfRange, UnsupportedSize
 from towerbound.ff import FieldParams, make_ext_field
 
 P2 = FieldParams(2)
@@ -35,10 +35,15 @@ def test_cardinalities():
 
 
 def test_not_prime_rejected():
-    with pytest.raises(NotPrime):
+    with pytest.raises(OutOfRange, match="is not prime"):
         FieldParams(4)
-    with pytest.raises(NotPrime):
+    with pytest.raises(OutOfRange, match="is not prime"):
         FieldParams(1)
+
+
+def test_extension_degree_below_one_is_out_of_range():
+    with pytest.raises(OutOfRange, match="extension degree n must be >= 1"):
+        ff.ExtField(P2, 0)
 
 
 def test_size_cap():

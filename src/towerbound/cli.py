@@ -274,12 +274,14 @@ def cmd_optimize(doc: config.ConfigDocument, top: int | None) -> tuple[int, Repo
     report.kv("record", "search")
     report.kv("config", doc.source)
     for sname, (on, space) in sorted(doc.searches.items()):
+        where = f"{doc.source}: [search {sname}]"
         if top is not None:
             with located("--top"):
                 space = dataclasses.replace(space, top_n=top)
-        with cover_mod.after_each_degree(search_mod.size_check(space)):
+        # the cap check alone is located: the cover's own errors name no search
+        with cover_mod.after_each_degree(located(where)(search_mod.size_check(space))):
             spectrum = cover_mod.assemble_spectrum(doc.covers[on], max(space.degrees, default=1))
-        with located(f"{doc.source}: [search {sname}]"):  # t above a_1 shows only now
+        with located(where):  # t above a_1 shows only now
             result = search_mod.optimize(dataclasses.replace(space, spectrum=spectrum))
         report.kv(f"{sname}.candidates", result.candidates_evaluated)
         report.kv(f"{sname}.certified", result.certified_count)

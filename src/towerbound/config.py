@@ -314,7 +314,9 @@ def _split_sections(text: str, source: str):
             kind = parts[0] if parts else ""
             if kind not in _SECTION_KEYS:
                 raise ConfigError(f"{source}:{lineno}: unknown section kind {kind!r}")
-            if kind in ("field", "search") and len(parts) > 2:
+            if kind == "field" and len(parts) > 1:
+                raise ConfigError(f"{source}:{lineno}: section 'field' takes no name")
+            if kind == "search" and len(parts) > 2:
                 raise ConfigError(f"{source}:{lineno}: too many names in {header!r}")
             if kind not in ("field", "search") and len(parts) != 2:
                 raise ConfigError(f"{source}:{lineno}: section {kind!r} needs exactly one name")

@@ -14,7 +14,10 @@ p*m.
 
 Places where A vanishes (and the places at infinity) cannot be decided
 by traces; their behavior is declared cover data, kept in one auditable
-list and cross-checked by the brute-force compositum oracle.
+list.  The brute-force compositum oracle does not check it: the declared
+places' points enter its prediction and its subtraction alike, so a wrong
+declaration cancels out.  What the oracle checks is the code, the orbit
+grouping and the assembly of the undeclared places, against a plain scan.
 
 One trace kernel serves both: `_component_traces` walks a sequence of
 points with every value held as a log.  `decompose_place` passes its one

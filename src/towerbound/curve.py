@@ -4,11 +4,13 @@ A curve is presented as a bivariate polynomial identity F(x, y) = 0 with
 prime-field coefficients, together with an explicit list of places at
 infinity (the shipped base models each have a single rational one) and a
 declared genus.  Point counts and places read one walk over F_{q^n}: one x
-per Frobenius orbit and its list of roots in y.  N_n sums the lengths of the
-root lists weighted by the orbit sizes; the place spectrum a_d follows by
-Moebius inversion, and the counts are validated against the L-polynomial
-that Newton's identities rebuild from N_1..N_g, for every genus.  Places of
-degree d group the same roots into orbits.
+per Frobenius orbit and its list of roots in y, the orbits read from the
+field's cached `orbit_table`.  N_n sums the lengths of the root lists
+weighted by the orbit sizes; the place spectrum a_d follows by Moebius
+inversion, and the counts are validated against the L-polynomial that
+Newton's identities rebuild from N_1..N_g, for every genus.  Places of
+degree d group the same roots into orbits; over an x of orbit size d each
+root is a place of its own.
 
 Root lists come a chunk of at most CHUNK x values at a time, for the orbit
 walk and for the whole-field scan of cover's oracle alike (`_chunk_roots`),
@@ -27,7 +29,7 @@ read of the Zech table log(1 + g^k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InconsistentModel, OutOfRange
@@ -344,10 +346,10 @@ def _orbit_roots(model: CurveModel, n: int) -> Iterator[tuple[ExtField, int, int
     """
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
-    orbits = F.frobenius_orbits()
-    while chunk := list(islice(orbits, CHUNK)):
-        roots = _chunk_roots(F, coeffs, [x for x, _ in chunk])
-        for (x, e), ys in zip(chunk, roots):
+    reps, sizes = F.orbit_table
+    for start in range(0, len(reps), CHUNK):
+        xs = reps[start:start + CHUNK]
+        for x, e, ys in zip(xs, sizes[start:start + CHUNK], _chunk_roots(F, coeffs, xs)):
             yield F, x, e, ys
 
 
@@ -513,11 +515,15 @@ def enumerate_places(model: CurveModel, d: int) -> list[Place]:
     the orbit size of x, the points of a place over x form one orbit of
     y -> y^(q^e) among the roots over x, and the place has degree e times
     its size.  Its key, the least point of the orbit, is (x, least such y).
-    Infinite places come from the model metadata and are returned as
-    symbolic entries.
+    When e == d, y^(q^d) = y: each root is a place of its own, with no
+    powering.  Infinite places come from the model metadata and are
+    returned as symbolic entries.
     """
     places = []
     for F, x, e, roots in _orbit_roots(model, d):
+        if e == d:
+            places += [Place(degree=d, key=(x, y)) for y in sorted(roots)]
+            continue
         step = model.params.q**e
         for y in sorted(roots):
             orbit = [y]

@@ -29,11 +29,12 @@ mod p, with no table, to find the modulus (Ben-Or's irreducibility test),
 the generator and the columns of those linear maps; an ExtField in
 `curve`, to find roots in y by gcds.
 
-One table is built lazily, on first use: `trace_of_power`, the trace of
-each power of the generator.  Fields used only for point counts never
+Two tables are built lazily, on first use.  `trace_of_power` is the trace
+of each power of the generator; fields used only for point counts never
 build it.  The trace kernel of `cover` reads it at logs, with log A as
 `eval_compiled` gives it, so that Tr(c x^i y^j / A^p) costs one read at an
-integer log.
+integer log.  `orbit_table` lists the Frobenius orbits, walked once per
+field at one exp read per element, for every count and place enumeration.
 """
 
 from __future__ import annotations
@@ -305,6 +306,23 @@ def _slices(a: array) -> Iterator[tuple[int, array]]:
     return ((i, a[i:i + step]) for i in range(0, len(a), step))
 
 
+class _Ones:
+    """`size` ones, none of them stored: the orbit sizes over F_q itself.
+    A slice is `bytes`, as a slice of the stored sizes is."""
+
+    def __init__(self, size: int):
+        self._range = range(size)
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return b"\x01" * len(self._range[i])
+        self._range[i]  # IndexError past either end
+        return 1
+
+
 def require_supported_degree(params: FieldParams, n: int) -> None:
     """Raise UnsupportedSize when F_{q^n} has order above MAX_ORDER.
 
@@ -337,8 +355,9 @@ class ExtField:
     element from outside the package reaches a field: configs give
     polynomial coefficients, which are reduced mod p, and every point is
     enumerated by the package itself.  Instances are immutable after
-    construction, apart from the `trace_of_power` table built on first use
-    (always to the same bytes), and safe to share between workers.
+    construction, apart from the `trace_of_power` and `orbit_table` tables
+    built on first use (always to the same bytes), and safe to share
+    between workers.
     """
 
     def __init__(self, params: FieldParams, n: int):
@@ -433,25 +452,33 @@ class ExtField:
     def frobenius_orbits(self) -> Iterator[tuple[int, int]]:
         """(x, e) for each orbit of x -> x^q, ascending in x: x is the least
         packed element of its orbit and e the orbit size (the least k with
-        x^(q^k) = x, a divisor of n).
+        x^(q^k) = x, a divisor of n).  A view of `orbit_table`."""
+        return zip(*self.orbit_table)
 
-        Orbits are walked in log space, k -> k*q mod (order - 1), and their
-        members marked, so the next representative is the next unmarked
-        element.
+    @cached_property
+    def orbit_table(self) -> tuple[array | range, bytes | _Ones]:
+        """(reps, sizes): the least packed element of each orbit of x -> x^q,
+        ascending, and the orbit's size.  The walk from x, k -> k*q mod
+        (order - 1) in log space, marks each member but x and stops back at
+        x; the next rep is the next unmarked element past x.  Over F_q
+        (n = 1) each element is its own orbit and nothing is stored.
         """
+        if self.n == 1:
+            return range(self.order), _Ones(self.order)
         exp, log, q, q1 = self._exp, self._log, self.params.q, self._q1
+        reps, sizes = array(_typecode(q1), [0]), bytearray([1])
         seen = bytearray(self.order)
-        seen[0] = 1
-        yield 0, 1
-        x = seen.find(0)
+        x = 1
         while x >= 0:
-            e, k = 0, log[x]
-            while not seen[exp[k]]:
-                seen[exp[k]] = 1
+            e, k = 1, log[x] * q % q1
+            while (v := exp[k]) != x:
+                seen[v] = 1
                 e += 1
                 k = k * q % q1
-            yield x, e
+            reps.append(x)
+            sizes.append(e)
             x = seen.find(0, x + 1)
+        return reps, bytes(sizes)
 
     # -- tables ---------------------------------------------------------------
 

@@ -700,7 +700,8 @@ def test_search_space_refused_before_its_spectrum_is_assembled(capsys, tmp_path)
     assert code == 2
     assert out == ""
     assert err == (
-        "error: search space of at least 209310948 candidates exceeds the cap 10000000\n"
+        f"error: {cfg}: [search default]: search space of at least 209310948 candidates "
+        "exceeds the cap 10000000\n"
     )
 
 

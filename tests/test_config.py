@@ -177,6 +177,12 @@ def test_two_field_sections_rejected():
         config.parse_config(MINIMAL + "\n[field]\np = 3")
 
 
+def test_named_field_section_rejected():
+    # every other kind refuses a wrong number of names; [field] takes none
+    with pytest.raises(ConfigError, match=r"^<string>:2: section 'field' takes no name$"):
+        config.parse_config(MINIMAL.replace("[field]", "[field whatever]"))
+
+
 def test_comments_and_blank_lines():
     doc = config.parse_config("# leading comment\n\n[field]\np = 3  # inline\ne = 1\n")
     assert doc.params.q == 3

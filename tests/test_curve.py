@@ -426,6 +426,40 @@ def test_galois_orbit_partition(curve_E, curve_E3):
             assert via_orbits == curve.count_points(model, n)
 
 
+def pow_walk_places(model, d):
+    """A reference for enumerate_places that powers every root over x by
+    y -> y^(q^e) until it returns, whatever the orbit size e of x."""
+    places = []
+    for F, x, e, roots in curve._orbit_roots(model, d):
+        step = model.params.q**e
+        for y in sorted(roots):
+            orbit = [y]
+            while (cy := F.pow(orbit[-1], step)) != y:
+                orbit.append(cy)
+            if e * len(orbit) == d and y == min(orbit):
+                places.append(curve.Place(degree=d, key=(x, y)))
+    for idx, m in enumerate(model.infinite_index_degrees()):
+        if m == d:
+            places.append(curve.Place(degree=d, key=("inf", idx)))
+    return places
+
+
+def test_full_size_orbits_match_the_pow_walk(curve_E, curve_H, curve_E3):
+    # over an x of orbit size d each root is a place by itself; over an x of
+    # a proper subfield (e < d) the walk still groups the roots
+    h_over_f4 = dataclasses.replace(curve_H, params=FieldParams(2, 2))
+    over_subfields = 0
+    for model, d_max in ((curve_E, 12), (curve_H, 10), (curve_E3, 7), (h_over_f4, 4)):
+        for d in range(1, d_max + 1):
+            places = curve.enumerate_places(model, d)
+            assert places == pow_walk_places(model, d), (model.name, d)
+            sizes = dict(make_ext_field(model.params, d).frobenius_orbits())
+            over_subfields += sum(
+                not pl.is_infinite and sizes[pl.key[0]] < d for pl in places
+            )
+    assert over_subfields
+
+
 def test_place_keys_canonical(curve_E):
     # the key is the least point of the place's orbit under the base Frobenius,
     # an orbit of exactly `degree` points

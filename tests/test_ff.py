@@ -1,15 +1,17 @@
 """Field construction, trace and enumeration properties."""
 
 import collections
+import functools
 import hashlib
 import math
 import random
+import sys
 import time
 from array import array
 
 import pytest
 
-from towerbound import ff
+from towerbound import curve, ff
 from towerbound.errors import OutOfRange, UnsupportedSize
 from towerbound.ff import FieldParams, make_ext_field
 
@@ -105,7 +107,9 @@ def test_frobenius_orbit_closure_exhaustive(params, n):
         assert F.pow(a, F.order) == a
 
 
-@pytest.mark.parametrize("params,n_max", [(P2, 12), (P3, 7), (FieldParams(2, 2), 4)])
+@pytest.mark.parametrize(
+    "params,n_max", [(P2, 12), (P3, 7), (FieldParams(2, 2), 4), (P5, 4)]
+)
 def test_frobenius_orbits_partition_exhaustive(params, n_max):
     for n in range(1, n_max + 1):
         F = make_ext_field(params, n)
@@ -121,6 +125,41 @@ def test_frobenius_orbits_partition_exhaustive(params, n_max):
         assert sorted(members) == list(range(F.order))  # a partition of the field
         xs = [x for x, _ in reps]
         assert xs == sorted(set(xs))
+
+
+def test_orbit_table_built_once_per_field(curve_E, curve_H, monkeypatch):
+    # E and H both count over F_2^n: the second curve reads the first one's table
+    walk, walked = ff.ExtField.orbit_table.func, []
+
+    def counted(F):
+        walked.append(F.n)
+        return walk(F)
+
+    table = functools.cached_property(counted)
+    table.__set_name__(ff.ExtField, "orbit_table")
+    monkeypatch.setattr(ff.ExtField, "orbit_table", table)
+    monkeypatch.setattr(ff, "_FIELD_CACHE", {})  # fields without a table yet
+    for model in (curve_E, curve_H):
+        for n in range(1, 9):
+            curve.count_points(model, n)
+    curve.enumerate_places(curve_E, 8)
+    assert walked == list(range(1, 9))
+    F = make_ext_field(P2, 8)
+    assert F.orbit_table is F.orbit_table
+
+
+def test_orbit_table_of_a_prime_field_stores_no_entry_per_element():
+    # over F_q every element is its own orbit of x -> x^q
+    F = make_ext_field(FieldParams(65537), 1)
+    reps, sizes = F.orbit_table
+    assert reps == range(65537) and not isinstance(reps, array)
+    assert len(sizes) == 65537 and sys.getsizeof(sizes) < 1000
+    assert sizes[0] == sizes[-1] == 1 and sizes[65500:] == b"\x01" * 37
+    with pytest.raises(IndexError):
+        sizes[65537]
+    assert list(make_ext_field(FieldParams(2, 2), 1).frobenius_orbits()) == [
+        (0, 1), (1, 1), (2, 1), (3, 1)
+    ]
 
 
 @pytest.mark.parametrize("params,n", [(P2, 6), (P2, 11), (P3, 5), (P3, 7)])

@@ -5,7 +5,7 @@ prime-field coefficients, together with an explicit list of places at
 infinity (the shipped base models each have a single rational one) and a
 declared genus.  Point counts and places read one walk over F_{q^n}: one x
 per Frobenius orbit and its list of roots in y, the orbits read from the
-field's cached `orbit_table`.  N_n sums the lengths of the root lists
+field's `orbit_table`.  N_n sums the lengths of the root lists
 weighted by the orbit sizes; the place spectrum a_d follows by Moebius
 inversion, and the counts are validated against the L-polynomial that
 Newton's identities rebuild from N_1..N_g, for every genus.  Places of
@@ -346,11 +346,11 @@ def _orbit_roots(model: CurveModel, n: int) -> Iterator[tuple[ExtField, int, int
     """
     F = make_ext_field(model.params, n)
     coeffs = _y_coefficients(model)
-    reps, sizes = F.orbit_table
+    reps, short = F.orbit_table
     for start in range(0, len(reps), CHUNK):
         xs = reps[start:start + CHUNK]
-        for x, e, ys in zip(xs, sizes[start:start + CHUNK], _chunk_roots(F, coeffs, xs)):
-            yield F, x, e, ys
+        for x, ys in zip(xs, _chunk_roots(F, coeffs, xs)):
+            yield F, x, short.get(x, n), ys
 
 
 def count_affine(model: CurveModel, n: int) -> int:

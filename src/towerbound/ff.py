@@ -33,8 +33,10 @@ Two tables are built lazily, on first use.  `trace_of_power` is the trace
 of each power of the generator; fields used only for point counts never
 build it.  The trace kernel of `cover` reads it at logs, with log A as
 `eval_compiled` gives it, so that Tr(c x^i y^j / A^p) costs one read at an
-integer log.  `orbit_table` lists the Frobenius orbits, walked once per
-field at one exp read per element, for every count and place enumeration.
+integer log.  `orbit_table` lists the Frobenius orbits, walked at one exp
+read per element, for every count and place enumeration.  A field of at
+most ORBIT_TABLE_LIMIT elements keeps its table, so its orbits are walked
+once per process; a larger field walks them on each use.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .errors import OutOfRange, UnsupportedSize
 
 MAX_ORDER = 2**20  # the largest supported field order; the CLI checks each command's
 # largest field against it before counting anything (the bundled workloads reach 2^17)
+ORBIT_TABLE_LIMIT = 2**15  # the largest field order whose orbit table is kept; see orbit_table
 
 
 def _is_prime(n: int) -> bool:
@@ -306,23 +309,6 @@ def _slices(a: array) -> Iterator[tuple[int, array]]:
     return ((i, a[i:i + step]) for i in range(0, len(a), step))
 
 
-class _Ones:
-    """`size` ones, none of them stored: the orbit sizes over F_q itself.
-    A slice is `bytes`, as a slice of the stored sizes is."""
-
-    def __init__(self, size: int):
-        self._range = range(size)
-
-    def __len__(self) -> int:
-        return len(self._range)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return b"\x01" * len(self._range[i])
-        self._range[i]  # IndexError past either end
-        return 1
-
-
 def require_supported_degree(params: FieldParams, n: int) -> None:
     """Raise UnsupportedSize when F_{q^n} has order above MAX_ORDER.
 
@@ -355,9 +341,9 @@ class ExtField:
     element from outside the package reaches a field: configs give
     polynomial coefficients, which are reduced mod p, and every point is
     enumerated by the package itself.  Instances are immutable after
-    construction, apart from the `trace_of_power` and `orbit_table` tables
-    built on first use (always to the same bytes), and safe to share
-    between workers.
+    construction, apart from the `trace_of_power` and orbit tables kept
+    on first use (always to the same values), and safe to share between
+    workers.
     """
 
     def __init__(self, params: FieldParams, n: int):
@@ -376,6 +362,7 @@ class ExtField:
         self._split = params.p ** (m // 2)  # the low half of the digits: a % split
         self._exp, self._log, self._zech = self._build_tables()
         self._lin_lo, self._lin_hi = self._build_linear_tables()
+        self._orbits: tuple[array | range, dict[int, int]] | None = None
 
     def __repr__(self):
         return f"ExtField(p={self.p}, e={self.params.e}, n={self.n}, order={self.order})"
@@ -453,20 +440,37 @@ class ExtField:
         """(x, e) for each orbit of x -> x^q, ascending in x: x is the least
         packed element of its orbit and e the orbit size (the least k with
         x^(q^k) = x, a divisor of n).  A view of `orbit_table`."""
-        return zip(*self.orbit_table)
+        reps, short = self.orbit_table
+        return ((x, short.get(x, self.n)) for x in reps)
 
-    @cached_property
-    def orbit_table(self) -> tuple[array | range, bytes | _Ones]:
-        """(reps, sizes): the least packed element of each orbit of x -> x^q,
-        ascending, and the orbit's size.  The walk from x, k -> k*q mod
-        (order - 1) in log space, marks each member but x and stops back at
-        x; the next rep is the next unmarked element past x.  Over F_q
-        (n = 1) each element is its own orbit and nothing is stored.
+    @property
+    def orbit_table(self) -> tuple[array | range, dict[int, int]]:
+        """(reps, short): the least packed element of each orbit of x -> x^q,
+        ascending, and the size e of each orbit with e < n, by its rep; every
+        other orbit has size n.
+
+        Kept when the order is at most ORBIT_TABLE_LIMIT, where a table is
+        at most 4.4 KB: the low degrees that every spectrum and cover
+        assembly reads again.  A larger field is read about once per command
+        and is walked on each use; on a whole-field count to F_2^17 and
+        F_3^10, keeping its table as well raised the peak memory by 0.12 MB.
+        """
+        if (table := self._orbits) is None:
+            table = self._walk_orbits()
+            if self.order <= ORBIT_TABLE_LIMIT:
+                self._orbits = table
+        return table
+
+    def _walk_orbits(self) -> tuple[array | range, dict[int, int]]:
+        """The orbit table.  The walk from x, k -> k*q mod (order - 1) in log
+        space, marks each member but x and stops back at x; the next rep is
+        the next unmarked element past x.  Over F_q (n = 1) each element is
+        its own orbit and nothing is stored.
         """
         if self.n == 1:
-            return range(self.order), _Ones(self.order)
-        exp, log, q, q1 = self._exp, self._log, self.params.q, self._q1
-        reps, sizes = array(_typecode(q1), [0]), bytearray([1])
+            return range(self.order), {}
+        exp, log, q, q1, n = self._exp, self._log, self.params.q, self._q1, self.n
+        reps, short = array(_typecode(q1), [0]), {0: 1}
         seen = bytearray(self.order)
         x = 1
         while x >= 0:
@@ -476,9 +480,10 @@ class ExtField:
                 e += 1
                 k = k * q % q1
             reps.append(x)
-            sizes.append(e)
+            if e < n:
+                short[x] = e
             x = seen.find(0, x + 1)
-        return reps, bytes(sizes)
+        return reps, short
 
     # -- tables ---------------------------------------------------------------
 

@@ -1,11 +1,9 @@
 """Field construction, trace and enumeration properties."""
 
 import collections
-import functools
 import hashlib
 import math
 import random
-import sys
 import time
 from array import array
 
@@ -127,39 +125,45 @@ def test_frobenius_orbits_partition_exhaustive(params, n_max):
         assert xs == sorted(set(xs))
 
 
-def test_orbit_table_built_once_per_field(curve_E, curve_H, monkeypatch):
-    # E and H both count over F_2^n: the second curve reads the first one's table
-    walk, walked = ff.ExtField.orbit_table.func, []
+def test_orbit_table_kept_up_to_the_limit(curve_E, curve_H, monkeypatch):
+    # E and H both count over F_2^n: up to the limit the second curve reads the
+    # first one's table, above it each count walks the field again
+    walk, walked = ff.ExtField._walk_orbits, []
 
     def counted(F):
         walked.append(F.n)
         return walk(F)
 
-    table = functools.cached_property(counted)
-    table.__set_name__(ff.ExtField, "orbit_table")
-    monkeypatch.setattr(ff.ExtField, "orbit_table", table)
+    monkeypatch.setattr(ff.ExtField, "_walk_orbits", counted)
+    monkeypatch.setattr(ff, "ORBIT_TABLE_LIMIT", 2**8)
     monkeypatch.setattr(ff, "_FIELD_CACHE", {})  # fields without a table yet
     for model in (curve_E, curve_H):
-        for n in range(1, 9):
+        for n in range(1, 11):
             curve.count_points(model, n)
     curve.enumerate_places(curve_E, 8)
-    assert walked == list(range(1, 9))
-    F = make_ext_field(P2, 8)
+    assert walked == list(range(1, 11)) + [9, 10]
+    F, G = make_ext_field(P2, 8), make_ext_field(P2, 9)
     assert F.orbit_table is F.orbit_table
+    assert G.orbit_table == G.orbit_table and G.orbit_table is not G.orbit_table
 
 
 def test_orbit_table_of_a_prime_field_stores_no_entry_per_element():
-    # over F_q every element is its own orbit of x -> x^q
+    # over F_q every element is its own orbit of x -> x^q, of full size n = 1
     F = make_ext_field(FieldParams(65537), 1)
-    reps, sizes = F.orbit_table
-    assert reps == range(65537) and not isinstance(reps, array)
-    assert len(sizes) == 65537 and sys.getsizeof(sizes) < 1000
-    assert sizes[0] == sizes[-1] == 1 and sizes[65500:] == b"\x01" * 37
-    with pytest.raises(IndexError):
-        sizes[65537]
+    assert F.orbit_table == (range(65537), {})
     assert list(make_ext_field(FieldParams(2, 2), 1).frobenius_orbits()) == [
         (0, 1), (1, 1), (2, 1), (3, 1)
     ]
+
+
+def test_orbit_table_keeps_sizes_of_short_orbits_only():
+    # an orbit of size e < n lies in the subfield F_{q^e}: only those sizes
+    # are stored, every other orbit having size n
+    F = make_ext_field(P2, 12)
+    reps, short = F.orbit_table
+    in_subfields = {x for x in reps if any(F.pow(x, 2**e) == x for e in (1, 2, 3, 4, 6))}
+    assert short.keys() == in_subfields
+    assert len(short) == 17 < len(reps) == 352
 
 
 @pytest.mark.parametrize("params,n", [(P2, 6), (P2, 11), (P3, 5), (P3, 7)])

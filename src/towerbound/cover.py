@@ -17,12 +17,19 @@ by traces; their behavior is declared cover data, kept in one auditable
 list.  The brute-force compositum oracle does not check it: the declared
 places' points enter its prediction and its subtraction alike, so a wrong
 declaration cancels out.  What the oracle checks is the code, the orbit
-grouping and the assembly of the undeclared places, against a plain scan.
+grouping, the trace kernel and the assembly of the undeclared places,
+against a plain scan.
 
-One trace kernel serves both: `_component_traces` walks a sequence of
-points with every value held as a log.  `decompose_place` passes its one
-point; the oracle streams every affine point of the base over F_{q^n},
-whose root lists `curve` finds a chunk of x values at a time.
+Traces are read on two paths, both with every value held as a log and
+each Tr(x^i y^j / A^p) one read of the field's trace_of_power table.
+`decompose_place` passes its one point to the trace kernel
+`_component_traces`, which gives the whole trace vector.  The oracle
+scans every affine point of the base over F_{q^n}, whose root lists
+`curve` finds a chunk of x values at a time, and sieves their fibres a
+batch of BATCH points at a time (`_fibres`): log A as one column, then
+each component over the points whose traces so far vanish.  Most points
+drop out at their first component.  The two paths share only the
+field's tables, so a fault in the kernel shows as a residual.
 """
 
 from __future__ import annotations
@@ -41,12 +48,15 @@ from .curve import (
     enumerate_places,
     affine_solutions,
     compile_poly2,
+    eval_columns,
     eval_compiled,
     normalize_poly2,
     total_degree,
 )
 from .errors import InconsistentModel, OutOfRange
 from .ff import make_ext_field, require_supported_degree
+
+BATCH = 256  # points whose fibres the oracle sieves together, like curve.CHUNK for x values
 
 
 def _check_above(above: tuple[tuple[int, int], ...]) -> None:
@@ -352,22 +362,54 @@ class OracleReport:
     residual: int
 
 
+def _batches(points: Iterable[tuple[int, int]]) -> Iterator[tuple[tuple[bool, bool], list]]:
+    """(pattern, batch): the points in batches of at most BATCH, each batch
+    of one zero pattern (x == 0, y == 0)."""
+    open_batches: dict[tuple[bool, bool], list] = {}
+    for x, y in points:
+        batch = open_batches.setdefault((not x, not y), [])
+        batch.append((x, y))
+        if len(batch) == BATCH:
+            yield (not x, not y), open_batches.pop((not x, not y))
+    yield from open_batches.items()
+
+
+def _fibres(cover: CoverSpec, F, pattern: tuple[bool, bool], points: list) -> tuple[int, int]:
+    """(solutions, singular solutions) of the cover's system over F at the
+    points, all of zero pattern pattern.  Where A vanishes each component
+    degenerates to v^p = B, one root; elsewhere it has p roots or none, by
+    its trace over F, so a fibre is empty at its first nonzero trace and
+    the sieve keeps only the points whose traces so far all vanish."""
+    p, q1, log, tr = F.p, F._q1, F._log, F.trace_of_power
+    lxs = [log[x] for x, _ in points]
+    lys = [log[y] for _, y in points]
+    las = eval_columns(F, cover._a_terms[pattern][0], lxs, lys)
+    live = [(a, b, p * s) for a, b, s in zip(lxs, lys, las) if s >= 0]
+    singular = len(points) - len(live)
+    for terms in cover._b_terms[pattern]:
+        if not live:
+            break
+        t = [0] * len(live)
+        for c, i, j in terms:
+            t = [u + c * tr[(i * a + j * b - s) % q1] for u, (a, b, s) in zip(t, live)]
+        live = [pt for pt, u in zip(live, t) if u % p == 0]
+    return singular + cover.group_order * len(live), singular
+
+
 def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleReport:
+    """The solutions of the cover's system over every affine point of the
+    base over F_{q^n}, by a plain scan, accounted against spectrum.  The
+    fibres are sieved a batch at a time (_fibres), apart from
+    _component_traces, so the oracle checks that kernel too."""
     if n > spectrum.d_max:
         raise OutOfRange(f"spectrum stops at degree {spectrum.d_max} < {n}")
-    full_fiber = cover.group_order
     F = make_ext_field(cover.params, n)
     total = 0
     singular_solutions = 0
-    for taus in _component_traces(cover, F, affine_solutions(cover.base, n)):
-        # the solutions (v_1..v_r) over F at the point: where A vanishes every
-        # component degenerates to v^p = B, one root each; elsewhere each has
-        # p roots or none, by the trace criterion over F itself
-        if taus is None:
-            total += 1
-            singular_solutions += 1
-        elif not any(taus):
-            total += full_fiber
+    for pattern, batch in _batches(affine_solutions(cover.base, n)):
+        solutions, singular = _fibres(cover, F, pattern, batch)
+        total += solutions
+        singular_solutions += singular
     spectrum_points = spectrum.n_map[n]
     inf_pts = 0
     decl_pts = 0

@@ -19,18 +19,20 @@ and are solved on the logs of the y-coefficients; no list holds the field.
 Every bivariate polynomial, here and in `cover`, is evaluated one way: it is
 compiled once into terms (c, i, j) for each zero pattern of a point
 (`compile_poly2`), and `eval_compiled` gives the log of the sum of
-c * g^(i log x + j log y).  The y-coefficients of F are such polynomials in
-x, summed the same way a column at a time.  These sums and the quadratic
-formula read the field's tables with no element-method call per term or
-root: in odd characteristic a sum is held as a log and each addition is one
-read of the Zech table log(1 + g^k).
+c * g^(i log x + j log y) at one point.  `eval_columns` applies the same
+rule a column of points at a time, one comprehension per term: the
+y-coefficients of F over a chunk of x, and cover's A over a batch of
+points.  These sums and the quadratic formula read the field's tables with
+no element-method call per term or root: in odd characteristic a sum is
+held as a log and each addition is one read of the Zech table
+log(1 + g^k), whose entry q - 1 marks a zero sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Mapping, Sequence
+from itertools import product, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InconsistentModel, OutOfRange
 from .ff import ExtField, FieldParams, make_ext_field, require_supported_degree
@@ -178,9 +180,42 @@ def eval_compiled(F: ExtField, polys: tuple, lx: int, ly: int) -> list[int]:
                 acc = t
             else:
                 z = zech[(t - acc) % q1]
-                acc = -1 if z < 0 else acc + z
+                acc = -1 if z == q1 else acc + z
         out.append(acc % q1 if acc >= 0 else -1)
     return out
+
+
+def eval_columns(F: ExtField, terms: tuple, lxs: Sequence[int], lys: Iterable[int]) -> list[int]:
+    """eval_compiled's rule a column at a time: the log of the compiled
+    polynomial terms at each point whose coordinates have logs lxs[k] and
+    lys[k], or -1 where it vanishes.
+
+    terms must be compiled for the zero pattern of every point.  The column
+    starts from the first term, and each further term adds one
+    comprehension; a polynomial whose terms are all constant is evaluated
+    once and repeated.
+    """
+    if all(i == j == 0 for _, i, j in terms):
+        return eval_compiled(F, (terms,), 0, 0) * len(lxs)
+    q1, exp, log = F._q1, F._exp, F._log
+    (c, i, j), *rest = terms
+    if F.p == 2:
+        col = [exp[(i * a + j * b) % q1] for a, b in zip(lxs, lys)]
+        for _, i, j in rest:
+            col = [v ^ exp[(i * a + j * b) % q1] for v, a, b in zip(col, lxs, lys)]
+        return [log[v] if v else -1 for v in col]
+    zech = F._zech
+    lc = log[c]
+    col = [lc + i * a + j * b for a, b in zip(lxs, lys)]  # unreduced logs; -1 for zero
+    for c, i, j in rest:
+        lc = log[c]
+        col = [
+            lc + i * a + j * b if s < 0
+            else -1 if (z := zech[(lc + i * a + j * b - s) % q1]) == q1
+            else s + z
+            for s, a, b in zip(col, lxs, lys)
+        ]
+    return [s % q1 if s >= 0 else -1 for s in col]
 
 
 def _y_coefficients(model: CurveModel) -> dict[tuple[bool, bool], tuple]:
@@ -196,31 +231,13 @@ def _y_columns(F: ExtField, coeffs: dict, xs: Sequence[int]) -> list[list[int]]:
     xs, or -1 where it vanishes; coeffs holds the coefficients compiled by
     _y_coefficients.
 
-    The sums are eval_compiled's, a column at a time, with one
-    comprehension per compiled term: at x = g^k the term c x^i is
-    g^(log c + i k).  x = 0 keeps its own zero pattern, through
-    eval_compiled.
+    Each column is eval_columns' over the logs of xs, with no y (j = 0):
+    at x = g^k the term c x^i is g^(log c + i k).  x = 0 keeps its own zero
+    pattern, through eval_compiled.
     """
-    exp, log, q1, zech = F._exp, F._log, F._q1, F._zech
+    log = F._log
     lxs = [log[x] for x in xs]
-    cols = []
-    for terms in coeffs[False, False]:
-        if F.p == 2:
-            col = [0] * len(lxs)
-            for _, i, _ in terms:
-                col = [v ^ exp[i * k % q1] for v, k in zip(col, lxs)]
-            cols.append([log[v] if v else -1 for v in col])
-            continue
-        col = [-1] * len(lxs)  # logs of the sums so far, unreduced
-        for c, i, _ in terms:
-            lc = log[c]
-            col = [
-                lc + i * k if a < 0
-                else -1 if (z := zech[(lc + i * k - a) % q1]) < 0
-                else a + z
-                for a, k in zip(col, lxs)
-            ]
-        cols.append([a % q1 if a >= 0 else -1 for a in col])
+    cols = [eval_columns(F, terms, lxs, repeat(0)) for terms in coeffs[False, False]]
     if 0 in xs:
         at = xs.index(0)
         for col, value in zip(cols, eval_compiled(F, coeffs[True, False], 0, 0)):
@@ -284,7 +301,7 @@ def _quadratic_roots(F: ExtField, l0: int, l1: int, l2: int) -> list[int]:
     d = log[4 % p] + half + l0 + l2 if l0 >= 0 else -1  # -4 a0 a2, then plus a1^2
     if l1 >= 0:
         z = zech[(d - 2 * l1) % q1] if d >= 0 else 0
-        d = -1 if z < 0 else 2 * l1 + z
+        d = -1 if z == q1 else 2 * l1 + z
     if d < 0:
         roots = [-1]  # the double root r = 0
     elif d % 2:  # q1 is even: an odd log is a nonsquare
@@ -300,7 +317,7 @@ def _quadratic_roots(F: ExtField, l0: int, l1: int, l2: int) -> list[int]:
             m = l1 + half  # -a1
             if r >= 0:
                 z = zech[(m - r) % q1]
-                m = -1 if z < 0 else r + z
+                m = -1 if z == q1 else r + z
         out.append(exp[(m - shift) % q1] if m >= 0 else 0)
     return out
 

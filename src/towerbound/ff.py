@@ -8,13 +8,14 @@ packed value, element encodings are reproducible bit for bit across runs.
 Every supported field has order at most MAX_ORDER = 2^20 (F_2^20, F_3^12,
 F_p for p <= 2^20, ...), and every field gets compact exp/log tables at
 construction, each an array of the narrowest C type that holds its
-entries: 2 bytes an entry up to order 2^16 (2^15 for the Zech table, whose
--1 needs a sign), 4 above, so a cached F_2^16 holds 256 kB of exp and log
-and F_2^20 8 MB: multiplication, inversion and powering are table lookups,
-and in odd characteristic a table of Zech logarithms log(1 + g^k) makes
-addition, subtraction and negation lookups too.  `add` is the reference
-form of that rule; the kernels of `curve` (`eval_compiled`, the
-coefficient columns of `_y_columns` and `_quadratic_roots`) inline it,
+entries: 2 bytes an entry up to order 2^16, 4 above, so a cached F_2^16
+holds 256 kB of exp and log and F_2^20 8 MB: multiplication, inversion and
+powering are table lookups, and in odd characteristic a table of Zech
+logarithms log(1 + g^k) makes addition, subtraction and negation lookups
+too.  Where 1 + g^k = 0 the Zech entry is q - 1, which is never a log, so
+that table is unsigned and as narrow as the others.  `add` is the
+reference form of that rule; the kernels of `curve` (`eval_compiled`,
+`eval_columns` and `_quadratic_roots`) inline it,
 reading the exp, log and Zech tables themselves and keeping their sums as
 logs from the first term to the last.  The absolute trace and
 the solutions of w^p - w = u are two lookups in one pair of tables of
@@ -31,12 +32,13 @@ the generator and the columns of those linear maps; an ExtField in
 
 Two tables are built lazily, on first use.  `trace_of_power` is the trace
 of each power of the generator; fields used only for point counts never
-build it.  The trace kernel of `cover` reads it at logs, with log A as
-`eval_compiled` gives it, so that Tr(c x^i y^j / A^p) costs one read at an
-integer log.  `orbit_table` lists the Frobenius orbits, walked at one exp
-read per element, for every count and place enumeration.  A field of at
-most ORBIT_TABLE_LIMIT elements keeps its table, so its orbits are walked
-once per process; a larger field walks them on each use.
+build it.  The trace kernel of `cover` and its oracle's sieve read it at
+logs, with log A as `curve`'s evaluators give it, so that
+Tr(c x^i y^j / A^p) costs one read at an integer log.  `orbit_table`
+lists the Frobenius orbits, walked at one exp read per element, for every
+count and place enumeration.  A field of at most ORBIT_TABLE_LIMIT
+elements keeps its table, so its orbits are walked once per process; a
+larger field walks them on each use.
 """
 
 from __future__ import annotations
@@ -217,13 +219,11 @@ def _smallest_irreducible(m: int, p: int) -> list[int]:
     raise RuntimeError(f"no irreducible of degree {m} over F_{p}")  # unreachable
 
 
-def _typecode(largest: int, signed: bool = False) -> str:
+def _typecode(largest: int) -> str:
     """The narrowest array typecode, 2 bytes or else 4, for entries from 0
-    (from -1 when signed) up to largest; every table entry is a packed
-    element, a log or a trace below MAX_ORDER, or the Zech sentinel -1."""
-    if largest.bit_length() + signed <= 16:
-        return "h" if signed else "H"
-    return "i"
+    up to largest; every table entry is a packed element, a log or a trace
+    below MAX_ORDER, or the Zech marker q - 1."""
+    return "H" if largest.bit_length() <= 16 else "i"
 
 
 def _norm(c: list[int], f: list[int], p: int) -> int:
@@ -398,7 +398,7 @@ class ExtField:
         log = self._log
         la = log[a]
         z = self._zech[(log[b] - la) % self._q1]
-        return 0 if z < 0 else self._exp[(la + z) % self._q1]
+        return 0 if z == self._q1 else self._exp[(la + z) % self._q1]
 
     def neg(self, a: int) -> int:
         if self.p == 2 or a == 0:
@@ -489,8 +489,9 @@ class ExtField:
 
     def _build_tables(self) -> tuple[array, array, array | None]:
         """exp (g^k for k < q - 1), log (log_g(a) for a != 0; entry 0 is 0)
-        and, in odd characteristic, zech (log_g(1 + g^k), -1 where g^k = -1),
-        each an array of the narrowest typecode that holds its entries.
+        and, in odd characteristic, zech (log_g(1 + g^k), and q - 1, never a
+        log, where g^k = -1), each an array of the narrowest typecode that
+        holds its entries: 2 bytes up to order 2^16, all three.
 
         The generator g is the least packed element of full order: for each
         prime r of q - 1, g^((q-1)/r) != 1, tested by powering polynomials
@@ -521,13 +522,13 @@ class ExtField:
             log[v] = k
         if p == 2:
             return exp, log, None
-        code = _typecode(q1 - 1, signed=True)
+        code = _typecode(q1)
         zech = array(code, [0]) * q1
         for k, s in _slices(exp):  # 1 + v only changes the constant digit of v
             zech[k:k + len(s)] = array(
                 code, [log[v + 1 if v % p != p - 1 else v - p + 1] for v in s]
             )
-        zech[self._half] = -1  # 1 + g^half = 1 + (-1) = 0 has no log
+        zech[self._half] = q1  # 1 + g^half = 1 + (-1) = 0 has no log
         return exp, log, zech
 
     def _powers_of(self, g: int) -> array:

@@ -1,5 +1,7 @@
 """Cover decomposition, spectrum assembly and the brute-force oracle."""
 
+from itertools import product
+
 import pytest
 
 from towerbound import cft, cover, curve
@@ -425,22 +427,77 @@ def test_direct_cover_reduces_coefficients_mod_p(cover_k3, spectrum_k3):
 
 
 def test_oracle_independent_of_chunk_size(cover_C, cover_k1, cover_k2, cover_k3, monkeypatch):
-    # the oracle's root lists come a chunk of x at a time: one x per chunk
-    # and the whole field in one chunk give the same accounting
+    # the oracle's root lists come a chunk of x at a time, and its fibres are
+    # sieved a batch of points at a time: one x per chunk or the whole field
+    # in one chunk, one point per batch or every point in one batch, give
+    # the same accounting
     cov257 = _cover_k257()
     cases = [(cover_C, 4), (cover_k1, 4), (cover_k2, 4), (cover_k3, 4), (cov257, 2)]
     for cov, n_max in cases:
         spec = cover.assemble_spectrum(cov, n_max)
-        by_chunk = {}
-        for chunk in (1, cov.params.q**n_max + 1):
+        everything = cov.params.q ** (2 * n_max) + 1  # more than the points of the plane
+        by_size = {}
+        for chunk, batch in product((1, cov.params.q**n_max + 1), (1, everything)):
             monkeypatch.setattr(curve, "CHUNK", chunk)
-            by_chunk[chunk] = [
+            monkeypatch.setattr(cover, "BATCH", batch)
+            by_size[chunk, batch] = [
                 (rep.brute_count, rep.singular_solutions, rep.residual)
                 for rep in (cover.oracle_report(cov, spec, n) for n in range(1, n_max + 1))
             ]
-        first, second = by_chunk.values()
-        assert first == second, cov.name
+        first, *others = by_size.values()
+        assert all(other == first for other in others), cov.name
         assert all(residual == 0 for _, _, residual in first), cov.name
+
+
+def _oracle_counts_point_by_point(cov, n):
+    """(brute_count, singular_solutions) by a per-point loop over the trace
+    kernel of decompose_place: the oracle's count before its sieve."""
+    F = make_ext_field(cov.params, n)
+    total = singular = 0
+    for taus in cover._component_traces(cov, F, curve.affine_solutions(cov.base, n)):
+        if taus is None:
+            total += 1
+            singular += 1
+        elif not any(taus):
+            total += cov.group_order
+    return total, singular
+
+
+def test_oracle_sieve_matches_point_by_point_count(
+    cover_C, cover_k1, cover_k2, cover_k3, spectrum_k3, curve_E3
+):
+    # n <= 4 for each cover, and k2 at n = 5, where its conductor places give
+    # singular points.  The mixed-terms cover's A drops terms at x = 0 and
+    # at y = 0; the counts do not read the spectrum, so k3's serves it.
+    cases = [
+        (cov, n_max, cover.assemble_spectrum(cov, n_max))
+        for cov, n_max in ((cover_C, 4), (cover_k1, 4), (cover_k2, 5), (cover_k3, 4), (_cover_k257(), 2))
+    ]
+    cases.append((_mixed_terms_cover(curve_E3), 4, spectrum_k3))
+    zero_coordinates = singular_seen = 0
+    for cov, n_max, spec in cases:
+        for n in range(1, n_max + 1):
+            rep = cover.oracle_report(cov, spec, n)
+            want = _oracle_counts_point_by_point(cov, n)
+            assert (rep.brute_count, rep.singular_solutions) == want, (cov.name, n)
+            singular_seen += want[1]
+            zero_coordinates += sum(not (x and y) for x, y in curve.affine_solutions(cov.base, n))
+    assert singular_seen and zero_coordinates
+
+
+def test_oracle_catches_a_trace_kernel_fault(cover_k1, monkeypatch):
+    # the oracle sieves its own traces: a kernel that loses component 0's
+    # trace misassembles the spectrum, and the scan no longer agrees
+    kernel = cover._component_traces
+
+    def faulty(cov, F, points):
+        for taus in kernel(cov, F, points):
+            yield taus if taus is None else [0] + taus[1:]
+
+    monkeypatch.setattr(cover, "_component_traces", faulty)
+    spec = cover.assemble_spectrum(cover_k1, 8)
+    assert (spec.a_map[7], spec.a_map[8]) == (32, 97)  # true: 0 and 65
+    assert any(cover.oracle_report(cover_k1, spec, n).residual for n in range(1, 9))
 
 
 def test_assembly_makes_no_per_place_trace_calls(cover_k1, monkeypatch):

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from towerbound import curve
+from towerbound import cover, curve
 from towerbound.errors import InconsistentModel, OutOfRange, UnsupportedSize
 from towerbound.ff import ExtField, FieldParams, make_ext_field
 
@@ -196,12 +196,17 @@ def test_quadratic_roots_over_f257():
         )
 
 
-def test_point_kernels_call_no_element_methods(curve_E, curve_E3, monkeypatch):
-    # the columns of y-coefficients, eval_compiled and _quadratic_roots read
-    # the field's tables themselves, solve_additive's included
+def test_point_kernels_call_no_element_methods(
+    curve_E, curve_E3, cover_k1, cover_k3, spectrum_k1, spectrum_k3, monkeypatch
+):
+    # the columns of y-coefficients, eval_compiled, _quadratic_roots and the
+    # oracle's sieve read the field's tables themselves, solve_additive's
+    # included
     for model in (curve_E, curve_E3):
         for n in range(1, 5):
             make_ext_field(model.params, n)  # built before the methods go
+    for cov in (cover_k1, cover_k3):
+        cov.support_map()  # places are enumerated with F.pow
 
     def forbidden(*args):
         raise AssertionError("element method called from a point kernel")
@@ -210,6 +215,34 @@ def test_point_kernels_call_no_element_methods(curve_E, curve_E3, monkeypatch):
         monkeypatch.setattr(ExtField, name, forbidden)
     assert {n: curve.count_points(curve_E, n) for n in range(1, 5)} == E_COUNTS
     assert {n: curve.count_points(curve_E3, n) for n in range(1, 5)} == E3_COUNTS
+    for cov, spec in ((cover_k1, spectrum_k1), (cover_k3, spectrum_k3)):
+        for n in range(1, 4):
+            assert cover.oracle_report(cov, spec, n).residual == 0, (cov.name, n)
+
+
+# one polynomial of each shape, with coefficients 1 and 2 (2 drops over F_2)
+_COLUMN_POLYS = {
+    "constant": {(0, 0): 2},
+    "x-only": {(1, 0): 1, (3, 0): 2, (4, 0): 1},
+    "y-only": {(0, 1): 2, (0, 2): 1},
+    "mixed": {(0, 0): 1, (1, 0): 2, (0, 1): 1, (2, 1): 1, (1, 3): 2},
+}
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 2), (5, 2), (257, 1)])
+def test_eval_columns_matches_eval_compiled(p, n, cover_k1, cover_k2, cover_k3):
+    # at every point of the plane, grouped by zero pattern: each bundled A
+    # and each shape of _COLUMN_POLYS, reduced mod p
+    F = make_ext_field(FieldParams(p), n)
+    log = F._log
+    polys = [dict(cov.a) for cov in (cover_k1, cover_k2, cover_k3)] + list(_COLUMN_POLYS.values())
+    points = list(product(range(F.order), repeat=2))
+    for poly in polys:
+        compiled = curve.compile_poly2([tuple(curve.normalize_poly2(poly, p).items())])
+        for pattern, (terms,) in compiled.items():
+            lxs, lys = zip(*[(log[x], log[y]) for x, y in points if (not x, not y) == pattern])
+            want = [curve.eval_compiled(F, (terms,), a, b)[0] for a, b in zip(lxs, lys)]
+            assert curve.eval_columns(F, terms, lxs, lys) == want, (poly, pattern)
 
 
 def test_y_polynomial_matches_plain_coefficients(curve_E, curve_H, curve_E3):

@@ -353,7 +353,7 @@ def test_tables_entry_by_entry(params, n):
         assert exp[k] == F.from_coeffs(ff._poly_powmod(list(g), k, list(F.modulus), ff._IntsMod(p)))
         if p != 2:  # 1 + g^k digit by digit: only the constant digit moves
             z, v = F._zech[k], exp[k]
-            assert (0 if z < 0 else exp[z]) == v - v % p + (v + 1) % p == F.add(1, v)
+            assert (0 if z == q1 else exp[z]) == v - v % p + (v + 1) % p == F.add(1, v)
         assert F.trace_of_power[k] == F.trace(exp[k])
 
 
@@ -361,22 +361,22 @@ def test_tables_entry_by_entry(params, n):
     "params,n,codes",
     [
         (P2, 16, "HH"), (P2, 17, "ii"), (P2, 20, "ii"),
-        (P3, 9, "HHh"), (P3, 10, "HHi"), (P3, 12, "iii"),
-        (FieldParams(257), 1, "HHhH"), (FieldParams(257), 2, "iiiH"),
+        (P3, 9, "HHH"), (P3, 10, "HHH"), (P3, 12, "iii"),
+        (FieldParams(257), 1, "HHHH"), (FieldParams(257), 2, "iiiH"),
     ],
     ids=["f2_16", "f2_17", "f2_20", "f3_9", "f3_10", "f3_12", "f257_1", "f257_2"],
 )
 def test_tables_take_the_narrowest_width(params, n, codes):
     """exp, log, zech and trace_of_power for p >= 256 each take the
     narrowest of "H"/"h" (2 bytes) and "i" (4 bytes) that holds its range:
-    exp 1..q-1, log 0..q-2, zech -1..q-2 and traces 0..p-1.  The cases sit
-    on both sides of 2^16 (exp, log) and 2^15 (zech).  trace_of_power stays
-    bytes for p < 256."""
+    exp 1..q-1, log 0..q-2, zech 0..q-1 (q - 1 marking 1 + g^k = 0) and
+    traces 0..p-1.  The cases sit on both sides of 2^16.  trace_of_power
+    stays bytes for p < 256."""
     F = make_ext_field(params, n)
     q1, p = F.order - 1, F.p
     tables = [(F._exp, 1, q1), (F._log, 0, q1 - 1)]
     if p != 2:
-        tables.append((F._zech, -1, q1 - 1))
+        tables.append((F._zech, 0, q1))
     if p < 256:
         assert type(F.trace_of_power) is bytes
     else:
@@ -422,9 +422,12 @@ TABLE_DIGESTS = {
 @pytest.mark.parametrize("p,n", list(TABLE_DIGESTS), ids=[f"f{p}_{n}" for p, n in TABLE_DIGESTS])
 def test_tables_match_pinned_digests(p, n):
     """Each table, widened to 8-byte ints, hashes to its pinned digest: the
-    4-byte tables hold the same values entry for entry."""
+    4-byte tables hold the same values entry for entry.  The Zech marker
+    q - 1 is read back as the -1 it was when the digests were taken."""
     F = make_ext_field(FieldParams(p), n)
-    tables = {"exp": F._exp, "log": F._log, "zech": F._zech, "trace_of_power": F.trace_of_power}
+    q1 = F.order - 1
+    zech = None if F._zech is None else [-1 if z == q1 else z for z in F._zech]
+    tables = {"exp": F._exp, "log": F._log, "zech": zech, "trace_of_power": F.trace_of_power}
     want = TABLE_DIGESTS[p, n]
     assert {k: hashlib.sha256(array("q", tables[k]).tobytes()).hexdigest() for k in want} == want
 

@@ -18,9 +18,11 @@ fields inside a record, and ','/':' inside small tuples:
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 from . import cft, cover as cover_mod, curve as curve_mod, search as search_mod
 from .errors import ConfigError, located
@@ -33,6 +35,7 @@ from .ff import FieldParams, require_supported_degree
 _TOKEN = re.compile(r"\s*(\d+|[xy]|\*\*|[()^*+-])")
 MAX_EXPONENT = 64  # each power is that many multiplications; the shipped configs need ^5
 MAX_DEGREE = 64  # total degree of any product; bounds the terms a multiplication works through
+MAX_CONFIG_BYTES = 2**20  # a longer file is refused after that many bytes; the bundled are < 1.5 KB
 
 
 def _tokenize(text: str) -> list[str]:
@@ -451,15 +454,29 @@ def bundled_names() -> list[str]:
 
 
 def load_config(path_or_name: str) -> ConfigDocument:
-    """Load a config from a file path, or from the bundled set by bare name."""
-    import os
+    """Load a config from a file path, or from the bundled set by bare name.
 
+    Either is read as at most MAX_CONFIG_BYTES bytes of UTF-8; a file that
+    cannot be read, is longer or is not UTF-8 raises ConfigError."""
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            return parse_config(fh.read(), source=path_or_name)
-    candidate = resources.files("towerbound.data").joinpath(path_or_name + ".cfg")
-    if candidate.is_file():
-        return parse_config(candidate.read_text(encoding="utf-8"), source=path_or_name)
-    raise ConfigError(
-        f"config {path_or_name!r} is neither a file nor one of the bundled set {bundled_names()}"
-    )
+        source = Path(path_or_name)
+    else:
+        source = resources.files("towerbound.data").joinpath(path_or_name + ".cfg")
+        if not source.is_file():
+            raise ConfigError(
+                f"config {path_or_name!r} is neither a file nor one of the bundled set "
+                f"{bundled_names()}"
+            )
+    try:
+        with source.open("rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise ConfigError(f"config {path_or_name!r} is longer than {MAX_CONFIG_BYTES} bytes")
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path_or_name!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config {path_or_name!r} is not UTF-8: byte {exc.start} ({exc.reason})"
+        ) from None
+    return parse_config(text, source=path_or_name)

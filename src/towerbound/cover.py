@@ -22,8 +22,8 @@ against a plain scan.
 
 Traces are read on two paths, both with every value held as a log and
 each Tr(x^i y^j / A^p) one read of the field's trace_of_power table.
-`decompose_place` passes its one point to the trace kernel
-`_component_traces`, which gives the whole trace vector.  The oracle
+`decompose_place` passes its key to the trace kernel `_component_traces`,
+which gives the whole trace vector at that one point.  The oracle
 scans every affine point of the base over F_{q^n}, whose root lists
 `curve` finds a chunk of x values at a time, and sieves their fibres a
 batch of BATCH points at a time (`_fibres`): log A as one column, then
@@ -147,7 +147,7 @@ class CoverSpec:
                 f"places (indices {declared_idx} given)"
             )
         # A and the B, compiled once into curve's terms per zero pattern
-        self._a_terms = compile_poly2([self.a])
+        self._a_terms = {pattern: a for pattern, (a,) in compile_poly2([self.a]).items()}
         self._b_terms = compile_poly2(self.components)
         self._support_map = None
 
@@ -176,7 +176,7 @@ class CoverSpec:
     def _a_vanishes(self, place: Place) -> bool:
         F = make_ext_field(self.params, place.degree)
         x, y = place.key
-        return eval_compiled(F, self._a_terms[not x, not y], F._log[x], F._log[y])[0] < 0
+        return eval_compiled(F, self._a_terms[not x, not y], F._log[x], F._log[y]) < 0
 
     def support_map(self) -> dict:
         """Canonical place key -> (DeclaredPlace | DeclaredInfinity)."""
@@ -216,38 +216,32 @@ class CoverSpec:
 class DecompositionRecord:
     """How one unramified base place decomposes in the cover."""
 
-    base_place: Place
     frobenius_vector: tuple[int, ...]
     places_above: tuple[tuple[int, int], ...]  # (degree, count)
 
 
-def _component_traces(
-    cover: CoverSpec, F, points: Iterable[tuple[int, int]]
-) -> Iterator[list | None]:
-    """For each point (x, y) of points in turn, Tr(B/A^p) over F of each
-    component; None for the whole vector where A vanishes.
+def _component_traces(cover: CoverSpec, F, x: int, y: int) -> list | None:
+    """Tr(B/A^p) over F of each component at the point (x, y); None where
+    A vanishes.
 
     The trace is F_p-linear: Tr(B/A^p) = sum c * Tr(x^i y^j A^-p) over the
     terms c x^i y^j of B, and each Tr(x^i y^j A^-p) is one read of
     F.trace_of_power at the log i log x + j log y - p log A, with log A as
     eval_compiled gives it.
     """
-    p, q1, log, tr = F.p, F.order - 1, F._log, F.trace_of_power
-    a_terms, b_terms = cover._a_terms, cover._b_terms
-    for x, y in points:
-        lx, ly, pattern = log[x], log[y], (not x, not y)
-        (la,) = eval_compiled(F, a_terms[pattern], lx, ly)
-        if la < 0:
-            yield None
-            continue
-        s = p * la
-        taus = []
-        for terms in b_terms[pattern]:
-            t = 0
-            for c, i, j in terms:
-                t += c * tr[(i * lx + j * ly - s) % q1]
-            taus.append(t % p)
-        yield taus
+    p, q1, tr = F.p, F._q1, F.trace_of_power
+    lx, ly, pattern = F._log[x], F._log[y], (not x, not y)
+    la = eval_compiled(F, cover._a_terms[pattern], lx, ly)
+    if la < 0:
+        return None
+    s = p * la
+    taus = []
+    for terms in cover._b_terms[pattern]:
+        t = 0
+        for c, i, j in terms:
+            t += c * tr[(i * lx + j * ly - s) % q1]
+        taus.append(t % p)
+    return taus
 
 
 def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
@@ -267,7 +261,7 @@ def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
         )
     p = cover.params.p
     m = place.degree
-    taus = next(_component_traces(cover, make_ext_field(cover.params, m), [place.key]))
+    taus = _component_traces(cover, make_ext_field(cover.params, m), *place.key)
     if taus is None:
         raise InconsistentModel(
             f"component coefficient vanishes at undeclared place {place.key}: "
@@ -278,9 +272,7 @@ def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
         above = ((p * m, p ** (r - 1)),)
     else:
         above = ((m, p**r),)
-    return DecompositionRecord(
-        base_place=place, frobenius_vector=tuple(taus), places_above=above
-    )
+    return DecompositionRecord(frobenius_vector=tuple(taus), places_above=above)
 
 
 # set by after_each_degree: a context, not a parameter, so that every caller
@@ -383,7 +375,7 @@ def _fibres(cover: CoverSpec, F, pattern: tuple[bool, bool], points: list) -> tu
     p, q1, log, tr = F.p, F._q1, F._log, F.trace_of_power
     lxs = [log[x] for x, _ in points]
     lys = [log[y] for _, y in points]
-    las = eval_columns(F, cover._a_terms[pattern][0], lxs, lys)
+    las = eval_columns(F, cover._a_terms[pattern], lxs, lys)
     live = [(a, b, p * s) for a, b, s in zip(lxs, lys, las) if s >= 0]
     singular = len(points) - len(live)
     for terms in cover._b_terms[pattern]:

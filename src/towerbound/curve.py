@@ -19,12 +19,12 @@ and are solved on the logs of the y-coefficients; no list holds the field.
 Every bivariate polynomial, here and in `cover`, is evaluated one way: it is
 compiled once into terms (c, i, j) for each zero pattern of a point
 (`compile_poly2`), and `eval_compiled` gives the log of the sum of
-c * g^(i log x + j log y) at one point.  `eval_columns` applies the same
-rule a column of points at a time, one comprehension per term: the
-y-coefficients of F over a chunk of x, and cover's A over a batch of
-points.  These sums and the quadratic formula read the field's tables with
-no element-method call per term or root: in odd characteristic a sum is
-held as a log and each addition is one read of the Zech table
+c * g^(i log x + j log y), one polynomial at one point.  `eval_columns`
+applies the same rule a column of points at a time, one comprehension per
+term: the y-coefficients of F over a chunk of x, and cover's A over a batch
+of points.  These sums and the quadratic formula read the field's tables
+with no element-method call per term or root: in odd characteristic a sum
+is held as a log and each addition is one read of the Zech table
 log(1 + g^k), whose entry q - 1 marks a zero sum.
 """
 
@@ -151,38 +151,33 @@ def compile_poly2(polys: Sequence[tuple]) -> dict[tuple[bool, bool], tuple]:
     }
 
 
-def eval_compiled(F: ExtField, polys: tuple, lx: int, ly: int) -> list[int]:
-    """The log of each compiled polynomial of polys at the point whose
+def eval_compiled(F: ExtField, terms: tuple, lx: int, ly: int) -> int:
+    """The log of the compiled polynomial terms at the point whose
     coordinates have logs lx, ly, or -1 where it vanishes: the log of
     c * g^(i lx + j ly) summed over its terms.
 
-    polys must be compiled for the point's zero pattern.  F._log[0] is 0, so
+    terms must be compiled for the point's zero pattern.  F._log[0] is 0, so
     the logs of a zero coordinate need no special case: only terms free of
     it survive.  Over F_2 every c is 1 and the terms are xored.  In odd
     characteristic the sum is held as a log (log c joins the exponent) and
     each term is added by ExtField.add's rule inlined: one Zech read.
     """
     q1, exp, log = F._q1, F._exp, F._log
-    out = []
     if F.p == 2:
-        for terms in polys:
-            acc = 0
-            for _, i, j in terms:
-                acc ^= exp[(i * lx + j * ly) % q1]
-            out.append(log[acc] if acc else -1)
-        return out
+        acc = 0
+        for _, i, j in terms:
+            acc ^= exp[(i * lx + j * ly) % q1]
+        return log[acc] if acc else -1
     zech = F._zech
-    for terms in polys:
-        acc = -1  # the log of the sum so far, unreduced; -1 for zero
-        for c, i, j in terms:
-            t = log[c] + i * lx + j * ly
-            if acc < 0:
-                acc = t
-            else:
-                z = zech[(t - acc) % q1]
-                acc = -1 if z == q1 else acc + z
-        out.append(acc % q1 if acc >= 0 else -1)
-    return out
+    acc = -1  # the log of the sum so far, unreduced; -1 for zero
+    for c, i, j in terms:
+        t = log[c] + i * lx + j * ly
+        if acc < 0:
+            acc = t
+        else:
+            z = zech[(t - acc) % q1]
+            acc = -1 if z == q1 else acc + z
+    return acc % q1 if acc >= 0 else -1
 
 
 def eval_columns(F: ExtField, terms: tuple, lxs: Sequence[int], lys: Iterable[int]) -> list[int]:
@@ -196,7 +191,7 @@ def eval_columns(F: ExtField, terms: tuple, lxs: Sequence[int], lys: Iterable[in
     once and repeated.
     """
     if all(i == j == 0 for _, i, j in terms):
-        return eval_compiled(F, (terms,), 0, 0) * len(lxs)
+        return [eval_compiled(F, terms, 0, 0)] * len(lxs)
     q1, exp, log = F._q1, F._exp, F._log
     (c, i, j), *rest = terms
     if F.p == 2:
@@ -240,8 +235,8 @@ def _y_columns(F: ExtField, coeffs: dict, xs: Sequence[int]) -> list[list[int]]:
     cols = [eval_columns(F, terms, lxs, repeat(0)) for terms in coeffs[False, False]]
     if 0 in xs:
         at = xs.index(0)
-        for col, value in zip(cols, eval_compiled(F, coeffs[True, False], 0, 0)):
-            col[at] = value
+        for col, terms in zip(cols, coeffs[True, False]):
+            col[at] = eval_compiled(F, terms, 0, 0)
     return cols
 
 

@@ -436,13 +436,6 @@ class ExtField:
         """x -> x^q, the Frobenius over the constant field F_q."""
         return self.pow(a, self.params.q)
 
-    def frobenius_orbits(self) -> Iterator[tuple[int, int]]:
-        """(x, e) for each orbit of x -> x^q, ascending in x: x is the least
-        packed element of its orbit and e the orbit size (the least k with
-        x^(q^k) = x, a divisor of n).  A view of `orbit_table`."""
-        reps, short = self.orbit_table
-        return ((x, short.get(x, self.n)) for x in reps)
-
     @property
     def orbit_table(self) -> tuple[array | range, dict[int, int]]:
         """(reps, short): the least packed element of each orbit of x -> x^q,

@@ -1,6 +1,7 @@
 import pytest
 
 from towerbound import config, cover
+from towerbound.ff import ExtField
 
 
 def plain_eval_poly2(F, poly, x, y):
@@ -10,6 +11,17 @@ def plain_eval_poly2(F, poly, x, y):
     for (i, j), c in dict(poly).items():
         acc = F.add(acc, F.mul(c % F.p, F.mul(F.pow(x, i), F.pow(y, j))))
     return acc
+
+
+def forbid_element_methods(monkeypatch):
+    """Within the test, every element method of ExtField raises: the point
+    kernels read the field's tables themselves."""
+
+    def forbidden(*args):
+        raise AssertionError("element method called from a point kernel")
+
+    for name in ("add", "sub", "neg", "mul", "div", "inv", "pow", "sqrt_list", "solve_additive"):
+        monkeypatch.setattr(ExtField, name, forbidden)
 
 
 def conjugate_points(F, key):

@@ -179,7 +179,7 @@ def test_criterion_6b_decomposition_exhaustive_deg_le_6(cover_k1, cover_k2, cove
                     continue
                 # one trace vector at every conjugate point of the place
                 points = conjugate_points(F, pl.key)
-                vectors = {tuple(v) for v in cover._component_traces(cov, F, points)}
+                vectors = {tuple(cover._component_traces(cov, F, x, y)) for x, y in points}
                 rec = cover.decompose_place(cov, pl)
                 assert vectors == {rec.frobenius_vector}
                 total = sum(deg * cnt for deg, cnt in rec.places_above)

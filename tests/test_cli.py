@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from towerbound import cft, cli, cover, search
+from towerbound import cft, cli, config, cover, search
 
 
 def run(capsys, *argv):
@@ -85,6 +85,38 @@ def test_spectrum_unknown_name_exit_2(capsys):
 def test_unknown_config_exit_2(capsys):
     code, _, err = run(capsys, "spectrum", "--config", "missing_config", "--name", "E")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("directory", "cannot read config"),
+        ("non-utf8", "is not UTF-8"),
+        ("oversized", f"is longer than {config.MAX_CONFIG_BYTES} bytes"),
+    ],
+)
+def test_unreadable_config_exit_2(capsys, tmp_path, kind, message):
+    # a config that cannot be read as text is an input error: exit 2, one
+    # line naming the file, no traceback
+    path = tmp_path / "doc.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"\xff\xfe[field]\np = 2\n")
+    else:
+        path.write_bytes(b"#" * (config.MAX_CONFIG_BYTES + 1))
+    code, out, err = run(capsys, "spectrum", "--config", str(path), "--name", "E")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(path)) in err and message in err
+
+
+def test_config_at_the_size_limit_is_read(capsys, tmp_path):
+    text = resources.files("towerbound.data").joinpath("f2_tower1.cfg").read_bytes() + b"#"
+    path = tmp_path / "padded.cfg"
+    path.write_bytes(text.ljust(config.MAX_CONFIG_BYTES, b"#"))
+    code, out, _ = run(capsys, "spectrum", "--config", str(path), "--name", "E", "--dmax", "2")
+    assert code == 0 and out
 
 
 def test_model_inconsistency_exit_3(capsys, tmp_path):

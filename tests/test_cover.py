@@ -1,5 +1,6 @@
 """Cover decomposition, spectrum assembly and the brute-force oracle."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ from towerbound import cft, cover, curve
 from towerbound.errors import InconsistentModel, OutOfRange
 from towerbound.ff import ExtField, FieldParams, make_ext_field
 
-from conftest import conjugate_points, plain_eval_poly2
+from conftest import conjugate_points, forbid_element_methods, plain_eval_poly2
 
 P2 = FieldParams(2)
 P3 = FieldParams(3)
@@ -89,7 +90,9 @@ def test_representative_independence_and_balance_deg_le_6(
                 continue
             # the trace kernel gives one vector at every point of the place
             F = make_ext_field(cov.params, d)
-            vectors = list(cover._component_traces(cov, F, conjugate_points(F, pl.key)))
+            vectors = [
+                cover._component_traces(cov, F, x, y) for x, y in conjugate_points(F, pl.key)
+            ]
             assert len(vectors) == d and all(v == vectors[0] for v in vectors)
             rec = cover.decompose_place(cov, pl)
             assert rec.frobenius_vector == tuple(vectors[0])
@@ -348,17 +351,15 @@ def _mixed_terms_cover(curve_E3):
 
 def test_trace_kernel_matches_field_arithmetic(cover_C, cover_k1, cover_k2, cover_k3, curve_E3):
     # every point of the plane, on the curve or not, zero coordinates
-    # included, passed to the kernel as one sequence
+    # included
     cases = [(cover_C, 4), (cover_k1, 4), (cover_k2, 4), (cover_k3, 3),
              (_mixed_terms_cover(curve_E3), 3)]
     vanishing = 0
     for cov, n_max in cases:
         for n in range(1, n_max + 1):
             F = make_ext_field(cov.params, n)
-            points = [(x, y) for x in range(F.order) for y in range(F.order)]
-            got = list(cover._component_traces(cov, F, points))
-            assert len(got) == len(points)
-            for (x, y), taus in zip(points, got):
+            for x, y in product(range(F.order), repeat=2):
+                taus = cover._component_traces(cov, F, x, y)
                 want = traces_by_field_arithmetic(cov, F, x, y)
                 assert taus == want, (cov.name, n, x, y)
                 vanishing += want is None
@@ -390,7 +391,8 @@ def test_cover_over_a_prime_above_255():
     for n, step in ((1, 1), (2, 97)):
         F = make_ext_field(cov.params, n)
         points = [(x, y) for x in range(0, F.order, step) for y in range(0, F.order, 31 * step)]
-        for (x, y), taus in zip(points, cover._component_traces(cov, F, points), strict=True):
+        for x, y in points:
+            taus = cover._component_traces(cov, F, x, y)
             assert taus == traces_by_field_arithmetic(cov, F, x, y), (n, x, y)
     spec = cover.assemble_spectrum(cov, 2)
     assert spec.a_map[1] == 1 + p
@@ -454,7 +456,8 @@ def _oracle_counts_point_by_point(cov, n):
     kernel of decompose_place: the oracle's count before its sieve."""
     F = make_ext_field(cov.params, n)
     total = singular = 0
-    for taus in cover._component_traces(cov, F, curve.affine_solutions(cov.base, n)):
+    for x, y in curve.affine_solutions(cov.base, n):
+        taus = cover._component_traces(cov, F, x, y)
         if taus is None:
             total += 1
             singular += 1
@@ -490,9 +493,9 @@ def test_oracle_catches_a_trace_kernel_fault(cover_k1, monkeypatch):
     # trace misassembles the spectrum, and the scan no longer agrees
     kernel = cover._component_traces
 
-    def faulty(cov, F, points):
-        for taus in kernel(cov, F, points):
-            yield taus if taus is None else [0] + taus[1:]
+    def faulty(cov, F, x, y):
+        taus = kernel(cov, F, x, y)
+        return taus if taus is None else [0] + taus[1:]
 
     monkeypatch.setattr(cover, "_component_traces", faulty)
     spec = cover.assemble_spectrum(cover_k1, 8)
@@ -514,6 +517,32 @@ def test_assembly_makes_no_per_place_trace_calls(cover_k1, monkeypatch):
     monkeypatch.setattr(ExtField, "trace", counted)
     cover.assemble_spectrum(cover_k1, 8)
     assert calls == []
+
+
+def test_decomposition_calls_no_element_methods(
+    cover_k1, cover_k3, spectrum_k1, spectrum_k3, monkeypatch
+):
+    # decompose_place reads the field's tables through eval_compiled and
+    # the trace kernel; places are enumerated (with F.pow) and the support
+    # located before the element methods go
+    cases = [(cover_k1, spectrum_k1, 8), (cover_k3, spectrum_k3, 6)]
+    places = {
+        cov.name: [pl for d in range(1, d_max + 1) for pl in curve.enumerate_places(cov.base, d)]
+        for cov, _, d_max in cases
+    }
+    for cov, _, _ in cases:
+        cov.support_map()
+    forbid_element_methods(monkeypatch)
+    for cov, spec, d_max in cases:
+        declared = cov.support_map()
+        above = [pair for decl in declared.values() for pair in decl.above]
+        for pl in places[cov.name]:
+            if pl.key not in declared:
+                above += cover.decompose_place(cov, pl).places_above
+        a = Counter()
+        for deg, cnt in above:
+            a[deg] += cnt
+        assert [a[d] for d in range(1, d_max + 1)] == list(spec.a_tuple(d_max)), cov.name
 
 
 def test_locating_support_reads_no_trace_table(cover_k1, monkeypatch):

@@ -24,12 +24,14 @@ Traces are read on two paths, both with every value held as a log and
 each Tr(x^i y^j / A^p) one read of the field's trace_of_power table.
 `decompose_place` passes its key to the trace kernel `_component_traces`,
 which gives the whole trace vector at that one point.  The oracle
-scans every affine point of the base over F_{q^n}, whose root lists
-`curve` finds a chunk of x values at a time, and sieves their fibres a
-batch of BATCH points at a time (`_fibres`): log A as one column, then
-each component over the points whose traces so far vanish.  Most points
-drop out at their first component.  The two paths share only the
-field's tables, so a fault in the kernel shows as a residual.
+scans every affine point of the base over F_{q^n}, read from
+`curve.root_lists` over every x with no orbit grouping, and sieves their
+fibres a batch of BATCH points at a time (`_fibres`): log A as one
+column, then each component over the points whose traces so far vanish.
+Most points drop out at their first component.  The two paths share only
+the field's tables, so a fault in the kernel shows as a residual.  The
+declared places' points over F_{q^n} come from `curve.points_over`, the
+rule that also gives N_n from the spectrum.
 """
 
 from __future__ import annotations
@@ -45,12 +47,13 @@ from .curve import (
     Place,
     PlaceSpectrum,
     Poly2,
-    enumerate_places,
-    affine_solutions,
+    canonical_poly2,
     compile_poly2,
+    enumerate_places,
     eval_columns,
     eval_compiled,
-    normalize_poly2,
+    points_over,
+    root_lists,
     total_degree,
 )
 from .errors import InconsistentModel, OutOfRange
@@ -117,12 +120,8 @@ class CoverSpec:
                 "trace-based decomposition is only valid over prime constant fields (e = 1)"
             )
         self.base = base
-
-        def canonical(poly):  # the ((i, j), c) tuple form of CurveModel.poly
-            return tuple(sorted(normalize_poly2(dict(poly), params.p).items()))
-
-        self.a = canonical(a)
-        self.components = tuple(map(canonical, components))
+        self.a = canonical_poly2(a, params.p)
+        self.components = tuple(canonical_poly2(b, params.p) for b in components)
         self.profile = profile
         self.support = tuple(support)
         self.infinities = tuple(infinities)
@@ -354,15 +353,18 @@ class OracleReport:
     residual: int
 
 
-def _batches(points: Iterable[tuple[int, int]]) -> Iterator[tuple[tuple[bool, bool], list]]:
-    """(pattern, batch): the points in batches of at most BATCH, each batch
-    of one zero pattern (x == 0, y == 0)."""
+def _batches(pairs: Iterable[tuple]) -> Iterator[tuple[tuple[bool, bool], list]]:
+    """(pattern, batch): the points (x, y) of the (x, roots) pairs, in
+    batches of at most BATCH, each batch of one zero pattern (x == 0, y == 0).
+    The roots are read one at a time: a vertical row's are range(q^n)."""
     open_batches: dict[tuple[bool, bool], list] = {}
-    for x, y in points:
-        batch = open_batches.setdefault((not x, not y), [])
-        batch.append((x, y))
-        if len(batch) == BATCH:
-            yield (not x, not y), open_batches.pop((not x, not y))
+    for x, ys in pairs:
+        for y in ys:
+            pattern = (not x, not y)
+            batch = open_batches.setdefault(pattern, [])
+            batch.append((x, y))
+            if len(batch) == BATCH:
+                yield pattern, open_batches.pop(pattern)
     yield from open_batches.items()
 
 
@@ -398,21 +400,16 @@ def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleRe
     F = make_ext_field(cover.params, n)
     total = 0
     singular_solutions = 0
-    for pattern, batch in _batches(affine_solutions(cover.base, n)):
+    for pattern, batch in _batches(root_lists(cover.base, F, range(F.order))):
         solutions, singular = _fibres(cover, F, pattern, batch)
         total += solutions
         singular_solutions += singular
     spectrum_points = spectrum.n_map[n]
-    inf_pts = 0
-    decl_pts = 0
-    for key, decl in cover.support_map().items():
-        pts = sum(deg * cnt for deg, cnt in decl.above if n % deg == 0)
-        if isinstance(decl, DeclaredInfinity):
-            inf_pts += pts
-        else:
-            decl_pts += pts
-    # declared support entries shared by several places (count > 1) appear once
-    # per resolved place in support_map, so the sum above is already per place
+    # a support record shared by several places (count > 1) appears once per
+    # resolved place in support_map, so the sum over it is per place
+    above = [pair for decl in cover.support_map().values() for pair in decl.above]
+    inf_pts = points_over((pair for inf in cover.infinities for pair in inf.above), n)
+    decl_pts = points_over(above, n) - inf_pts
     residual = total - (spectrum_points - inf_pts - decl_pts) - singular_solutions
     return OracleReport(
         n=n,

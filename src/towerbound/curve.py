@@ -12,9 +12,13 @@ Newton's identities rebuild from N_1..N_g, for every genus.  Places of
 degree d group the same roots into orbits; over an x of orbit size d each
 root is a place of its own.
 
-Root lists come a chunk of at most CHUNK x values at a time, for the orbit
-walk and for the whole-field scan of cover's oracle alike (`_chunk_roots`),
-and are solved on the logs of the y-coefficients; no list holds the field.
+`root_lists` is the one walk over root lists: it yields (x, roots) for any
+sequence of x, a chunk of at most CHUNK x values at a time, solved on the
+logs of the y-coefficients, so no list holds the field.  The place counts
+read it over the orbit representatives, and cover's oracle over every x.
+`points_over` is the one rule for the points of places over F_{q^n}: a
+place of degree m has m of them when m | n.  It gives the infinite places'
+share of N_n, N_n from the spectrum a_d, and the oracle's declared points.
 
 Every bivariate polynomial, here and in `cover`, is evaluated one way: it is
 compiled once into terms (c, i, j) for each zero pattern of a point
@@ -52,6 +56,12 @@ def normalize_poly2(poly: Mapping[tuple[int, int], int], p: int) -> dict[tuple[i
     return out
 
 
+def canonical_poly2(poly, p: int) -> tuple:
+    """The sorted ((i, j), c) terms of poly, a mapping or such pairs, with
+    each c reduced mod p and nonzero: CurveModel.poly and a cover's A and B."""
+    return tuple(sorted(normalize_poly2(dict(poly), p).items()))
+
+
 def total_degree(poly: Poly2) -> int:
     """max(i + j) over the terms c x^i y^j; 0 for the zero polynomial."""
     return max((i + j for i, j in poly), default=0)
@@ -67,7 +77,7 @@ class CurveModel:
     """
 
     params: FieldParams
-    poly: tuple  # canonical tuple of ((i, j), c), built via the constructor helper
+    poly: tuple  # canonical_poly2's tuple of ((i, j), c), built by create
     infinite_places: tuple[tuple[int, int], ...]  # (degree, count)
     genus: int
     name: str = ""
@@ -80,7 +90,6 @@ class CurveModel:
         genus: int = 0,
         name: str = "",
     ) -> "CurveModel":
-        norm = normalize_poly2(poly, params.p)
         if genus < 0:
             raise OutOfRange("genus must be nonnegative")
         for m, cnt in infinite_places:
@@ -88,7 +97,7 @@ class CurveModel:
                 raise OutOfRange("infinite places need degree >= 1 and count >= 1")
         return CurveModel(
             params=params,
-            poly=tuple(sorted(norm.items())),
+            poly=canonical_poly2(poly, params.p),
             infinite_places=tuple(infinite_places),
             genus=genus,
             name=name,
@@ -240,35 +249,39 @@ def _y_columns(F: ExtField, coeffs: dict, xs: Sequence[int]) -> list[list[int]]:
     return cols
 
 
-def _chunk_roots(F: ExtField, coeffs: dict, xs: Sequence[int]) -> Iterator[Sequence[int]]:
-    """The distinct roots in F of F(x, y) as a polynomial in y, for each x of
-    xs (at most CHUNK packed elements), in the order of xs.
+def root_lists(model: CurveModel, F: ExtField, xs: Sequence[int]) -> Iterator[tuple]:
+    """(x, roots) for each x of xs, in its order: roots are the distinct y in
+    F with F(x, y) = 0.
 
-    A row of _y_columns, the coefficient logs at one x, is solved by the
-    degree of its last nonzero entry: the zero polynomial has the roots
-    range(F.order), not a list (counting over a vertical component takes its
-    len() without holding q^n roots per x); degree 0 none; degree 1 -a0/a1;
-    degree 2 _quadratic_roots; degree >= 3 (user-supplied models only)
+    The x values are taken a chunk of at most CHUNK at a time, and each row
+    of _y_columns, the coefficient logs at one x, is solved by the degree of
+    its last nonzero entry: the zero polynomial has the roots range(F.order),
+    not a list (counting over a vertical component takes its len() without
+    holding q^n roots per x); degree 0 none; degree 1 -a0/a1; degree 2
+    _quadratic_roots; degree >= 3 (user-supplied models only)
     _distinct_roots, by gcds.
     """
+    coeffs = _y_coefficients(model)
     exp, q1 = F._exp, F._q1
     neg = F._half if F.p != 2 else 0  # log(-1)
-    cols = _y_columns(F, coeffs, xs)
-    top = len(cols) - 1
-    for row in zip(*cols):
-        deg = top
-        while deg >= 0 and row[deg] < 0:
-            deg -= 1
-        if deg == 2:
-            yield _quadratic_roots(F, row[0], row[1], row[2])
-        elif deg == 1:
-            yield [exp[(row[0] - row[1] + neg) % q1] if row[0] >= 0 else 0]
-        elif deg == 0:
-            yield []
-        elif deg < 0:
-            yield range(F.order)
-        else:
-            yield _distinct_roots(F, [exp[c] if c >= 0 else 0 for c in row[:deg + 1]])
+    for start in range(0, len(xs), CHUNK):
+        chunk = xs[start:start + CHUNK]
+        cols = _y_columns(F, coeffs, chunk)
+        top = len(cols) - 1
+        for x, row in zip(chunk, zip(*cols)):
+            deg = top
+            while deg >= 0 and row[deg] < 0:
+                deg -= 1
+            if deg == 2:
+                yield x, _quadratic_roots(F, row[0], row[1], row[2])
+            elif deg == 1:
+                yield x, [exp[(row[0] - row[1] + neg) % q1] if row[0] >= 0 else 0]
+            elif deg == 0:
+                yield x, []
+            elif deg < 0:
+                yield x, range(F.order)
+            else:
+                yield x, _distinct_roots(F, [exp[c] if c >= 0 else 0 for c in row[:deg + 1]])
 
 
 def _quadratic_roots(F: ExtField, l0: int, l1: int, l2: int) -> list[int]:
@@ -350,21 +363,6 @@ def _distinct_roots(F: ExtField, cs: list[int]) -> list[int]:
     return sorted(roots)
 
 
-def _orbit_roots(model: CurveModel, n: int) -> Iterator[tuple[ExtField, int, int, Sequence[int]]]:
-    """(F, x, e, roots) for each Frobenius orbit of F = F_{q^n}: x is its
-    least element, e its size, roots the distinct y with F(x, y) = 0.
-
-    count_affine and enumerate_places both read these roots.
-    """
-    F = make_ext_field(model.params, n)
-    coeffs = _y_coefficients(model)
-    reps, short = F.orbit_table
-    for start in range(0, len(reps), CHUNK):
-        xs = reps[start:start + CHUNK]
-        for x, ys in zip(xs, _chunk_roots(F, coeffs, xs)):
-            yield F, x, short.get(x, n), ys
-
-
 def count_affine(model: CurveModel, n: int) -> int:
     """Number of solutions of F(x, y) = 0 in F_{q^n} x F_{q^n}.
 
@@ -372,31 +370,20 @@ def count_affine(model: CurveModel, n: int) -> int:
     orbit size: the coefficients lie in F_p, so y -> y^q maps the roots over
     x onto those over x^q.
     """
-    return sum(e * len(roots) for _, _, e, roots in _orbit_roots(model, n))
-
-
-def affine_solutions(model: CurveModel, n: int) -> Iterator[tuple[int, int]]:
-    """All (x, y) solutions over F_{q^n}.
-
-    A scan of every x with no orbit grouping: cover.oracle_report uses it
-    as the derivation that is independent of the orbit-based spectrum.
-    """
     F = make_ext_field(model.params, n)
-    coeffs = _y_coefficients(model)
-    for start in range(0, F.order, CHUNK):
-        xs = range(start, min(start + CHUNK, F.order))
-        for x, roots in zip(xs, _chunk_roots(F, coeffs, xs)):
-            for y in roots:
-                yield (x, y)
+    reps, short = F.orbit_table
+    return sum(short.get(x, n) * len(roots) for x, roots in root_lists(model, F, reps))
+
+
+def points_over(places: Iterable[tuple[int, int]], n: int) -> int:
+    """The points over F_{q^n} of places given as (degree m, count) pairs: a
+    place of degree m has m of them when m | n, and none otherwise."""
+    return sum(m * count for m, count in places if n % m == 0)
 
 
 def count_points(model: CurveModel, n: int) -> int:
-    """N_n: affine solutions plus infinite places of degree m | n (m points each)."""
-    total = count_affine(model, n)
-    for m, cnt in model.infinite_places:
-        if n % m == 0:
-            total += m * cnt
-    return total
+    """N_n: affine solutions plus the points of the infinite places."""
+    return count_affine(model, n) + points_over(model.infinite_places, n)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +427,7 @@ def counts_to_spectrum(N: Mapping[int, int], d_max: int) -> dict[int, int]:
 
 
 def spectrum_to_counts(a: Mapping[int, int], n_max: int) -> dict[int, int]:
-    return {n: sum(d * a[d] for d in divisors(n)) for n in range(1, n_max + 1)}
+    return {n: points_over(a.items(), n) for n in range(1, n_max + 1)}
 
 
 def _check_weil_bound(q: int, genus: int, n: int, Nn: int) -> None:
@@ -531,8 +518,11 @@ def enumerate_places(model: CurveModel, d: int) -> list[Place]:
     powering.  Infinite places come from the model metadata and are
     returned as symbolic entries.
     """
+    F = make_ext_field(model.params, d)
+    reps, short = F.orbit_table
     places = []
-    for F, x, e, roots in _orbit_roots(model, d):
+    for x, roots in root_lists(model, F, reps):
+        e = short.get(x, d)
         if e == d:
             places += [Place(degree=d, key=(x, y)) for y in sorted(roots)]
             continue

@@ -12,7 +12,7 @@ over the same space return identical ranked lists.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cft
@@ -67,7 +67,6 @@ class SearchResult:
     ranked: tuple  # ((plan, certificate), ...) best first
     candidates_evaluated: int
     certified_count: int
-    space: SearchSpace = field(compare=False)
 
     @property
     def best(self):
@@ -209,7 +208,6 @@ def optimize(space: SearchSpace) -> SearchResult:
         ranked=tuple(ranked),
         candidates_evaluated=size,
         certified_count=certified,
-        space=space,
     )
 
 
@@ -315,7 +313,6 @@ class MethodPair:
 
 @dataclass(frozen=True)
 class MethodComparison:
-    input: MethodComparisonInput
     usual: MethodPair
     ours: MethodPair
 
@@ -332,7 +329,6 @@ def compare_methods(inp: MethodComparisonInput) -> MethodComparison:
     ours_d = inp.s * inp.l - (tk - 1)
     ours_rd = inp.s * (inp.l * (inp.l + 1) // 2) - inp.s_prime * inp.l + tk - 1
     return MethodComparison(
-        input=inp,
         usual=MethodPair(usual_d, usual_rd, cft.certifies(usual_d, usual_rd)),
         ours=MethodPair(ours_d, ours_rd, cft.certifies(ours_d, ours_rd)),
     )

@@ -1,7 +1,7 @@
 import pytest
 
-from towerbound import config, cover
-from towerbound.ff import ExtField
+from towerbound import config, cover, curve
+from towerbound.ff import ExtField, make_ext_field
 
 
 def plain_eval_poly2(F, poly, x, y):
@@ -22,6 +22,13 @@ def forbid_element_methods(monkeypatch):
 
     for name in ("add", "sub", "neg", "mul", "div", "inv", "pow", "sqrt_list", "solve_additive"):
         monkeypatch.setattr(ExtField, name, forbidden)
+
+
+def whole_field_points(model, n):
+    """Every affine point of the model over F_{q^n}, ascending: root_lists
+    over every x of the field, with no orbit grouping."""
+    F = make_ext_field(model.params, n)
+    return [(x, y) for x, ys in curve.root_lists(model, F, range(F.order)) for y in ys]
 
 
 def conjugate_points(F, key):

@@ -172,7 +172,12 @@ MUTANTS = Path(__file__).parent / "data" / "mutants"
     "argv", [("spectrum", "--name", "{cover}"), ("certify", "--name", "{plan}"), ("optimize",)]
 )
 @pytest.mark.parametrize(
-    "mutant, code", [("rep_override", 2), ("extra_degree4", 3), ("repeated_degree5", 3)]
+    "mutant, code",
+    [
+        ("rep_override", 2),
+        ("extra_degree4", 3),
+        ("repeated_degree5", 3),
+    ],
 )
 def test_mutant_cover_data_prints_no_bound(capsys, mutant, code, argv):
     # each mutant is a bundled config with one wrong edit to its cover's data

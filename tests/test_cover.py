@@ -9,7 +9,12 @@ from towerbound import cft, cover, curve
 from towerbound.errors import InconsistentModel, OutOfRange
 from towerbound.ff import ExtField, FieldParams, make_ext_field
 
-from conftest import conjugate_points, forbid_element_methods, plain_eval_poly2
+from conftest import (
+    conjugate_points,
+    forbid_element_methods,
+    plain_eval_poly2,
+    whole_field_points,
+)
 
 P2 = FieldParams(2)
 P3 = FieldParams(3)
@@ -21,7 +26,7 @@ def test_normalization_identity(cover_k1, cover_k3):
     for cov, n in ((cover_k1, 3), (cover_k3, 2)):
         p = cov.params.p
         F = make_ext_field(cov.params, n)
-        for x, y in curve.affine_solutions(cov.base, n):
+        for x, y in whole_field_points(cov.base, n):
             aval = plain_eval_poly2(F, cov.a, x, y)
             bval = plain_eval_poly2(F, cov.components[0], x, y)
             if aval == 0:
@@ -254,10 +259,10 @@ def test_brute_force_oracle(which, cover_k1, cover_k2, cover_k3,
 
 
 def test_oracle_refuses_out_of_reach_n_before_scanning(cover_k1, spectrum_k1, monkeypatch):
-    def no_scan(model, n):
+    def no_scan(model, F, xs):
         raise AssertionError("scanned before the refusal")
 
-    monkeypatch.setattr(cover, "affine_solutions", no_scan)
+    monkeypatch.setattr(cover, "root_lists", no_scan)
     with pytest.raises(OutOfRange, match="spectrum stops at degree 10 < 11"):
         cover.oracle_report(cover_k1, spectrum_k1, 11)
 
@@ -456,7 +461,7 @@ def _oracle_counts_point_by_point(cov, n):
     kernel of decompose_place: the oracle's count before its sieve."""
     F = make_ext_field(cov.params, n)
     total = singular = 0
-    for x, y in curve.affine_solutions(cov.base, n):
+    for x, y in whole_field_points(cov.base, n):
         taus = cover._component_traces(cov, F, x, y)
         if taus is None:
             total += 1
@@ -464,6 +469,21 @@ def _oracle_counts_point_by_point(cov, n):
         elif not any(taus):
             total += cov.group_order
     return total, singular
+
+
+def test_oracle_batches_stay_bounded_over_a_vertical_row():
+    # a vertical row's roots are range(q^n): read one at a time, never held,
+    # they leave in batches of at most BATCH, each of one zero pattern, and
+    # together the batches hold exactly the input points
+    q = 64 * cover.BATCH + 3
+    rows = [(0, range(q)), (5, [0, 7, 9])]
+    want = sorted((x, y) for x, ys in rows for y in ys)
+    got = []
+    for (x_zero, y_zero), batch in cover._batches(iter(rows)):
+        assert 0 < len(batch) <= cover.BATCH
+        assert {(not x, not y) for x, y in batch} == {(x_zero, y_zero)}
+        got += batch
+    assert sorted(got) == want
 
 
 def test_oracle_sieve_matches_point_by_point_count(
@@ -484,7 +504,7 @@ def test_oracle_sieve_matches_point_by_point_count(
             want = _oracle_counts_point_by_point(cov, n)
             assert (rep.brute_count, rep.singular_solutions) == want, (cov.name, n)
             singular_seen += want[1]
-            zero_coordinates += sum(not (x and y) for x, y in curve.affine_solutions(cov.base, n))
+            zero_coordinates += sum(not (x and y) for x, y in whole_field_points(cov.base, n))
     assert singular_seen and zero_coordinates
 
 

@@ -11,7 +11,7 @@ from towerbound import cover, curve
 from towerbound.errors import InconsistentModel, OutOfRange, UnsupportedSize
 from towerbound.ff import FieldParams, make_ext_field
 
-from conftest import forbid_element_methods, plain_eval_poly2
+from conftest import forbid_element_methods, plain_eval_poly2, whole_field_points
 
 P2 = FieldParams(2)
 P3 = FieldParams(3)
@@ -75,7 +75,7 @@ def reference_places(model, d):
     Frobenius orbits, one (degree, key) per orbit of size d, by key."""
     F = make_ext_field(model.params, d)
     seen, out = set(), []
-    for pt in curve.affine_solutions(model, d):
+    for pt in whole_field_points(model, d):
         if pt in seen:
             continue
         orbit = [pt]
@@ -99,7 +99,7 @@ def test_orbit_scan_matches_whole_field_scan(curve_E, curve_H, curve_E3):
             places = curve.enumerate_places(model, d)
             affine = [(pl.degree, pl.key) for pl in places if not pl.is_infinite]
             assert affine == reference_places(model, d), (model.name, d)
-            assert curve.count_affine(model, d) == sum(1 for _ in curve.affine_solutions(model, d))
+            assert curve.count_affine(model, d) == len(whole_field_points(model, d))
 
 
 def test_vertical_component_counts_without_listing_roots():
@@ -115,13 +115,13 @@ def test_one_y_polynomial_per_frobenius_orbit(curve_E, monkeypatch):
     # F_2^12 has 352 orbits of x -> x^2 against 4,096 elements: a fallback to
     # the whole-field scan fails here, not just runs slower
     calls = []
-    chunk_roots = curve._chunk_roots
+    y_columns = curve._y_columns
 
     def counted(F, coeffs, xs):
         calls.extend(xs)
-        return chunk_roots(F, coeffs, xs)
+        return y_columns(F, coeffs, xs)
 
-    monkeypatch.setattr(curve, "_chunk_roots", counted)
+    monkeypatch.setattr(curve, "_y_columns", counted)
     curve.count_affine(curve_E, 12)
     assert len(calls) == len(set(calls)) == 352
     calls.clear()
@@ -345,10 +345,11 @@ def test_gcd_roots_match_plain_evaluation(params, n):
 
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 2), (5, 2), (7, 2), (257, 1)])
 def test_chunk_roots_match_reference_scan(p, n, monkeypatch):
-    # through both callers of the chunk routine: the whole-field scan in
-    # ascending x and the walk over Frobenius orbit representatives, with one
-    # x per chunk and with the whole field in one chunk
+    # root_lists over both sequences it is given: every x in ascending order
+    # (the oracle's scan) and the Frobenius orbit representatives (counts and
+    # places), with one x per chunk and with the whole field in one chunk
     F = make_ext_field(FieldParams(p), n)
+    reps = F.orbit_table[0]
     vanished = 0
     for poly in _y_degree_models():
         model = curve.CurveModel.create(FieldParams(p), poly, name=str(poly))
@@ -357,10 +358,10 @@ def test_chunk_roots_match_reference_scan(p, n, monkeypatch):
         for chunk in (1, F.order + 1):
             monkeypatch.setattr(curve, "CHUNK", chunk)
             flat = [(x, y) for x in range(F.order) for y in want[x]]
-            assert list(curve.affine_solutions(model, n)) == flat, (poly, chunk)
-            orbits = list(curve._orbit_roots(model, n))
-            assert [x for _, x, _, _ in orbits] == list(F.orbit_table[0])
-            for _, x, _, roots in orbits:
+            assert whole_field_points(model, n) == flat, (poly, chunk)
+            orbits = list(curve.root_lists(model, F, reps))
+            assert [x for x, _ in orbits] == list(reps)
+            for x, roots in orbits:
                 assert type(roots) is type(want[x]) and list(roots) == list(want[x]), (poly, chunk, x)
     assert vanished  # the zero polynomial is compared too
 
@@ -459,8 +460,11 @@ def test_galois_orbit_partition(curve_E, curve_E3):
 def pow_walk_places(model, d):
     """A reference for enumerate_places that powers every root over x by
     y -> y^(q^e) until it returns, whatever the orbit size e of x."""
+    F = make_ext_field(model.params, d)
+    reps, short = F.orbit_table
     places = []
-    for F, x, e, roots in curve._orbit_roots(model, d):
+    for x, roots in curve.root_lists(model, F, reps):
+        e = short.get(x, d)
         step = model.params.q**e
         for y in sorted(roots):
             orbit = [y]

@@ -14,9 +14,15 @@ p*m.
 
 Places where A vanishes (and the places at infinity) cannot be decided
 by traces; their behavior is declared cover data, kept in one auditable
-list.  The brute-force compositum oracle does not check it: the declared
-places' points enter its prediction and its subtraction alike, so a wrong
-declaration cancels out.  What the oracle checks is the code, the orbit
+list.  When the cover is built, the list must imply its conductor
+profile: each declared place P has the ramification index e_P =
+G deg P / sum(deg * count) over the places above it, G = p^r, which must
+divide G; a ramified support place needs nu > 0, an infinite place
+(which has no nu) must be unramified, and sum(count * deg P * nu_P *
+(G - G/e_P)) over the support must be the profile's conductor degree
+sum.  The brute-force compositum oracle does not check the list: the
+declared places' points enter its prediction and its subtraction alike,
+so a wrong declaration cancels out.  What the oracle checks is the code, the orbit
 grouping, the trace kernel and the assembly of the undeclared places,
 against a plain scan.
 
@@ -94,11 +100,29 @@ class DeclaredPlace:
 
 @dataclass(frozen=True)
 class DeclaredInfinity:
+    """The places of the cover above one infinite place of the base, which
+    must be unramified: an infinity declares no nu."""
+
     index: int
     above: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         _check_above(self.above)
+
+
+def _ramification_index(group_order: int, degree: int, above, where: str) -> int:
+    """e = G deg P / sum(deg * count) over the places above P, G the group
+    order: the G/e places above P share one residue degree.  Raises
+    InconsistentModel unless e is an integer dividing G."""
+    total = sum(deg * cnt for deg, cnt in above)
+    if total and group_order * degree % total == 0:
+        e = group_order * degree // total
+        if group_order % e == 0:
+            return e
+    raise InconsistentModel(
+        f"{where}: places above of total degree {total} give the ramification index "
+        f"{group_order}*{degree}/{total}, not a divisor of the group order {group_order}"
+    )
 
 
 class CoverSpec:
@@ -145,10 +169,54 @@ class CoverSpec:
                 f"cover must declare behavior for all {len(inf_degrees)} infinite "
                 f"places (indices {declared_idx} given)"
             )
+        for dp in self.support:
+            require_supported_degree(params, dp.degree)
+        # support places are zeros of A on the curve: affine Bezout bounds
+        # their points by deg A * deg F
+        declared = sum(dp.count * dp.degree for dp in self.support)
+        bound = total_degree(dict(self.a)) * total_degree(base.poly_dict)
+        if declared > bound:
+            raise InconsistentModel(
+                f"declared support places of total degree {declared} exceed the Bezout "
+                f"bound {bound} on the zeros of the component coefficients"
+            )
+        self.genus = cft.genus_from_conductors(base.genus, profile)
+        self._check_support_implies_profile(inf_degrees)
         # A and the B, compiled once into curve's terms per zero pattern
         self._a_terms = {pattern: a for pattern, (a,) in compile_poly2([self.a]).items()}
         self._b_terms = compile_poly2(self.components)
         self._support_map = None
+
+    def _check_support_implies_profile(self, inf_degrees: list[int]) -> None:
+        """The declared places must give the profile's conductor degree sum.
+
+        A place P with ramification index e (`_ramification_index`) lies in
+        the conductor of the G - G/e characters nontrivial on its inertia
+        group, each with exponent nu_P, so the sum is that of
+        count * deg P * nu_P * (G - G/e) over the support.  A ramified place
+        needs nu > 0, and an infinite place, which has no nu, must be
+        unramified.
+        """
+        G = self.group_order
+        for inf in self.infinities:
+            where = f"infinite place {inf.index}"
+            e = _ramification_index(G, inf_degrees[inf.index], inf.above, where)
+            if e > 1:
+                raise InconsistentModel(
+                    f"{where} is ramified (index {e}), but an infinity declares no nu"
+                )
+        implied = 0
+        for dp in self.support:
+            where = f"support place of degree {dp.degree}"
+            e = _ramification_index(G, dp.degree, dp.above, where)
+            if e > 1 and dp.nu == 0:
+                raise InconsistentModel(f"{where} is ramified (index {e}) but declares nu = 0")
+            implied += dp.count * dp.degree * dp.nu * (G - G // e)
+        if implied != self.profile.conductor_degree_sum:
+            raise InconsistentModel(
+                f"the support gives the conductor degree sum {implied}, "
+                f"the profile {self.profile.conductor_degree_sum}"
+            )
 
     @property
     def params(self):
@@ -184,17 +252,6 @@ class CoverSpec:
         out = {}
         for inf in self.infinities:
             out[("inf", inf.index)] = inf
-        for dp in self.support:
-            require_supported_degree(self.params, dp.degree)
-        # support places are zeros of A on the curve: affine Bezout bounds
-        # their points by deg A * deg F
-        declared = sum(dp.count * dp.degree for dp in self.support)
-        bound = total_degree(dict(self.a)) * total_degree(self.base.poly_dict)
-        if declared > bound:
-            raise InconsistentModel(
-                f"declared support places of total degree {declared} exceed the Bezout "
-                f"bound {bound} on the zeros of the component coefficients"
-            )
         for dp in self.support:
             zeros = [
                 pl.key
@@ -298,14 +355,13 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
     Unramified base places of degree <= d_max are decomposed by trace, in
     increasing degree; declared support and infinite places contribute their
     declared lists; the genus comes from the conductor-discriminant formula
-    applied to the cover's character profile.  Raises, before any work,
-    OutOfRange when d_max < 1, UnsupportedSize when degree d_max is out of
-    reach, and InconsistentModel when the profile gives no integral genus.
+    applied to the cover's character profile, once, when the cover is built.
+    Raises, before any work, OutOfRange when d_max < 1 and UnsupportedSize
+    when degree d_max is out of reach.
     """
     if d_max < 1:
         raise OutOfRange(f"d_max must be >= 1, got {d_max}")
     require_supported_degree(cover.params, d_max)
-    genus = cft.genus_from_conductors(cover.base.genus, cover.profile)
     check = _degree_check.get()
     declared = cover.support_map()
     a = {d: 0 for d in range(1, d_max + 1)}
@@ -323,7 +379,7 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
                     a[deg] += cnt
         if check is not None:
             check(d, a)
-    return PlaceSpectrum.from_spectrum(cover.params, a, genus)
+    return PlaceSpectrum.from_spectrum(cover.params, a, cover.genus)
 
 
 # ---------------------------------------------------------------------------

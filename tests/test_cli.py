@@ -177,6 +177,10 @@ MUTANTS = Path(__file__).parent / "data" / "mutants"
         ("rep_override", 2),
         ("extra_degree4", 3),
         ("repeated_degree5", 3),
+        ("conductors_18_31", 3),
+        ("degree5_two_above", 3),
+        ("degree5_nu9", 3),
+        ("degree4_above_4", 3),
     ],
 )
 def test_mutant_cover_data_prints_no_bound(capsys, mutant, code, argv):
@@ -654,7 +658,7 @@ genus = 3
 
 [profile kG]
 group_order = 2
-conductors = 10:1
+conductors = 2:1
 
 [cover kG]
 base = G

@@ -151,14 +151,15 @@ def test_ramified_place_refused(cover_k1):
 
 
 def test_pole_at_undeclared_place(doc1):
-    # same cover as k1 but with the degree-4 conductor place undeclared:
-    # decomposing it must fail loudly rather than guess
+    # same cover as k1 but with the degree-4 conductor place undeclared, and
+    # the profile its degree-5 place alone gives (5 * 2 * 31 = 310):
+    # decomposing the degree-4 place must fail loudly rather than guess
     k1 = doc1.covers["k1"]
     broken = cover.CoverSpec(
         base=k1.base,
         a=k1.a,
         components=k1.components,
-        profile=k1.profile,
+        profile=cft.CharacterConductorProfile(((10, 31),), 32),
         support=tuple(d for d in k1.support if d.degree != 4),
         infinities=k1.infinities,
         name="broken",
@@ -190,12 +191,13 @@ def test_undeclared_infinity_refused(doc1):
 
 
 def test_support_count_mismatch_rejected(doc2):
+    # the profile is the one three places would give (3 * 5 * 2 * 31 = 930)
     k2 = doc2.covers["k2"]
     wrong = cover.CoverSpec(
         base=k2.base,
         a=k2.a,
         components=k2.components,
-        profile=k2.profile,
+        profile=cft.CharacterConductorProfile(((30, 31),), 32),
         support=(cover.DeclaredPlace(5, 2, ((5, 1),), count=3),),  # only 2 exist
         infinities=k2.infinities,
         name="wrong",
@@ -234,6 +236,36 @@ def test_profile_order_mismatch_rejected(doc1):
             profile=k1.profile,
             support=k1.support,
             infinities=k1.infinities,
+        )
+
+
+@pytest.mark.parametrize(
+    "support, infinity, message",
+    [
+        (((4, 2, ((8, 1),)), (5, 2, ((5, 1),))), ((1, 16),), "infinite place 0 is ramified"),
+        (((4, 0, ((8, 1),)), (5, 2, ((5, 1),))), ((1, 32),), "degree 4 is ramified .* nu = 0"),
+        (((4, 2, ((8, 1),)), (5, 2, ())), ((1, 32),), "total degree 0 give"),
+        (((4, 2, ((8, 1),)), (5, 2, ((5, 64),))), ((1, 32),), r"index 32\*5/320, not"),
+        (((4, 2, ((8, 1),)), (5, 2, ((32, 1),))), ((1, 32),), r"index 32\*5/32, not"),
+        (((4, 2, ((8, 1),)), (5, 3, ((5, 1),))), ((1, 32),), "sum 705, the profile 550"),
+    ],
+    ids=["ramified-infinity", "ramified-nu-0", "nothing-above", "too-much-above",
+         "index-not-dividing", "conductor-sum"],
+)
+def test_support_must_imply_the_profile(doc1, support, infinity, message):
+    # k1 with one edit: the ramification index e = G deg P / sum(deg * count)
+    # above P must divide G, a ramified place needs nu > 0 and an infinite
+    # one cannot be ramified, and sum count * deg * nu * (G - G/e) over the
+    # support must be the profile's conductor degree sum
+    k1 = doc1.covers["k1"]
+    with pytest.raises(InconsistentModel, match=message):
+        cover.CoverSpec(
+            base=k1.base,
+            a=k1.a,
+            components=k1.components,
+            profile=k1.profile,
+            support=tuple(cover.DeclaredPlace(*rec) for rec in support),
+            infinities=(cover.DeclaredInfinity(0, infinity),),
         )
 
 
@@ -340,7 +372,8 @@ def traces_by_field_arithmetic(cov, F, x, y):
 def _mixed_terms_cover(curve_E3):
     """Rank 2 over F_3: A and the B have constant, pure-x, pure-y and mixed
     terms, with coefficients 1 and 2, so each zero pattern of (x, y) drops
-    some term of each."""
+    some term of each.  No support is declared, so the profile has no
+    conductor."""
     a = {(0, 0): 2, (1, 0): 1, (0, 1): 2, (1, 1): 1}
     b1 = {(0, 0): 1, (2, 0): 2, (0, 2): 1, (2, 1): 2}
     b2 = {(0, 1): 1, (3, 0): 1, (1, 2): 2}
@@ -348,7 +381,7 @@ def _mixed_terms_cover(curve_E3):
         base=curve_E3,
         a=a,
         components=(b1, b2),
-        profile=cft.CharacterConductorProfile(((4, 8),), 9),
+        profile=cft.CharacterConductorProfile(((0, 8),), 9),
         infinities=(cover.DeclaredInfinity(0, ((1, 9),)),),
         name="mixed",
     )

@@ -246,8 +246,9 @@ def _refined_denominator(genus: int, plan: RamificationPlan) -> Fraction:
 
 def refinement_warnings(plan: RamificationPlan) -> list[str]:
     """Flag entries where the damping exponent f differs from the local rank."""
+    params = plan.params
     affected = sorted(
-        {f for f, _, nu in plan.entries if (nu - 1 - (nu - 1) // plan.params.p) != 1}
+        {f for f, _, nu in plan.entries if local_unit_rank(params, f, nu) != f * params.e}
     )
     if not affected:
         return []

@@ -12,19 +12,21 @@ normalized right-hand sides at the place.  Zero vector: the place splits
 completely into p^r places of degree m.  Nonzero: p^(r-1) places of degree
 p*m.
 
-Places where A vanishes (and the places at infinity) cannot be decided
-by traces; their behavior is declared cover data, kept in one auditable
-list.  When the cover is built, the list must imply its conductor
-profile: each declared place P has the ramification index e_P =
-G deg P / sum(deg * count) over the places above it, G = p^r, which must
-divide G; a ramified support place needs nu > 0, an infinite place
-(which has no nu) must be unramified, and sum(count * deg P * nu_P *
-(G - G/e_P)) over the support must be the profile's conductor degree
-sum.  The brute-force compositum oracle does not check the list: the
-declared places' points enter its prediction and its subtraction alike,
-so a wrong declaration cancels out.  What the oracle checks is the code, the orbit
-grouping, the trace kernel and the assembly of the undeclared places,
-against a plain scan.
+Places where A vanishes, and the places at infinity, which are the base
+model's metadata and never a `Place`, cannot be decided by traces.  Their
+behavior is declared cover data: the support records, which `support_map`
+locates among the zeros of A, and one `infinities` record per infinite
+place.  When the cover is built, the declarations must imply its
+conductor profile: each declared place P has the ramification index
+e_P = G deg P / sum(deg * count) over the places above it, G = p^r,
+which must divide G; a support place needs nu > 0 exactly when it is
+ramified, an infinite place (which has no nu) must be unramified, and
+sum(count * deg P * nu_P * (G - G/e_P)) over the support must be the
+profile's conductor degree sum.  The brute-force compositum oracle does
+not check the declarations: the declared places' points enter its
+prediction and its subtraction alike, so a wrong declaration cancels
+out.  What the oracle checks is the code, the orbit grouping, the trace
+kernel and the assembly of the undeclared places, against a plain scan.
 
 Traces are read on two paths, both with every value held as a log and
 each Tr(x^i y^j / A^p) one read of the field's trace_of_power table.
@@ -193,9 +195,9 @@ class CoverSpec:
         A place P with ramification index e (`_ramification_index`) lies in
         the conductor of the G - G/e characters nontrivial on its inertia
         group, each with exponent nu_P, so the sum is that of
-        count * deg P * nu_P * (G - G/e) over the support.  A ramified place
-        needs nu > 0, and an infinite place, which has no nu, must be
-        unramified.
+        count * deg P * nu_P * (G - G/e) over the support.  A support place
+        needs nu > 0 exactly when it is ramified, and an infinite place,
+        which has no nu, must be unramified.
         """
         G = self.group_order
         for inf in self.infinities:
@@ -211,6 +213,8 @@ class CoverSpec:
             e = _ramification_index(G, dp.degree, dp.above, where)
             if e > 1 and dp.nu == 0:
                 raise InconsistentModel(f"{where} is ramified (index {e}) but declares nu = 0")
+            if e == 1 and dp.nu > 0:
+                raise InconsistentModel(f"{where} is unramified but declares nu = {dp.nu}")
             implied += dp.count * dp.degree * dp.nu * (G - G // e)
         if implied != self.profile.conductor_degree_sum:
             raise InconsistentModel(
@@ -246,18 +250,13 @@ class CoverSpec:
         return eval_compiled(F, self._a_terms[not x, not y], F._log[x], F._log[y]) < 0
 
     def support_map(self) -> dict:
-        """Canonical place key -> (DeclaredPlace | DeclaredInfinity)."""
+        """Canonical place key -> DeclaredPlace, for each zero of A."""
         if self._support_map is not None:
             return self._support_map
         out = {}
-        for inf in self.infinities:
-            out[("inf", inf.index)] = inf
         for dp in self.support:
-            zeros = [
-                pl.key
-                for pl in enumerate_places(self.base, dp.degree)
-                if not pl.is_infinite and self._a_vanishes(pl)
-            ]
+            places = enumerate_places(self.base, dp.degree)
+            zeros = [pl.key for pl in places if self._a_vanishes(pl)]
             if len(zeros) != dp.count:
                 raise InconsistentModel(
                     f"declared {dp.count} support place(s) of degree {dp.degree}, "
@@ -311,10 +310,6 @@ def decompose_place(cover: CoverSpec, place: Place) -> DecompositionRecord:
         raise InconsistentModel(
             f"place {place.key} is declared cover data; use the declared behavior"
         )
-    if place.is_infinite:
-        raise InconsistentModel(
-            f"infinite place {place.key} has no affine representative and no declaration"
-        )
     p = cover.params.p
     m = place.degree
     taus = _component_traces(cover, make_ext_field(cover.params, m), *place.key)
@@ -353,9 +348,10 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
     """Place spectrum of the cover up to degree d_max.
 
     Unramified base places of degree <= d_max are decomposed by trace, in
-    increasing degree; declared support and infinite places contribute their
-    declared lists; the genus comes from the conductor-discriminant formula
-    applied to the cover's character profile, once, when the cover is built.
+    increasing degree; the support places and the infinities contribute
+    their declared lists; the genus comes from the conductor-discriminant
+    formula applied to the cover's character profile, once, when the cover
+    is built.
     Raises, before any work, OutOfRange when d_max < 1 and UnsupportedSize
     when degree d_max is out of reach.
     """
@@ -365,7 +361,7 @@ def assemble_spectrum(cover: CoverSpec, d_max: int) -> PlaceSpectrum:
     check = _degree_check.get()
     declared = cover.support_map()
     a = {d: 0 for d in range(1, d_max + 1)}
-    for decl in declared.values():
+    for decl in [*declared.values(), *cover.infinities]:
         for deg, cnt in decl.above:
             if deg <= d_max:
                 a[deg] += cnt
@@ -463,9 +459,9 @@ def oracle_report(cover: CoverSpec, spectrum: PlaceSpectrum, n: int) -> OracleRe
     spectrum_points = spectrum.n_map[n]
     # a support record shared by several places (count > 1) appears once per
     # resolved place in support_map, so the sum over it is per place
-    above = [pair for decl in cover.support_map().values() for pair in decl.above]
+    declared = cover.support_map().values()
+    decl_pts = points_over((pair for decl in declared for pair in decl.above), n)
     inf_pts = points_over((pair for inf in cover.infinities for pair in inf.above), n)
-    decl_pts = points_over(above, n) - inf_pts
     residual = total - (spectrum_points - inf_pts - decl_pts) - singular_solutions
     return OracleReport(
         n=n,

@@ -3,14 +3,16 @@
 A curve is presented as a bivariate polynomial identity F(x, y) = 0 with
 prime-field coefficients, together with an explicit list of places at
 infinity (the shipped base models each have a single rational one) and a
-declared genus.  Point counts and places read one walk over F_{q^n}: one x
-per Frobenius orbit and its list of roots in y, the orbits read from the
-field's `orbit_table`.  N_n sums the lengths of the root lists
-weighted by the orbit sizes; the place spectrum a_d follows by Moebius
-inversion, and the counts are validated against the L-polynomial that
-Newton's identities rebuild from N_1..N_g, for every genus.  Places of
-degree d group the same roots into orbits; over an x of orbit size d each
-root is a place of its own.
+declared genus.  The infinite places are metadata only, (degree, count)
+pairs: they enter N_n through `points_over` and are never a `Place`.
+Point counts and places read one walk over F_{q^n}: one x per Frobenius
+orbit and its list of roots in y, the orbits read from the field's
+`orbit_table`.  N_n sums the lengths of the root lists weighted by the
+orbit sizes; the place spectrum a_d follows by Moebius inversion, and the
+counts are validated against the L-polynomial that Newton's identities
+rebuild from N_1..N_g, for every genus.  Affine places of degree d group
+the same roots into orbits, each keyed by its least point (x, y); over an
+x of orbit size d each root is a place of its own.
 
 `root_lists` is the one walk over root lists: it yields (x, roots) for any
 sequence of x, a chunk of at most CHUNK x values at a time, solved on the
@@ -125,20 +127,16 @@ class CurveModel:
 
 @dataclass(frozen=True)
 class Place:
-    """A closed point: Galois orbit of size `degree` of curve points.
+    """An affine closed point: Galois orbit of size `degree` of curve points.
 
-    `key` is the canonical orbit identifier, the coordinate pair with
-    smallest packed value over F_{q^degree}, or ('inf', index) for a
-    declared infinite place.  Trace evaluation reads the affine key as the
-    place's point.
+    `key` is the canonical orbit identifier, the pair (x, y) with smallest
+    packed value over F_{q^degree}; trace evaluation reads it as the place's
+    point.  Infinite places are no Place: they are the model's
+    `infinite_places` metadata.
     """
 
     degree: int
     key: tuple
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.key[0] == "inf"
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +513,8 @@ def enumerate_places(model: CurveModel, d: int) -> list[Place]:
     y -> y^(q^e) among the roots over x, and the place has degree e times
     its size.  Its key, the least point of the orbit, is (x, least such y).
     When e == d, y^(q^d) = y: each root is a place of its own, with no
-    powering.  Infinite places come from the model metadata and are
-    returned as symbolic entries.
+    powering.  Infinite places are not listed: they are the model's
+    `infinite_places` metadata.
     """
     F = make_ext_field(model.params, d)
     reps, short = F.orbit_table
@@ -533,9 +531,6 @@ def enumerate_places(model: CurveModel, d: int) -> list[Place]:
                 orbit.append(cy)
             if e * len(orbit) == d and y == min(orbit):
                 places.append(Place(degree=d, key=(x, y)))
-    for idx, m in enumerate(model.infinite_index_degrees()):
-        if m == d:
-            places.append(Place(degree=d, key=("inf", idx)))
     return places
 
 

@@ -181,6 +181,7 @@ MUTANTS = Path(__file__).parent / "data" / "mutants"
         ("degree5_two_above", 3),
         ("degree5_nu9", 3),
         ("degree4_above_4", 3),
+        ("unramified_nu3", 3),
     ],
 )
 def test_mutant_cover_data_prints_no_bound(capsys, mutant, code, argv):

@@ -91,8 +91,6 @@ def test_representative_independence_and_balance_deg_le_6(
                 with pytest.raises(InconsistentModel, match="is declared cover data"):
                     cover.decompose_place(cov, pl)
                 continue
-            if pl.is_infinite:
-                continue
             # the trace kernel gives one vector at every point of the place
             F = make_ext_field(cov.params, d)
             vectors = [
@@ -102,6 +100,10 @@ def test_representative_independence_and_balance_deg_le_6(
             rec = cover.decompose_place(cov, pl)
             assert rec.frobenius_vector == tuple(vectors[0])
             assert sum(deg * cnt for deg, cnt in rec.places_above) == d * p**r
+    # the infinite places are the base's metadata, each unramified
+    degrees = cov.base.infinite_index_degrees()
+    for inf in cov.infinities:
+        assert sum(deg * cnt for deg, cnt in inf.above) == degrees[inf.index] * p**r
 
 
 def test_spectrum_goldens(spectrum_k1, spectrum_k2, spectrum_k3, cover_C):
@@ -138,10 +140,7 @@ def test_subcover_functoriality(cover_C, cover_k1):
 
 def declared_place(cov, degree):
     """The resolved affine support place of the given degree, from support_map."""
-    key = next(
-        key for key, d in cov.support_map().items()
-        if isinstance(d, cover.DeclaredPlace) and d.degree == degree
-    )
+    key = next(key for key, d in cov.support_map().items() if d.degree == degree)
     return curve.Place(degree=degree, key=key)
 
 
@@ -169,25 +168,6 @@ def test_pole_at_undeclared_place(doc1):
         cover.decompose_place(broken, target)
     with pytest.raises(InconsistentModel, match="vanishes at undeclared place"):
         cover.assemble_spectrum(broken, 10)
-
-
-def test_undeclared_infinity_refused(doc1):
-    k1 = doc1.covers["k1"]
-    inf_place = curve.Place(degree=1, key=("inf", 0))
-    with pytest.raises(InconsistentModel, match="is declared cover data"):
-        cover.decompose_place(k1, inf_place)  # declared: refused
-    naked = cover.CoverSpec(
-        base=k1.base,
-        a=k1.a,
-        components=k1.components,
-        profile=k1.profile,
-        support=k1.support,
-        infinities=(cover.DeclaredInfinity(0, ((1, 32),)),),
-        name="k1b",
-    )
-    other = curve.Place(degree=2, key=("inf", 7))
-    with pytest.raises(InconsistentModel, match="no affine representative"):
-        cover.decompose_place(naked, other)
 
 
 def test_support_count_mismatch_rejected(doc2):
@@ -222,8 +202,7 @@ def test_repeated_support_degree_rejected(doc2):
             name="split",
         )
     # the bundled record with count=2 stands for both zeros of degree 5
-    declared = [d for d in k2.support_map().values() if isinstance(d, cover.DeclaredPlace)]
-    assert declared == [k2.support[0]] * 2
+    assert list(k2.support_map().values()) == [k2.support[0]] * 2
 
 
 def test_profile_order_mismatch_rejected(doc1):
@@ -244,19 +223,22 @@ def test_profile_order_mismatch_rejected(doc1):
     [
         (((4, 2, ((8, 1),)), (5, 2, ((5, 1),))), ((1, 16),), "infinite place 0 is ramified"),
         (((4, 0, ((8, 1),)), (5, 2, ((5, 1),))), ((1, 32),), "degree 4 is ramified .* nu = 0"),
+        (((4, 2, ((8, 16),)), (5, 2, ((5, 1),))), ((1, 32),),
+         "degree 4 is unramified but declares nu = 2"),
         (((4, 2, ((8, 1),)), (5, 2, ())), ((1, 32),), "total degree 0 give"),
         (((4, 2, ((8, 1),)), (5, 2, ((5, 64),))), ((1, 32),), r"index 32\*5/320, not"),
         (((4, 2, ((8, 1),)), (5, 2, ((32, 1),))), ((1, 32),), r"index 32\*5/32, not"),
         (((4, 2, ((8, 1),)), (5, 3, ((5, 1),))), ((1, 32),), "sum 705, the profile 550"),
     ],
-    ids=["ramified-infinity", "ramified-nu-0", "nothing-above", "too-much-above",
-         "index-not-dividing", "conductor-sum"],
+    ids=["ramified-infinity", "ramified-nu-0", "unramified-nu-2", "nothing-above",
+         "too-much-above", "index-not-dividing", "conductor-sum"],
 )
 def test_support_must_imply_the_profile(doc1, support, infinity, message):
     # k1 with one edit: the ramification index e = G deg P / sum(deg * count)
-    # above P must divide G, a ramified place needs nu > 0 and an infinite
-    # one cannot be ramified, and sum count * deg * nu * (G - G/e) over the
-    # support must be the profile's conductor degree sum
+    # above P must divide G, a support place needs nu > 0 exactly when it is
+    # ramified, an infinite one cannot be ramified, and
+    # sum count * deg * nu * (G - G/e) over the support must be the
+    # profile's conductor degree sum
     k1 = doc1.covers["k1"]
     with pytest.raises(InconsistentModel, match=message):
         cover.CoverSpec(
@@ -588,7 +570,7 @@ def test_decomposition_calls_no_element_methods(
     forbid_element_methods(monkeypatch)
     for cov, spec, d_max in cases:
         declared = cov.support_map()
-        above = [pair for decl in declared.values() for pair in decl.above]
+        above = [pair for decl in [*declared.values(), *cov.infinities] for pair in decl.above]
         for pl in places[cov.name]:
             if pl.key not in declared:
                 above += cover.decompose_place(cov, pl).places_above

@@ -47,6 +47,12 @@ def test_count_points_against_brute_force(name, expected, curve_E, curve_H, curv
         assert brute_count_points(model, n) == want
 
 
+def infinite_places_of_degree(model, d):
+    """How many infinite places of degree d the model declares: its metadata,
+    which enumerate_places does not list."""
+    return sum(cnt for m, cnt in model.infinite_places if m == d)
+
+
 def _genus3_y_cubic():
     """y^3 + y = x^4 + x + 1 over F_2: y-degree 3, so roots come from the gcd path."""
     return curve.CurveModel.create(
@@ -60,7 +66,10 @@ def test_degree_three_root_path_against_brute_force():
     assert N == {n: brute_count_points(model, n) for n in range(1, 5)} == {1: 1, 2: 1, 3: 13, 4: 33}
     # places (enumerate_places) group the roots that the counts take the
     # lengths of; the brute force above checks the counts themselves
-    a = {d: len(curve.enumerate_places(model, d)) for d in range(1, 5)}
+    a = {
+        d: len(curve.enumerate_places(model, d)) + infinite_places_of_degree(model, d)
+        for d in range(1, 5)
+    }
     for n in range(1, 5):
         assert sum(d * a[d] for d in curve.divisors(n)) == N[n]
 
@@ -96,9 +105,8 @@ def test_orbit_scan_matches_whole_field_scan(curve_E, curve_H, curve_E3):
              (line, 8), (e_over_f4, 5), (_plane(), 4), (lines, 4)]
     for model, d_max in cases:
         for d in range(1, d_max + 1):
-            places = curve.enumerate_places(model, d)
-            affine = [(pl.degree, pl.key) for pl in places if not pl.is_infinite]
-            assert affine == reference_places(model, d), (model.name, d)
+            places = [(pl.degree, pl.key) for pl in curve.enumerate_places(model, d)]
+            assert places == reference_places(model, d), (model.name, d)
             assert curve.count_affine(model, d) == len(whole_field_points(model, d))
 
 
@@ -439,19 +447,22 @@ def test_weil_violation_rejected(curve_E):
 
 
 def test_enumerate_places_counts(curve_E, curve_E3):
-    specE = curve.spectrum_from_counts(curve_E, 8)
-    for d in range(1, 9):
-        assert len(curve.enumerate_places(curve_E, d)) == specE.a_map[d]
-    specE3 = curve.spectrum_from_counts(curve_E3, 6)
-    for d in range(1, 7):
-        assert len(curve.enumerate_places(curve_E3, d)) == specE3.a_map[d]
+    # the affine places and the declared infinite ones make up a_d
+    for model, d_max in ((curve_E, 8), (curve_E3, 6)):
+        spec = curve.spectrum_from_counts(model, d_max)
+        for d in range(1, d_max + 1):
+            places = len(curve.enumerate_places(model, d)) + infinite_places_of_degree(model, d)
+            assert places == spec.a_map[d], (model.name, d)
 
 
 def test_galois_orbit_partition(curve_E, curve_E3):
     # points over F_{q^n} partitioned by minimal field: sum of d*a_d over d | n
     # (places counted as orbits) equals the direct point count
     for model, n_max in ((curve_E, 10), (curve_E3, 9)):
-        by_degree = {d: len(curve.enumerate_places(model, d)) for d in range(1, n_max + 1)}
+        by_degree = {
+            d: len(curve.enumerate_places(model, d)) + infinite_places_of_degree(model, d)
+            for d in range(1, n_max + 1)
+        }
         for n in range(1, n_max + 1):
             via_orbits = sum(d * by_degree[d] for d in curve.divisors(n))
             assert via_orbits == curve.count_points(model, n)
@@ -472,9 +483,6 @@ def pow_walk_places(model, d):
                 orbit.append(cy)
             if e * len(orbit) == d and y == min(orbit):
                 places.append(curve.Place(degree=d, key=(x, y)))
-    for idx, m in enumerate(model.infinite_index_degrees()):
-        if m == d:
-            places.append(curve.Place(degree=d, key=("inf", idx)))
     return places
 
 
@@ -488,9 +496,7 @@ def test_full_size_orbits_match_the_pow_walk(curve_E, curve_H, curve_E3):
             places = curve.enumerate_places(model, d)
             assert places == pow_walk_places(model, d), (model.name, d)
             _, short = make_ext_field(model.params, d).orbit_table
-            over_subfields += sum(
-                not pl.is_infinite and short.get(pl.key[0], d) < d for pl in places
-            )
+            over_subfields += sum(short.get(pl.key[0], d) < d for pl in places)
     assert over_subfields
 
 

@@ -131,7 +131,7 @@ class Place:
 
     `key` is the canonical orbit identifier, the pair (x, y) with smallest
     packed value over F_{q^degree}; trace evaluation reads it as the place's
-    point.  Infinite places are no Place: they are the model's
+    point.  Infinite places are never a Place: they are the model's
     `infinite_places` metadata.
     """
 
